@@ -238,13 +238,14 @@ def cmd_oracle(args) -> int:
         return 0
     if args.problem == "minsum":
         config = _load_config(args.instance, None)
+        r = minsum.common_range(config)
         out = {}
         for axis, (lo, hi) in (("x", config.x_extent),
                                ("y", config.y_extent)):
             pts = tuple((s.x if axis == "x" else s.y) - lo
                         for s in sorted(config.sensors, key=lambda s: s.id))
             inst = minsum.Line1DInstance(
-                points=pts, radius=config.sensors[0].range, length=hi - lo)
+                points=pts, radius=r, length=hi - lo)
             a_cost, b_cost = minsum.oracle_minsum_1d(inst, Fraction(1, 8))
             out[axis] = {"candidate_dp": rat_str(a_cost),
                          "grid": rat_str(b_cost)}

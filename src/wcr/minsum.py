@@ -15,6 +15,12 @@ clamped to [0, L] (translate any rigid sub-chain of touching intervals
 until a sensor stops moving or an endpoint anchors).  The solver is a
 DP over C with a sliding-window minimum; sensors not needed for
 coverage stay where they are.
+
+The DP runs on Python ints: the points, r and L are scaled once by D,
+the least common multiple of their denominators, so every grid point
+and every partial cost is an exact integer count of 1/D.  Only the
+returned targets and cost are converted back to Fractions, so the
+result is exact.
 """
 
 from __future__ import annotations
@@ -22,20 +28,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import inf, lcm
 
-from .core import Configuration, Solution
-from .errors import HeterogeneousRanges, Infeasible, ModeError, SizeLimit
-
-INF = None  # sentinel: Fractions compare poorly with float inf
-
-
-def _lt(a, b) -> bool:
-    """a < b with None acting as +infinity."""
-    if a is INF:
-        return False
-    if b is INF:
-        return True
-    return a < b
+from .core import HALF, Configuration, Solution
+from .errors import (HeterogeneousRanges, Infeasible, ModeError, SizeLimit,
+                     ValidationError)
 
 
 @dataclass(frozen=True)
@@ -46,28 +43,35 @@ class Line1DInstance:
 
     def __post_init__(self):
         if self.radius <= 0 or self.length <= 0:
-            raise ValueError("radius and length must be positive")
+            raise ValidationError("radius and length must be positive")
         for p in self.points:
             if not (0 <= p <= self.length):
-                raise ValueError(f"point {p} outside [0, {self.length}]")
+                raise ValidationError(f"point {p} outside [0, {self.length}]")
 
     @property
     def feasible(self) -> bool:
         return len(self.points) * 2 * self.radius >= self.length
 
 
+def _scaled(inst: Line1DInstance) -> tuple[int, list[int]]:
+    """D and [r, L, *points], each as an integer count of 1/D."""
+    vals = (inst.radius, inst.length, *inst.points)
+    d = lcm(*(v.denominator for v in vals))
+    return d, [v.numerator * (d // v.denominator) for v in vals]
+
+
 def candidate_targets(inst: Line1DInstance,
                       keep=lambda v: True) -> list[Fraction]:
-    r, L = inst.radius, inst.length
-    n = len(inst.points)
+    d, (r, L, *pts) = _scaled(inst)
+    n = len(pts)
     raw = set()
     for k in range(-n, n + 1):
-        raw.add(r + 2 * r * k)
-        raw.add(L - r - 2 * r * k)
-        for p in inst.points:
-            raw.add(p + 2 * r * k)
-    clamped = {min(max(v, Fraction(0)), L) for v in raw}
-    return sorted(v for v in clamped if keep(v))
+        shift = 2 * r * k
+        raw.add(r + shift)
+        raw.add(L - r - shift)
+        raw.update(p + shift for p in pts)
+    grid = sorted({min(max(v, 0), L) for v in raw})
+    return [v for v in (Fraction(g, d) for g in grid) if keep(v)]
 
 
 def solve_minsum_1d(inst: Line1DInstance, *, keep=lambda v: True
@@ -81,10 +85,11 @@ def solve_minsum_1d(inst: Line1DInstance, *, keep=lambda v: True
     if not inst.feasible:
         raise Infeasible("sum of diameters shorter than the segment")
     n = len(inst.points)
-    r, L = inst.radius, inst.length
+    d, (r, L, *scaled) = _scaled(inst)
     order = sorted(range(n), key=lambda i: (inst.points[i], i))
-    pts = [inst.points[i] for i in order]
-    C = candidate_targets(inst, keep)
+    pts = [scaled[i] for i in order]
+    C = [v.numerator * (d // v.denominator)
+         for v in candidate_targets(inst, keep)]
     m = len(C)
     done_from = next((c for c in range(m) if C[c] >= L - r), m)
 
@@ -103,87 +108,84 @@ def solve_minsum_1d(inst: Line1DInstance, *, keep=lambda v: True
     while start_ub + 1 < m and C[start_ub + 1] <= r:
         start_ub += 1
 
-    best = [Fraction(0) if c >= done_from else INF for c in range(m)]
-    best.append(INF)  # start state
-    layers = [list(best)]
-    for i in range(n - 1, -1, -1):
+    # no_cover exceeds any real cost (n*L: no move exceeds L) and marks a
+    # state with no covering completion; an int, as D can overflow floats
+    no_cover = n * L + 1
+    best = [no_cover] * done_from + [0] * (m - done_from) + [no_cover]
+    layers = [best]
+    for p in reversed(pts):
         nxt = best
-        cur = [Fraction(0)] * m + [INF]
-        # sliding-window minimum of place-cost f(c') over c' in [c, upper[c]]
+        # place[c'] = cost of moving this sensor to C[c'], then nxt[c']
+        place = [abs(p - t) + v for t, v in zip(C, nxt)]
+        best = [0] * m + [min([nxt[m], *place[:start_ub + 1]])]
+        # sliding-window minimum of place[c'] over c' in [c, upper[c]]
         window: deque[int] = deque()
-
-        def f(cp):
-            return INF if nxt[cp] is INF else abs(pts[i] - C[cp]) + nxt[cp]
-
         pushed = -1
-        for c in range(min(done_from, m)):
+        for c in range(done_from):
             while pushed < upper[c]:
                 pushed += 1
-                while window and not _lt(f(window[-1]), f(pushed)):
+                v = place[pushed]
+                while window and place[window[-1]] >= v:
                     window.pop()
                 window.append(pushed)
             while window[0] < c:
                 window.popleft()
-            placed = f(window[0])
-            cur[c] = placed if _lt(placed, nxt[c]) else nxt[c]
-        start_best = nxt[m]
-        for cp in range(start_ub + 1):
-            v = f(cp)
-            if _lt(v, start_best):
-                start_best = v
-        cur[m] = start_best
-        best = cur
-        layers.append(list(best))
+            placed = place[window[0]]
+            best[c] = placed if placed < nxt[c] else nxt[c]
+        layers.append(best)
     layers.reverse()  # layers[i] = DP values before placing sensor i
 
     total = layers[0][m]
-    if total is INF:
+    if total >= no_cover:
         raise Infeasible("no covering assignment exists")  # pragma: no cover
 
     # forward reconstruction; ties broken toward the smallest target,
     # then toward leaving the sensor where it is
-    targets_sorted: list[Fraction] = []
+    targets_sorted: list[int] = []
     state = m
-    for i in range(n):
+    for i, p in enumerate(pts):
         nxt = layers[i + 1]
         needed = layers[i][state]
-        if state < m and state >= done_from:
-            targets_sorted.append(pts[i])
+        if done_from <= state < m:
+            targets_sorted.append(p)
             continue
         options = []
-        if nxt[state] is not INF and not _lt(needed, nxt[state]):
-            options.append((pts[i], 0, state))  # stay put
-        lo = 0 if state == m else state
-        hi = start_ub if state == m else upper[state]
+        if nxt[state] <= needed:
+            options.append((p, 0, state))  # stay put
+        lo, hi = (0, start_ub) if state == m else (state, upper[state])
         for cp in range(lo, hi + 1):
-            if nxt[cp] is INF:
-                continue
-            if abs(pts[i] - C[cp]) + nxt[cp] == needed:
+            if abs(p - C[cp]) + nxt[cp] == needed:
                 options.append((C[cp], 1, cp))
         assert options, "reconstruction lost the optimum"
-        t, _, state = min(options, key=lambda o: (o[0], o[1]))
+        t, _, state = min(options)  # grid targets are distinct
         targets_sorted.append(t)
 
-    targets = [Fraction(0)] * n
-    for rank, i in enumerate(order):
-        targets[i] = targets_sorted[rank]
+    targets = [Fraction(t, d) for _, t in sorted(zip(order, targets_sorted))]
     cost = sum((abs(t - p) for t, p in zip(targets, inst.points)),
                Fraction(0))
-    assert cost == total
+    assert cost == Fraction(total, d)
     return tuple(targets), cost
+
+
+def common_range(config: Configuration) -> Fraction:
+    """The sensing range every sensor shares; exact MinSum needs one."""
+    ranges = {s.range for s in config.sensors}
+    if len(ranges) > 1:
+        raise HeterogeneousRanges(
+            "heterogeneous MinSum is intractable; see the brute-force oracle")
+    if not ranges:
+        raise Infeasible("no sensors to cover the rectangle")
+    return ranges.pop()
 
 
 def solve_minsum_manhattan(config: Configuration
                            ) -> tuple[Solution, Fraction]:
     """Exact 2D MinSum for homogeneous ranges under Manhattan distance."""
-    ranges = {s.range for s in config.sensors}
-    if len(ranges) > 1:
-        raise HeterogeneousRanges(
-            "heterogeneous MinSum is intractable; see the brute-force oracle")
+    r = common_range(config)
     if config.metric != "manhattan":
         raise ModeError("MinSum solver is Manhattan-only")
-    r = next(iter(ranges))
-    keep = (lambda v: (v + HALF_SHIFT).denominator == 1) \
+    # integer mode: grid i <-> i - 1/2 on the shifted axis
+    keep = (lambda v: (v + HALF).denominator == 1) \
         if config.mode == "integer" else (lambda v: True)
 
     lo_x, hi_x = config.x_extent
@@ -198,9 +200,6 @@ def solve_minsum_manhattan(config: Configuration
     sol = Solution({s.id: (tx[i] + lo_x, ty[i] + lo_y)
                     for i, s in enumerate(sensors)})
     return sol, cx + cy
-
-
-HALF_SHIFT = Fraction(1, 2)  # integer-mode axis shift: grid i <-> i - 1/2
 
 
 def oracle_minsum_1d(inst: Line1DInstance, delta: Fraction
@@ -230,7 +229,7 @@ def oracle_minsum_1d(inst: Line1DInstance, delta: Fraction
     gq = int(L / delta)
     done_at = L - r  # a target here or beyond completes the cover
     prev: dict = {None: Fraction(0)}  # None = nothing placed yet
-    done_cost = INF
+    done_cost = inf
     for i in range(n):
         cur: dict = {}
         for state, cost in prev.items():
@@ -239,7 +238,7 @@ def oracle_minsum_1d(inst: Line1DInstance, delta: Fraction
                 tail = cost + sum(
                     (max(Fraction(0), state * delta - pts[j])
                      for j in range(i, n)), Fraction(0))
-                if _lt(tail, done_cost):
+                if tail < done_cost:
                     done_cost = tail
                 continue
             lo = 0 if state is None else state
@@ -247,16 +246,16 @@ def oracle_minsum_1d(inst: Line1DInstance, delta: Fraction
             q = lo
             while q <= gq and q * delta <= hi_abs:
                 c2 = cost + abs(pts[i] - q * delta)
-                if _lt(c2, cur.get(q, INF)):
+                if c2 < cur.get(q, inf):
                     cur[q] = c2
                 q += 1
         prev = cur
     b_cost = done_cost
     for state, cost in prev.items():
         if state is not None and state * delta >= done_at and \
-                _lt(cost, b_cost):
+                cost < b_cost:
             b_cost = cost
-    if b_cost is INF:
+    if b_cost == inf:
         raise Infeasible("grid oracle found no covering assignment")
 
     # --- A: branch and bound over monotone assignments into C.  With
@@ -267,10 +266,10 @@ def oracle_minsum_1d(inst: Line1DInstance, delta: Fraction
     best = [b_cost]
 
     def dfs(i: int, cost: Fraction, min_c: int, reach: Fraction):
-        if _lt(best[0], cost):
+        if best[0] < cost:
             return
         if reach >= L:
-            if _lt(cost, best[0]):
+            if cost < best[0]:
                 best[0] = cost
             return
         if i == n:

@@ -2,9 +2,13 @@
 the test modules.  Everything here is deliberately naive."""
 
 import random
+from collections import deque
+from fractions import Fraction
 from itertools import combinations
 
+from wcr.errors import Infeasible
 from wcr.minnum import FREE_TYPES, classify
+from wcr.minsum import Line1DInstance
 from wcr.reductions import Max2Sat3Occ, Sat3_22
 
 
@@ -86,3 +90,135 @@ def random_max2sat3occ(rng: random.Random, n: int,
             _, best = sat_brute(f)
             return Max2Sat3Occ(n, tuple(clauses), best)
         return Max2Sat3Occ(n, tuple(clauses), t)
+
+
+# --- MinSum 1D: the original all-Fraction candidate-grid DP, kept as the
+# reference that the integer solver must match output for output.
+
+INF = None  # sentinel: Fractions compare poorly with float inf
+
+
+def _lt(a, b) -> bool:
+    """a < b with None acting as +infinity."""
+    if a is INF:
+        return False
+    if b is INF:
+        return True
+    return a < b
+
+
+def reference_candidate_targets(inst: Line1DInstance,
+                                keep=lambda v: True) -> list[Fraction]:
+    r, L = inst.radius, inst.length
+    n = len(inst.points)
+    raw = set()
+    for k in range(-n, n + 1):
+        raw.add(r + 2 * r * k)
+        raw.add(L - r - 2 * r * k)
+        for p in inst.points:
+            raw.add(p + 2 * r * k)
+    clamped = {min(max(v, Fraction(0)), L) for v in raw}
+    return sorted(v for v in clamped if keep(v))
+
+
+def reference_minsum_1d(inst: Line1DInstance, *, keep=lambda v: True
+                         ) -> tuple[tuple[Fraction, ...], Fraction]:
+    """Optimal targets (aligned to input order) and their total cost.
+
+    `keep` optionally filters the candidate grid (used by the integer-
+    mode caller to stay on lattice points; safe whenever an optimum
+    exists within the filtered set).
+    """
+    if not inst.feasible:
+        raise Infeasible("sum of diameters shorter than the segment")
+    n = len(inst.points)
+    r, L = inst.radius, inst.length
+    order = sorted(range(n), key=lambda i: (inst.points[i], i))
+    pts = [inst.points[i] for i in order]
+    C = reference_candidate_targets(inst, keep)
+    m = len(C)
+    done_from = next((c for c in range(m) if C[c] >= L - r), m)
+
+    # suffix DP: best[c] = min cost of sensors i..n-1 given the last
+    # placed target is C[c] (chain valid so far); best[m] = nothing
+    # placed yet (the next placed target must be <= r).
+    # A state c >= done_from is terminal: remaining sensors stay put.
+    upper = []  # upper[c] = last c' with C[c'] <= C[c] + 2r
+    hi = 0
+    for c in range(m):
+        hi = max(hi, c)
+        while hi + 1 < m and C[hi + 1] <= C[c] + 2 * r:
+            hi += 1
+        upper.append(hi)
+    start_ub = -1
+    while start_ub + 1 < m and C[start_ub + 1] <= r:
+        start_ub += 1
+
+    best = [Fraction(0) if c >= done_from else INF for c in range(m)]
+    best.append(INF)  # start state
+    layers = [list(best)]
+    for i in range(n - 1, -1, -1):
+        nxt = best
+        cur = [Fraction(0)] * m + [INF]
+        # sliding-window minimum of place-cost f(c') over c' in [c, upper[c]]
+        window: deque[int] = deque()
+
+        def f(cp):
+            return INF if nxt[cp] is INF else abs(pts[i] - C[cp]) + nxt[cp]
+
+        pushed = -1
+        for c in range(min(done_from, m)):
+            while pushed < upper[c]:
+                pushed += 1
+                while window and not _lt(f(window[-1]), f(pushed)):
+                    window.pop()
+                window.append(pushed)
+            while window[0] < c:
+                window.popleft()
+            placed = f(window[0])
+            cur[c] = placed if _lt(placed, nxt[c]) else nxt[c]
+        start_best = nxt[m]
+        for cp in range(start_ub + 1):
+            v = f(cp)
+            if _lt(v, start_best):
+                start_best = v
+        cur[m] = start_best
+        best = cur
+        layers.append(list(best))
+    layers.reverse()  # layers[i] = DP values before placing sensor i
+
+    total = layers[0][m]
+    if total is INF:
+        raise Infeasible("no covering assignment exists")  # pragma: no cover
+
+    # forward reconstruction; ties broken toward the smallest target,
+    # then toward leaving the sensor where it is
+    targets_sorted: list[Fraction] = []
+    state = m
+    for i in range(n):
+        nxt = layers[i + 1]
+        needed = layers[i][state]
+        if state < m and state >= done_from:
+            targets_sorted.append(pts[i])
+            continue
+        options = []
+        if nxt[state] is not INF and not _lt(needed, nxt[state]):
+            options.append((pts[i], 0, state))  # stay put
+        lo = 0 if state == m else state
+        hi = start_ub if state == m else upper[state]
+        for cp in range(lo, hi + 1):
+            if nxt[cp] is INF:
+                continue
+            if abs(pts[i] - C[cp]) + nxt[cp] == needed:
+                options.append((C[cp], 1, cp))
+        assert options, "reconstruction lost the optimum"
+        t, _, state = min(options, key=lambda o: (o[0], o[1]))
+        targets_sorted.append(t)
+
+    targets = [Fraction(0)] * n
+    for rank, i in enumerate(order):
+        targets[i] = targets_sorted[rank]
+    cost = sum((abs(t - p) for t, p in zip(targets, inst.points)),
+               Fraction(0))
+    assert cost == total
+    return tuple(targets), cost

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wcr
 from wcr import serialize
 from wcr.cli import main
 from wcr.core import Configuration, Sensor
@@ -87,6 +92,33 @@ def test_infeasible_minsum_exit_1(tmp_path, capsys):
     path = cfg_file(tmp_path, [(1, 1)], a=3, b=1)
     assert main(["solve", "minsum", str(path)]) == 1
     capsys.readouterr()
+
+
+def run_wcr(*argv) -> subprocess.CompletedProcess:
+    """`wcr` in a fresh interpreter, as a shell user runs it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(wcr.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "wcr.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+def test_minsum_without_sensors_is_infeasible(tmp_path, command):
+    path = cfg_file(tmp_path, [])
+    proc = run_wcr(command, "minsum", str(path))
+    assert proc.returncode == 1
+    assert proc.stderr == "infeasible: no sensors to cover the rectangle\n"
+    assert proc.stdout == ""
+
+
+def test_oracle_minsum_rejects_heterogeneous_ranges(tmp_path, capsys):
+    sensors = (Sensor(1, F(1), F(1), F(1)), Sensor(2, F(3), F(3), F(3, 2)))
+    path = tmp_path / "mixed.json"
+    path.write_text(serialize.write_config(Configuration(
+        width=F(4), height=F(4), sensors=sensors, mode="continuous",
+        metric="manhattan")))
+    assert main(["oracle", "minsum", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "heterogeneous" in captured.err
 
 
 def test_gen_decide_extract_pipeline(tmp_path, capsys):

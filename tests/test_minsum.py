@@ -2,13 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from brutes import reference_minsum_1d
 from wcr.core import Configuration, Sensor, is_blocking, solution_costs
-from wcr.errors import HeterogeneousRanges, Infeasible, ModeError
+from wcr.errors import (HeterogeneousRanges, Infeasible, ModeError,
+                        ValidationError)
 from wcr.minsum import (Line1DInstance, candidate_targets, oracle_minsum_1d,
                         solve_minsum_1d, solve_minsum_manhattan)
-from wcr.oracle import random_minsum_1d_instance
+from wcr.oracle import random_integer_config, random_minsum_1d_instance
 
 F = Fraction
 H = F(1, 2)
@@ -131,3 +133,66 @@ def test_costs_are_exact_rationals():
     targets, cost = solve_minsum_1d(inst)
     assert isinstance(cost, Fraction)
     assert targets == (F(1), F(3)) and cost == F(4, 3)
+
+
+def test_line_instance_rejects_bad_input():
+    with pytest.raises(ValidationError, match="must be positive"):
+        Line1DInstance(points=(F(1),), radius=F(0), length=F(4))
+    with pytest.raises(ValidationError, match="must be positive"):
+        Line1DInstance(points=(), radius=F(1), length=F(-1))
+    with pytest.raises(ValidationError, match=r"point 9/2 outside \[0, 4\]"):
+        Line1DInstance(points=(F(1), F(9, 2)), radius=F(1), length=F(4))
+
+
+def random_line_instance(rng: random.Random, n: int, den: int,
+                         radius: Fraction) -> Line1DInstance:
+    """Feasible instance with points and length on the 1/den lattice."""
+    span = rng.randint(1, int(2 * radius * n * den))
+    return Line1DInstance(
+        points=tuple(F(rng.randint(0, span), den) for _ in range(n)),
+        radius=radius, length=F(span, den))
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.randoms(use_true_random=False), st.integers(1, 8),
+       st.sampled_from([1, 3, 997]), st.sampled_from([F(1), H, F(3, 7)]))
+def test_matches_reference_dp(rng, n, den, radius):
+    assume(2 * radius * n * den >= 1)  # some lattice length is coverable
+    inst = random_line_instance(rng, n, den, radius)
+    # whole (targets, cost) tuple: the tie-break must agree as well
+    assert solve_minsum_1d(inst) == reference_minsum_1d(inst)
+
+
+@pytest.mark.parametrize("n,den,radius", [
+    (40, 1, F(1)), (40, 3, F(3, 7)), (25, 997, F(1)), (40, 997, F(3, 7))])
+def test_matches_reference_dp_large(n, den, radius):
+    rng = random.Random(n * den)
+    inst = random_line_instance(rng, n, den, radius)
+    assert solve_minsum_1d(inst) == reference_minsum_1d(inst)
+
+
+def test_common_denominator_beyond_float_range():
+    dens = [10**110 + k for k in (3, 7, 13)]
+    inst = Line1DInstance(points=tuple(F(q // k, q) for k, q in
+                                       zip((2, 3, 4), dens)),
+                          radius=F(1), length=F(4))
+    assert solve_minsum_1d(inst) == reference_minsum_1d(inst)
+
+
+def test_integer_mode_matches_reference_dp():
+    rng = random.Random(11)
+    keep = lambda v: (v + H).denominator == 1  # noqa: E731
+    for _ in range(40):
+        a, b = rng.randint(2, 7), rng.randint(2, 7)
+        cfg = random_integer_config(rng, a, b, rng.randint(max(a, b), 12))
+        sensors = sorted(cfg.sensors, key=lambda s: s.id)
+        tx, cx = reference_minsum_1d(Line1DInstance(
+            points=tuple(s.x - H for s in sensors), radius=H,
+            length=F(a)), keep=keep)
+        ty, cy = reference_minsum_1d(Line1DInstance(
+            points=tuple(s.y - H for s in sensors), radius=H,
+            length=F(b)), keep=keep)
+        sol, cost = solve_minsum_manhattan(cfg)
+        assert cost == cx + cy
+        assert sol.positions == {s.id: (tx[i] + H, ty[i] + H)
+                                 for i, s in enumerate(sensors)}
