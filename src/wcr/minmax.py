@@ -279,11 +279,25 @@ def _exact_or_upper_sqrt(squared: Fraction) -> Fraction:
 
 
 def oracle_minmax(inst: VHInstance) -> bool:
-    """Memoized exhaustive check over sensors x unsatisfied-line sets;
-    agrees with decide_vh by construction of the same move domains."""
+    """Memoized exhaustive check over sensors x unsatisfied-line sets.
+    Reference for decide_vh: the move domains come from a scan of every
+    grid point with a budget test of its own, not from move_domain."""
     config = inst.config
-    domains = [move_domain(config, s.id, inst.max_move)
-               for s in config.sensors]
+    a, b = int(config.width), int(config.height)
+    budget = inst.max_move
+    domains = []
+    for s in config.sensors:
+        domain = []
+        for x in range(1, a + 1):
+            for y in range(1, b + 1):
+                dx, dy = x - int(s.x), y - int(s.y)
+                if config.metric == "manhattan":
+                    ok = abs(dx) + abs(dy) <= budget
+                else:
+                    ok = dx * dx + dy * dy <= budget * budget
+                if ok:
+                    domain.append((x, y))
+        domains.append(domain)
     product = 1
     for d in domains:
         product *= max(1, len(d))

@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from . import serialize
 from .core import Configuration, Sensor
-from .minmax import VHInstance, decide_vh, oracle_minmax, solve_minmax, \
-    _ladder
+from .minmax import VHInstance, decide_vh, full_lines, oracle_minmax, \
+    solve_minmax
 from .minnum import brute_minnum, solve_minnum
 from .minsum import Line1DInstance, oracle_minsum_1d, solve_minsum_1d
 
@@ -114,17 +114,16 @@ def _diff_minmax(rng, seed, **bounds):
                                     max_grid=bounds.get("max_grid", 3),
                                     max_n=bounds.get("max_n", 5))
     result = solve_minmax(config)
-    from .minmax import full_lines
     v, h = full_lines(config)
-    reference = None
-    for key in _ladder(config):
-        if oracle_minmax(VHInstance(config, v, h, key)):
-            reference = key
-            break
-    solver_key = result.value if config.metric == "manhattan" \
-        else result.value_squared
-    return DiffReport(config_digest(config), str(solver_key), str(reference),
-                      solver_key == reference, seed)
+    # the instances are Manhattan: scan every displacement for the least
+    # budget the oracle accepts, independently of the solver's ladder
+    a, b = int(config.width), int(config.height)
+    keys = sorted({abs(x - s.x) + abs(y - s.y) for s in config.sensors
+                   for x in range(1, a + 1) for y in range(1, b + 1)})
+    reference = next((key for key in keys
+                      if oracle_minmax(VHInstance(config, v, h, key))), None)
+    return DiffReport(config_digest(config), str(result.value),
+                      str(reference), result.value == reference, seed)
 
 
 _DRIVERS = {"minnum": _diff_minnum, "minsum": _diff_minsum,
