@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import sys
-import time
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -273,28 +271,6 @@ def cmd_diff(args) -> int:
     return 0 if not bad else 1
 
 
-_BENCH = (
-    ("minnum", dict(count=50)),
-    ("minsum", dict(count=20)),
-    ("vh", dict(count=20)),
-)
-
-
-def cmd_bench(args) -> int:
-    rows = []
-    for problem, bounds in _BENCH:
-        times = []
-        for _ in range(5):
-            t0 = time.perf_counter()
-            oracle.differential_suite(problem, args.seed, **bounds)
-            times.append(time.perf_counter() - t0)
-        rows.append({"workload": f"{problem} differential x"
-                                 f"{bounds['count']}",
-                     "median_s": round(statistics.median(times), 4)})
-    _emit({"suite": args.suite, "seed": args.seed, "rows": rows})
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="wcr",
@@ -313,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("instance")
     s.add_argument("-o", "--output")
     s.add_argument("--budget", type=int,
-                   help="search node budget (or WCR_NODE_BUDGET)")
+                   help="search node budget")
     s.add_argument("--metric", choices=["manhattan", "euclidean"])
     s.set_defaults(func=cmd_solve)
 
@@ -370,11 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--count", type=int, default=100)
     f.add_argument("--max-grid", type=int)
     f.set_defaults(func=cmd_diff)
-
-    b = sub.add_parser("bench", help="timing table for the desk workloads")
-    b.add_argument("--suite", default="small")
-    b.add_argument("--seed", type=int, default=0)
-    b.set_defaults(func=cmd_bench)
     return p
 
 

@@ -21,13 +21,11 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import KeyMismatch, ValidationError
-
-Rational = Fraction
 
 HALF = Fraction(1, 2)
 
@@ -206,10 +204,6 @@ def interval_gaps(intervals: Iterable[tuple[Fraction, Fraction]],
     return gaps
 
 
-def covers_interval(intervals, lo, hi) -> bool:
-    return not interval_gaps(intervals, lo, hi)
-
-
 def _positions(config: Configuration, solution: Solution | None):
     if solution is None:
         return [(s.x, s.y, s.range) for s in config.sensors]
@@ -260,6 +254,32 @@ def _sqrt_bounds(value: Fraction, eps: Fraction) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
+def exact_sqrt(value) -> Fraction | None:
+    """The root of value when value is the square of an integer, else
+    None."""
+    if value.denominator != 1:
+        return None
+    root = math.isqrt(value.numerator)
+    return Fraction(root) if root * root == value.numerator else None
+
+
+def distance(metric: str, p, q):
+    """Length of the move p -> q between int or Fraction points: the
+    Manhattan distance, or the *squared* euclidean distance (exact)."""
+    dx, dy = p[0] - q[0], p[1] - q[1]
+    if metric == "manhattan":
+        return abs(dx) + abs(dy)
+    return dx * dx + dy * dy
+
+
+def within(metric: str, p, q, budget: Fraction) -> bool:
+    """Whether the move p -> q has length at most budget."""
+    n, m = budget.numerator, budget.denominator  # int products only
+    if metric == "manhattan":
+        return distance(metric, p, q) * m <= n
+    return distance(metric, p, q) * m * m <= n * n
+
+
 _EUCLID_EPS = Fraction(1, 10**10)
 
 
@@ -267,46 +287,28 @@ def solution_costs(config: Configuration, sol: Solution) -> CostReport:
     sol.validate(config)
     moved = 0
     sum_lo = sum_hi = Fraction(0)
-    max_lo = max_hi = Fraction(0)
-    max_sq = Fraction(0)
+    max_key = Fraction(0)  # largest distance, squared under euclidean
     for s in config.sensors:
-        x, y = sol.positions[s.id]
-        dx, dy = abs(x - s.x), abs(y - s.y)
-        if dx or dy:
+        home, dest = (s.x, s.y), sol.positions[s.id]
+        key = distance(config.metric, home, dest)
+        if key:
             moved += 1
-        if config.metric == "manhattan":
-            d = dx + dy
-            sum_lo += d
-            sum_hi += d
-            if d > max_lo:
-                max_lo = max_hi = d
-            max_sq = max(max_sq, d * d)
+        max_key = max(max_key, key)
+        if config.metric == "manhattan" or home[0] == dest[0] or \
+                home[1] == dest[1]:
+            d_lo = d_hi = distance("manhattan", home, dest)  # exact
         else:
-            sq = dx * dx + dy * dy
-            max_sq = max(max_sq, sq)
-            if dx == 0 or dy == 0:
-                d_lo = d_hi = dx + dy  # axis-aligned: exact
-            else:
-                d_lo, d_hi = _sqrt_bounds(sq, _EUCLID_EPS)
-            sum_lo += d_lo
-            sum_hi += d_hi
-    if config.metric == "euclidean":
-        max_lo, max_hi = _sqrt_bounds(max_sq, _EUCLID_EPS)
-        if max_sq.denominator == 1:
-            r = math.isqrt(max_sq.numerator)
-            if r * r == max_sq.numerator:
-                max_lo = max_hi = Fraction(r)
+            d_lo, d_hi = _sqrt_bounds(key, _EUCLID_EPS)
+        sum_lo += d_lo
+        sum_hi += d_hi
+    if config.metric == "manhattan":
+        max_sq, max_lo, max_hi = max_key * max_key, max_key, max_key
+    else:
+        max_sq, root = max_key, exact_sqrt(max_key)
+        max_lo, max_hi = (root, root) if root is not None \
+            else _sqrt_bounds(max_key, _EUCLID_EPS)
     return CostReport(moved=moved, sum_low=sum_lo, sum_high=sum_hi,
                       max_low=max_lo, max_high=max_hi, max_squared=max_sq)
-
-
-def distance(metric: str, p: tuple[Fraction, Fraction],
-             q: tuple[Fraction, Fraction]) -> Fraction:
-    """Manhattan distance, or *squared* euclidean distance (exact)."""
-    dx, dy = abs(p[0] - q[0]), abs(p[1] - q[1])
-    if metric == "manhattan":
-        return dx + dy
-    return dx * dx + dy * dy
 
 
 def identity_solution(config: Configuration) -> Solution:

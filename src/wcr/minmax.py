@@ -13,24 +13,15 @@ result is the integer-restricted optimum and labeled as such.
 
 from __future__ import annotations
 
-import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Configuration, HALF, Solution, covers_interval, \
-    identity_solution, rat
+from .core import Configuration, HALF, Solution, _sqrt_bounds, distance, \
+    exact_sqrt, interval_gaps, within
 from .errors import Infeasible, ModeError, SearchLimit, SizeLimit, \
     ValidationError
 
 DEFAULT_NODE_BUDGET = 10**8
-
-
-def node_budget(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get("WCR_NODE_BUDGET")
-    return int(env) if env else DEFAULT_NODE_BUDGET
 
 
 @dataclass(frozen=True)
@@ -57,12 +48,6 @@ def full_lines(config: Configuration) -> tuple[frozenset[int], frozenset[int]]:
             frozenset(range(1, int(config.height) + 1)))
 
 
-def _dist_key(metric: str, dx: int, dy: int) -> Fraction:
-    dx, dy = abs(dx), abs(dy)
-    return Fraction(dx + dy) if metric == "manhattan" \
-        else Fraction(dx * dx + dy * dy)
-
-
 def move_domain(config: Configuration, sensor_id: int,
                 budget: Fraction) -> tuple:
     """Integer grid destinations within the move budget, ordered by
@@ -70,38 +55,31 @@ def move_domain(config: Configuration, sensor_id: int,
     the 5-point plus (a diagonal step has length sqrt(2) > 1)."""
     s = config.sensor_by_id()[sensor_id]
     a, b = int(config.width), int(config.height)
-    x0, y0 = int(s.x), int(s.y)
+    home = (int(s.x), int(s.y))
     reach = int(budget)  # |dx|, |dy| <= floor(budget) under both metrics
-    limit_sq = budget * budget
-    out = []
-    for dx in range(-reach, reach + 1):
-        for dy in range(-reach, reach + 1):
-            x, y = x0 + dx, y0 + dy
-            if not (1 <= x <= a and 1 <= y <= b):
-                continue
-            if config.metric == "manhattan":
-                if abs(dx) + abs(dy) > budget:
-                    continue
-            elif Fraction(dx * dx + dy * dy) > limit_sq:
-                continue
-            out.append((x, y))
-    out.sort(key=lambda q: (_dist_key(config.metric, q[0] - x0, q[1] - y0),
-                            q[0], q[1]))
+    out = [(x, y)
+           for x in range(max(1, home[0] - reach), min(a, home[0] + reach) + 1)
+           for y in range(max(1, home[1] - reach), min(b, home[1] + reach) + 1)
+           if within(config.metric, home, (x, y), budget)]
+    out.sort(key=lambda q: (distance(config.metric, home, q), q))
     return tuple(out)
 
 
 def lines_blocked(positions, v_lines, h_lines):
     """Required lines blocked by the given (possibly fractional)
-    positions, via unit-interval union coverage per line."""
-    xs = sorted(x for x, _ in positions)
-    ys = sorted(y for _, y in positions)
+    positions: line i is blocked when the unit intervals around the
+    coordinates cover [i - 1/2, i + 1/2], i.e. when no gap of their
+    union over the span of the required lines meets that interval."""
+    def blocked(coords, lines):
+        if not lines:
+            return set()
+        gaps = interval_gaps(((c - HALF, c + HALF) for c in coords),
+                             min(lines) - HALF, max(lines) + HALF)
+        return {i for i in lines
+                if not any(lo < i + HALF and hi > i - HALF for lo, hi in gaps)}
 
-    def blocked(coords, line):
-        lo, hi = line - HALF, line + HALF
-        return covers_interval(((c - HALF, c + HALF) for c in coords), lo, hi)
-
-    return ({v for v in v_lines if blocked(xs, v)},
-            {h for h in h_lines if blocked(ys, h)})
+    return (blocked([x for x, _ in positions], v_lines),
+            blocked([y for _, y in positions], h_lines))
 
 
 def verify_vh(inst: VHInstance, positions: dict, *,
@@ -118,11 +96,7 @@ def verify_vh(inst: VHInstance, positions: dict, *,
             return False
         if require_integer and (x.denominator != 1 or y.denominator != 1):
             return False
-        dx, dy = abs(x - s.x), abs(y - s.y)
-        if config.metric == "manhattan":
-            if dx + dy > inst.max_move:
-                return False
-        elif dx * dx + dy * dy > inst.max_move * inst.max_move:
+        if not within(config.metric, (s.x, s.y), (x, y), inst.max_move):
             return False
     v, h = lines_blocked(list(positions.values()),
                          inst.v_lines, inst.h_lines)
@@ -140,7 +114,7 @@ def decide_vh(inst: VHInstance, budget: int | None = None
     smallest displacement.  Raises SearchLimit past the node budget.
     """
     config = inst.config
-    limit = node_budget(budget)
+    limit = DEFAULT_NODE_BUDGET if budget is None else budget
     domains = {s.id: move_domain(config, s.id, inst.max_move)
                for s in config.sensors}
     required = [("v", v) for v in sorted(inst.v_lines)] + \
@@ -159,8 +133,8 @@ def decide_vh(inst: VHInstance, budget: int | None = None
                 continue
             for q in domains[s.id]:
                 if on_line(q, line):
-                    out.append((_dist_key(config.metric,
-                                          q[0] - int(s.x), q[1] - int(s.y)),
+                    out.append((distance(config.metric,
+                                         (int(s.x), int(s.y)), q),
                                 q[0], q[1], s.id))
         out.sort()
         return out
@@ -215,13 +189,10 @@ def _ladder(config: Configuration) -> list[Fraction]:
     """Sorted distinct achievable per-sensor displacement keys
     (distances under Manhattan, squared distances under Euclidean)."""
     a, b = int(config.width), int(config.height)
-    keys = set()
-    for s in config.sensors:
-        for x in range(1, a + 1):
-            for y in range(1, b + 1):
-                keys.add(_dist_key(config.metric,
-                                   x - int(s.x), y - int(s.y)))
-    return sorted(keys)
+    keys = {distance(config.metric, (int(s.x), int(s.y)), (x, y))
+            for s in config.sensors
+            for x in range(1, a + 1) for y in range(1, b + 1)}
+    return sorted(map(Fraction, keys))
 
 
 def solve_minmax(config: Configuration, budget: int | None = None
@@ -236,8 +207,12 @@ def solve_minmax(config: Configuration, budget: int | None = None
     v, h = full_lines(config)
 
     def feasible_at(key: Fraction):
-        # key is a distance (manhattan) or a squared distance (euclidean)
-        d = key if config.metric == "manhattan" else _exact_or_upper_sqrt(key)
+        # key is a distance (manhattan) or a squared distance (euclidean);
+        # integer moves have integer squared distances, so any d with
+        # key <= d^2 < key + 1 admits exactly the moves of key or less
+        d = key if config.metric == "manhattan" else exact_sqrt(key)
+        if d is None:
+            d = _sqrt_bounds(key, Fraction(1, 2 * key + 2))[1]
         return decide_vh(VHInstance(config, v, h, d), budget)
 
     ladder = _ladder(config)
@@ -255,27 +230,8 @@ def solve_minmax(config: Configuration, budget: int | None = None
     key, sol = best
     if config.metric == "manhattan":
         return MinMaxResult(value=key, value_squared=key * key, solution=sol)
-    root = math.isqrt(key.numerator)
-    exact = Fraction(root) if key.denominator == 1 and \
-        root * root == key.numerator else None
-    return MinMaxResult(value=exact, value_squared=key, solution=sol)
-
-
-def _exact_or_upper_sqrt(squared: Fraction) -> Fraction:
-    """A budget d with d^2 >= squared that admits exactly the integer
-    moves of squared-distance <= squared: integer destinations make the
-    squared distance an integer, so any d with squared <= d^2 <
-    squared+1 works; use the exact root when it exists, else a tight
-    rational upper bound."""
-    if squared.denominator == 1:
-        root = math.isqrt(squared.numerator)
-        if root * root == squared.numerator:
-            return Fraction(root)
-        # find d with squared <= d^2 < squared + 1
-        d = Fraction(math.isqrt(squared.numerator * 4096) + 1, 64)
-        assert d * d >= squared and d * d < squared + 1
-        return d
-    raise ValidationError("euclidean ladder keys are integers")
+    return MinMaxResult(value=exact_sqrt(key), value_squared=key,
+                        solution=sol)
 
 
 def oracle_minmax(inst: VHInstance) -> bool:

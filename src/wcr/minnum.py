@@ -43,7 +43,6 @@ def classify(config: Configuration) -> dict[int, int]:
     """Type of every sensor per the 0-4 taxonomy (partition)."""
     _require_integer(config)
     rows, cols = _line_members(config)
-    by_id = config.sensor_by_id()
 
     free = {}
     for s in config.sensors:
@@ -73,7 +72,6 @@ def classify(config: Configuration) -> dict[int, int]:
         else:
             types[s.id] = TYPE3
     assert len(types) == config.n
-    del by_id
     return types
 
 
@@ -93,12 +91,8 @@ class GapReport:
 
 def gaps(config: Configuration) -> GapReport:
     _require_integer(config)
-    rows, cols = _line_members(config)
-    return GapReport(
-        row_gaps=tuple(i for i in range(1, int(config.height) + 1)
-                       if i not in rows),
-        col_gaps=tuple(j for j in range(1, int(config.width) + 1)
-                       if j not in cols))
+    report = is_blocking(config)
+    return GapReport(row_gaps=report.y_gaps, col_gaps=report.x_gaps)
 
 
 def build_free_graph(config: Configuration):

@@ -18,10 +18,10 @@ Rows are numbered top-down; "up" means row index - 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Configuration, Sensor, Solution, is_blocking
+from .core import Configuration, Sensor, Solution, is_blocking, within
 from .errors import DialectError, InconsistentSolution, NotASolution, \
     NotEnoughSatisfied, NotGadgetInstance, PropertyViolation, SizeLimit, \
     UnsatisfiedClause
@@ -412,11 +412,8 @@ def integerize(inst: VHInstance, meta: VHMeta, sol: Solution) -> Solution:
     if set(sol.positions) != set(by_id):
         raise NotGadgetInstance("solution ids do not match the instance")
     for s in config.sensors:
-        x, y = sol.positions[s.id]
-        dx, dy = abs(x - s.x), abs(y - s.y)
-        over = (dx + dy > inst.max_move if config.metric == "manhattan"
-                else dx * dx + dy * dy > inst.max_move * inst.max_move)
-        if over:
+        if not within(config.metric, (s.x, s.y), sol.positions[s.id],
+                      inst.max_move):
             raise NotASolution(f"sensor {s.id} moves beyond the budget")
     pos = {sid: [x, y] for sid, (x, y) in sol.positions.items()}
 

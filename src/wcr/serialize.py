@@ -125,9 +125,8 @@ def write_solution(sol: Solution) -> str:
 
 # VH instances reuse the configuration schema plus v_lines/h_lines/max_move.
 
-def read_vh(data):
+def vh_from_obj(obj: dict):
     from .minmax import VHInstance
-    obj = _loads(data)
     config = config_from_obj(obj)
     v = _get(obj, "v_lines", "$")
     h = _get(obj, "h_lines", "$")
@@ -136,6 +135,10 @@ def read_vh(data):
     return VHInstance(config=config,
                       v_lines=frozenset(v), h_lines=frozenset(h),
                       max_move=_rat_field(obj, "max_move", "$"))
+
+
+def read_vh(data):
+    return vh_from_obj(_loads(data))
 
 
 def write_vh(inst) -> str:
@@ -150,7 +153,7 @@ def read_instance(data):
     """Dispatch: VHInstance if line sets are present, else Configuration."""
     obj = _loads(data)
     if isinstance(obj, dict) and "v_lines" in obj:
-        return read_vh(data)
+        return vh_from_obj(obj)
     return config_from_obj(obj)
 
 
@@ -187,7 +190,6 @@ def read_formula(data):
 
 def read_meta(data):
     """Reduction metadata (forward/backward mapping tables)."""
-    from .minmax import VHInstance  # noqa: F401  (via read_vh)
     from .reductions import MinMaxMapping, MinNumMeta, VHMeta
     obj = _loads(data)
     kind = _get(obj, "kind", "$")
@@ -206,7 +208,7 @@ def read_meta(data):
             triples=tuple(tuple(t) for t in obj["triples"]))
     if kind == "minmax":
         return MinMaxMapping(
-            vh=read_vh(json.dumps(obj["vh"])),
+            vh=vh_from_obj(obj["vh"]),
             padded=config_from_obj(obj["padded"]),
             dx=obj["dx"], dy=obj["dy"],
             v_ids=tuple(obj["v_ids"]), h_ids=tuple(obj["h_ids"]))
@@ -238,14 +240,4 @@ def write_meta(meta) -> str:
                "v_ids": list(meta.v_ids), "h_ids": list(meta.h_ids)}
     else:
         raise ValidationError(f"not a serializable meta: {type(meta)}")
-    return dumps(obj)
-
-
-def write_formula(f) -> str:
-    from .reductions import Max2Sat3Occ
-    obj = {"dialect": "max2sat-3occ" if isinstance(f, Max2Sat3Occ) else "3sat22",
-           "variables": f.n,
-           "clauses": [list(c) for c in f.clauses]}
-    if isinstance(f, Max2Sat3Occ):
-        obj["t"] = f.t
     return dumps(obj)

@@ -5,7 +5,7 @@ euclidean reporting interval used by the cost report."""
 import random
 import time
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
 
@@ -14,7 +14,7 @@ from brutes import (brute_max_free_set_size, brute_max_matching_size,
 from wcr.core import (Configuration, Sensor, Solution, interval_gaps,
                       is_blocking, reflect_x, reflect_y, solution_costs,
                       transpose)
-from wcr.errors import InconsistentSolution, NotASolution
+from wcr.errors import InconsistentSolution
 from wcr.matching import Graph, maximum_matching, minimum_edge_cover
 from wcr.minmax import VHInstance, decide_vh, oracle_minmax, solve_minmax, \
     verify_vh

@@ -110,6 +110,16 @@ def test_minsum_without_sensors_is_infeasible(tmp_path, command):
     assert proc.stdout == ""
 
 
+def test_euclidean_minmax_search_limit_exits_3(tmp_path):
+    # the middle ladder key is far past the squares whose roots an
+    # earlier fixed-step bound could reach
+    path = cfg_file(tmp_path, [(1, 1)] * 41, a=41, b=41, metric="euclidean")
+    proc = run_wcr("solve", "minmax", str(path), "--budget", "1")
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("resource limit:")
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
 def test_oracle_minsum_rejects_heterogeneous_ranges(tmp_path, capsys):
     sensors = (Sensor(1, F(1), F(1), F(1)), Sensor(2, F(3), F(3), F(3, 2)))
     path = tmp_path / "mixed.json"

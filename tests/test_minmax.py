@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from wcr import minmax
 from wcr.core import Configuration, Sensor, is_blocking, solution_costs
 from wcr.errors import SearchLimit, SizeLimit, ValidationError
 from wcr.minmax import (VHInstance, decide_vh, full_lines, lines_blocked,
-                        move_domain, node_budget, oracle_minmax,
+                        move_domain, oracle_minmax,
                         solve_minmax, verify_vh)
 from wcr.oracle import random_vh_instance
 
@@ -94,14 +95,6 @@ def test_search_limit():
         decide_vh(inst, budget=1)
 
 
-def test_node_budget_env(monkeypatch):
-    monkeypatch.setenv("WCR_NODE_BUDGET", "123")
-    assert node_budget() == 123
-    assert node_budget(7) == 7
-    monkeypatch.delenv("WCR_NODE_BUDGET")
-    assert node_budget() == 10 ** 8
-
-
 def test_solve_examples():
     res = solve_minmax(grid(2, 2, [(1, 1), (1, 2)]))
     assert res.value == F(1)
@@ -128,6 +121,39 @@ def test_solve_euclidean_squared():
     rep = solution_costs(cfg, res.solution)
     assert rep.max_squared == res.value_squared
     assert is_blocking(cfg, res.solution).blocking
+
+
+def test_euclidean_ladder_budgets_admit_exactly_their_key(monkeypatch):
+    """solve_minmax decides each euclidean ladder key (a squared
+    distance) at a budget d with key <= d^2 < key + 1, so move_domain at
+    d admits exactly the integer moves of squared length <= key.  The
+    bound is checked for every sum of two squares up to 2 * 60^2,
+    move_domain (whose box grows with the key) for those up to 2 * 30^2."""
+    moves = sorted((dx * dx + dy * dy, dx, dy)
+                   for dx in range(85) for dy in range(85))
+    keys = sorted({sq for sq, _, _ in moves if sq <= 2 * 60 ** 2})
+    budgets = []
+
+    def record(inst, budget=None):
+        budgets.append(inst.max_move)
+        return True, None
+
+    monkeypatch.setattr(minmax, "decide_vh", record)
+    single = grid(1, 1, [(1, 1)], metric="euclidean")
+    for key in keys:
+        monkeypatch.setattr(minmax, "_ladder", lambda config: [F(key)])
+        assert solve_minmax(single).value_squared == key
+    assert all(key <= d * d < key + 1 for key, d in zip(keys, budgets))
+
+    wide = grid(45, 45, [(1, 1)], metric="euclidean")
+    count = 0
+    for key, d in zip(keys, budgets):
+        if key > 2 * 30 ** 2:
+            break
+        while moves[count][0] <= key:
+            count += 1
+        admitted = {(1 + dx, 1 + dy) for _, dx, dy in moves[:count]}
+        assert set(move_domain(wide, 1, d)) == admitted
 
 
 def test_oracle_size_limit():
