@@ -294,9 +294,10 @@ def solution_costs(config: Configuration, sol: Solution) -> CostReport:
         if key:
             moved += 1
         max_key = max(max_key, key)
-        if config.metric == "manhattan" or home[0] == dest[0] or \
-                home[1] == dest[1]:
-            d_lo = d_hi = distance("manhattan", home, dest)  # exact
+        if config.metric == "manhattan":
+            d_lo = d_hi = key
+        elif home[0] == dest[0] or home[1] == dest[1]:  # axis-aligned: exact
+            d_lo = d_hi = distance("manhattan", home, dest)
         else:
             d_lo, d_hi = _sqrt_bounds(key, _EUCLID_EPS)
         sum_lo += d_lo
