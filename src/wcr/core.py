@@ -254,7 +254,7 @@ def _sqrt_bounds(value: Fraction, eps: Fraction) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def exact_sqrt(value) -> Fraction | None:
+def exact_sqrt(value: Fraction) -> Fraction | None:
     """The root of value when value is the square of an integer, else
     None."""
     if value.denominator != 1:
@@ -274,7 +274,7 @@ def distance(metric: str, p, q):
 
 def within(metric: str, p, q, budget: Fraction) -> bool:
     """Whether the move p -> q has length at most budget."""
-    n, m = budget.numerator, budget.denominator  # int products only
+    n, m = budget.numerator, budget.denominator  # compare as ints
     if metric == "manhattan":
         return distance(metric, p, q) * m <= n
     return distance(metric, p, q) * m * m <= n * n

@@ -111,8 +111,8 @@ def test_minsum_without_sensors_is_infeasible(tmp_path, command):
 
 
 def test_euclidean_minmax_search_limit_exits_3(tmp_path):
-    # the middle ladder key is far past the squares whose roots an
-    # earlier fixed-step bound could reach
+    # 41 sensors on one cell: the first ladder key decided is a large
+    # non-square, so its budget must be a tight upper root
     path = cfg_file(tmp_path, [(1, 1)] * 41, a=41, b=41, metric="euclidean")
     proc = run_wcr("solve", "minmax", str(path), "--budget", "1")
     assert proc.returncode == 3

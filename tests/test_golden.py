@@ -187,7 +187,8 @@ def _vh_gadget_cases():
         f = _sat22(rng, 3 if i < 4 else 6)
         best, _ = sat_brute(f)
         inst, meta = reductions.gen_vh(f)
-        # half of every chosen unit move: a fractional solution
+        # about a third of the embedded unit moves cut to half
+        # length: a fractional solution for integerize
         sol = reductions.embed_vh(inst, meta, f, best)
         half = {}
         for s in inst.config.sensors:
@@ -323,8 +324,8 @@ def corpus():
 
 
 def run_case(workdir: Path, files, steps) -> str:
-    """sha256 of each step's exit code and stdout, then of every file
-    left in the working directory."""
+    """sha256 over each step's argv, exit code and stdout and over every
+    file left in the working directory."""
     workdir.mkdir()
     for name, text in files.items():
         (workdir / name).write_text(text)
