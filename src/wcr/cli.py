@@ -17,7 +17,6 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
-from fractions import Fraction
 
 from . import minmax, minnum, minsum, oracle, reductions, serialize
 from .core import Configuration, is_blocking, rat_str, solution_costs
@@ -244,7 +243,8 @@ def cmd_oracle(args) -> int:
                         for s in sorted(config.sensors, key=lambda s: s.id))
             inst = minsum.Line1DInstance(
                 points=pts, radius=r, length=hi - lo)
-            a_cost, b_cost = minsum.oracle_minsum_1d(inst, Fraction(1, 8))
+            a_cost, b_cost = minsum.oracle_minsum_1d(
+                inst, minsum.oracle_step(inst))
             out[axis] = {"candidate_dp": rat_str(a_cost),
                          "grid": rat_str(b_cost)}
         _emit(out)
@@ -259,7 +259,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_diff(args) -> int:
     bounds = {}
-    if args.max_grid:
+    if args.max_grid is not None:
         bounds["max_grid"] = args.max_grid
     reports = oracle.differential_suite(args.problem, args.seed,
                                         args.count, **bounds)
@@ -269,6 +269,13 @@ def cmd_diff(args) -> int:
     sys.stdout.write(json.dumps(
         {"count": len(reports), "disagreements": len(bad)}) + "\n")
     return 0 if not bad else 1
+
+
+def _grid_bound(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2: {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,7 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("problem", choices=["minnum", "minsum", "vh", "minmax"])
     f.add_argument("--seed", type=int, default=0)
     f.add_argument("--count", type=int, default=100)
-    f.add_argument("--max-grid", type=int)
+    f.add_argument("--max-grid", type=_grid_bound,
+                   help="largest grid side, or segment length for minsum "
+                        "(at least 2)")
     f.set_defaults(func=cmd_diff)
     return p
 

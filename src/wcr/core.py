@@ -31,10 +31,11 @@ HALF = Fraction(1, 2)
 
 
 def rat(value) -> Fraction:
-    """Coerce ints, Fractions and exact decimal/"p/q" strings to Fraction."""
+    """Coerce ints, Fractions and exact decimal/"p/q" strings to Fraction.
+    Booleans are rejected although bool is a subclass of int."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)  # accepts "3", "3/4" and "0.75" exactly

@@ -13,10 +13,12 @@ result is the integer-restricted optimum and labeled as such.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .core import Configuration, HALF, Solution, _sqrt_bounds, distance, \
+from .core import Configuration, Solution, _sqrt_bounds, distance, \
     exact_sqrt, interval_gaps, within
 from .errors import Infeasible, ModeError, SearchLimit, SizeLimit, \
     ValidationError
@@ -48,14 +50,13 @@ def full_lines(config: Configuration) -> tuple[frozenset[int], frozenset[int]]:
             frozenset(range(1, int(config.height) + 1)))
 
 
-def move_domain(config: Configuration, sensor_id: int,
+def move_domain(config: Configuration, home: tuple[int, int],
                 budget: Fraction) -> tuple:
-    """Integer grid destinations within the move budget, ordered by
-    (displacement, x, y).  Under either metric with budget 1 this is
-    the 5-point plus (a diagonal step has length sqrt(2) > 1)."""
-    s = config.sensor_by_id()[sensor_id]
+    """Integer grid destinations within the move budget of the sensor at
+    integer point home, ordered by (displacement, x, y).  Under either
+    metric with budget 1 this is the 5-point plus (a diagonal step has
+    length sqrt(2) > 1)."""
     a, b = int(config.width), int(config.height)
-    home = (int(s.x), int(s.y))
     reach = int(budget)  # |dx|, |dy| <= floor(budget) under both metrics
     out = [(x, y)
            for x in range(max(1, home[0] - reach), min(a, home[0] + reach) + 1)
@@ -69,14 +70,28 @@ def lines_blocked(positions, v_lines, h_lines):
     """Required lines blocked by the given (possibly fractional)
     positions: line i is blocked when the unit intervals around the
     coordinates cover [i - 1/2, i + 1/2], i.e. when no gap of their
-    union over the span of the required lines meets that interval."""
+    union over the span of the required lines meets that interval.
+
+    Coordinates are counted in units of 1/(2D), D the lcm of their
+    denominators, so the union and the line tests compare ints.  The
+    gaps are sorted and disjoint, so the only one that can meet line
+    i's interval is the first gap ending after it starts: one bisect
+    per line."""
     def blocked(coords, lines):
         if not lines:
             return set()
-        gaps = interval_gaps(((c - HALF, c + HALF) for c in coords),
-                             min(lines) - HALF, max(lines) + HALF)
-        return {i for i in lines
-                if not any(lo < i + HALF and hi > i - HALF for lo, hi in gaps)}
+        d = lcm(*(c.denominator for c in coords))
+        # c becomes 2Dc, and the unit interval around it [2Dc - D, 2Dc + D]
+        scaled = [2 * c.numerator * (d // c.denominator) for c in coords]
+        gaps = interval_gaps(((x - d, x + d) for x in scaled),
+                             2 * d * min(lines) - d, 2 * d * max(lines) + d)
+        ends = [hi for _, hi in gaps]
+        out = set()
+        for i in lines:
+            k = bisect_right(ends, 2 * d * i - d)
+            if k == len(gaps) or gaps[k][0] >= 2 * d * i + d:
+                out.add(i)
+        return out
 
     return (blocked([x for x, _ in positions], v_lines),
             blocked([y for _, y in positions], h_lines))
@@ -89,10 +104,10 @@ def verify_vh(inst: VHInstance, positions: dict, *,
     config = inst.config
     if set(positions) != {s.id for s in config.sensors}:
         return False
-    a, b = config.width, config.height
+    (lo_x, hi_x), (lo_y, hi_y) = config.x_extent, config.y_extent
     for s in config.sensors:
         x, y = positions[s.id]
-        if not (HALF <= x <= a + HALF and HALF <= y <= b + HALF):
+        if not (lo_x <= x <= hi_x and lo_y <= y <= hi_y):
             return False
         if require_integer and (x.denominator != 1 or y.denominator != 1):
             return False
@@ -112,59 +127,63 @@ def decide_vh(inst: VHInstance, budget: int | None = None
     ties (axis, index) with vertical first); candidates are
     (uncommitted sensor, destination on the line) pairs tried by
     smallest displacement.  Raises SearchLimit past the node budget.
+
+    The candidates are indexed once per call: each required line maps
+    to the sorted (displacement, x, y, sensor id) tuples of every move
+    destination on it.  A node reads a line's candidates by dropping
+    the committed sensors from its list, which keeps the order, and
+    picks the MRV line from live candidate counts that commit and undo
+    keep up to date.
     """
     config = inst.config
     limit = DEFAULT_NODE_BUDGET if budget is None else budget
-    domains = {s.id: move_domain(config, s.id, inst.max_move)
-               for s in config.sensors}
     required = [("v", v) for v in sorted(inst.v_lines)] + \
                [("h", h) for h in sorted(inst.h_lines)]
+    index: dict[tuple, list] = {line: [] for line in required}
+    lines_of: dict[int, list] = {}  # sensor -> line of each of its entries
+    for s in config.sensors:
+        home = (int(s.x), int(s.y))
+        lines_of[s.id] = []
+        for q in move_domain(config, home, inst.max_move):
+            cand = (distance(config.metric, home, q), q[0], q[1], s.id)
+            for line in (("v", q[0]), ("h", q[1])):
+                if line in index:
+                    index[line].append(cand)
+                    lines_of[s.id].append(line)
+    for cands in index.values():
+        cands.sort()
+    live = {line: len(cands) for line, cands in index.items()}
     committed: dict[int, tuple[int, int]] = {}
     nodes = [0]
 
-    def on_line(q, line) -> bool:
-        axis, idx = line
-        return (q[0] if axis == "v" else q[1]) == idx
-
-    def candidates(line):
-        out = []
-        for s in config.sensors:
-            if s.id in committed:
-                continue
-            for q in domains[s.id]:
-                if on_line(q, line):
-                    out.append((distance(config.metric,
-                                         (int(s.x), int(s.y)), q),
-                                q[0], q[1], s.id))
-        out.sort()
-        return out
-
-    def search(unsat: frozenset) -> bool:
+    def search(unsat: list) -> bool:
+        # unsat keeps the order of required: (axis, index), vertical first
         nodes[0] += 1
         if nodes[0] > limit:
             raise SearchLimit(nodes[0])
         if not unsat:
             return True
-        axis_rank = {"v": 0, "h": 1}
         best = None
-        for line in sorted(unsat, key=lambda l: (axis_rank[l[0]], l[1])):
-            cands = candidates(line)
-            if not cands:
+        for line in unsat:
+            if not live[line]:
                 return False
-            if best is None or len(cands) < len(best[1]):
-                best = (line, cands)
-                if len(cands) == 1:
+            if best is None or live[line] < live[best]:
+                best = line
+                if live[line] == 1:
                     break
-        line, cands = best
+        cands = [c for c in index[best] if c[3] not in committed]
         for _, x, y, sid in cands:
             committed[sid] = (x, y)
-            now_sat = {l for l in unsat if on_line((x, y), l)}
-            if search(unsat - now_sat):
+            for line in lines_of[sid]:
+                live[line] -= 1
+            if search([l for l in unsat if l != ("v", x) and l != ("h", y)]):
                 return True
             del committed[sid]
+            for line in lines_of[sid]:
+                live[line] += 1
         return False
 
-    feasible = search(frozenset(required))
+    feasible = search(required)
     if not feasible:
         return False, None
     sol = Solution({s.id: (Fraction(committed[s.id][0]),

@@ -202,6 +202,19 @@ def solve_minsum_manhattan(config: Configuration
     return sol, cx + cy
 
 
+ORACLE_GRID_CELLS = 2 * 10**5  # sensors x grid states x window of the DP B
+
+
+def oracle_step(inst: Line1DInstance) -> Fraction:
+    """Grid step for oracle_minsum_1d: 1/8 when it divides the segment
+    length, else the coarsest step 1/(8k) that divides the length, the
+    radius and every point, as the oracle's contract asks."""
+    if (8 * inst.length).denominator == 1:
+        return Fraction(1, 8)
+    vals = (inst.length, inst.radius, *inst.points)
+    return Fraction(1, lcm(8, *(v.denominator for v in vals)))
+
+
 def oracle_minsum_1d(inst: Line1DInstance, delta: Fraction
                      ) -> tuple[Fraction, Fraction]:
     """Two independent optimum estimates (A, B).
@@ -210,7 +223,8 @@ def oracle_minsum_1d(inst: Line1DInstance, delta: Fraction
     candidate set, coverage verified at the leaves by interval union.
     B: DP over the uniform grid of step delta (order-preserving full
     assignments).  Contract: A <= B <= A + n*delta whenever r, L and
-    the input points are multiples of delta.
+    the input points are multiples of delta.  Raises SizeLimit when B
+    would visit more than ORACLE_GRID_CELLS grid cells.
     """
     n = len(inst.points)
     if n > 6:
@@ -227,6 +241,10 @@ def oracle_minsum_1d(inst: Line1DInstance, delta: Fraction
     if (L / delta).denominator != 1:
         raise ValueError("delta must divide the segment length")
     gq = int(L / delta)
+    cells = n * (gq + 1) * (int(2 * r / delta) + 1)
+    if cells > ORACLE_GRID_CELLS:
+        raise SizeLimit(f"grid oracle limited to {ORACLE_GRID_CELLS} cells, "
+                        f"step {delta} needs {cells}")
     done_at = L - r  # a target here or beyond completes the cover
     prev: dict = {None: Fraction(0)}  # None = nothing placed yet
     done_cost = inf

@@ -21,7 +21,8 @@ from .core import Configuration, Sensor
 from .minmax import VHInstance, decide_vh, full_lines, oracle_minmax, \
     solve_minmax
 from .minnum import brute_minnum, solve_minnum
-from .minsum import Line1DInstance, oracle_minsum_1d, solve_minsum_1d
+from .minsum import Line1DInstance, oracle_minsum_1d, oracle_step, \
+    solve_minsum_1d
 
 
 @dataclass(frozen=True)
@@ -54,15 +55,16 @@ def random_minnum_instance(rng: random.Random, max_grid: int = 6,
                            max_n: int = 12) -> Configuration:
     a = rng.randint(2, max_grid)
     b = rng.randint(2, max_grid)
-    n = rng.randint(max(a, b), max_n)
+    n = rng.randint(max(a, b), max(a, b, max_n))
     return random_integer_config(rng, a, b, n)
 
 
 def random_minsum_1d_instance(rng: random.Random, max_n: int = 6,
-                              max_len: int = 20) -> Line1DInstance:
+                              max_grid: int = 20) -> Line1DInstance:
+    """A feasible segment of length at most max_grid."""
     n = rng.randint(1, max_n)
     d = rng.choice([2, 3, 4])  # sensor diameter
-    length = min(rng.randint(max(1, (n - 1) * d // 2 + 1), n * d), max_len)
+    length = min(rng.randint(max(1, (n - 1) * d // 2 + 1), n * d), max_grid)
     points = tuple(Fraction(rng.randint(0, length)) for _ in range(n))
     return Line1DInstance(points=points, radius=Fraction(d, 2),
                           length=Fraction(length))
@@ -92,9 +94,10 @@ def _diff_minnum(rng, seed, **bounds):
 def _diff_minsum(rng, seed, **bounds):
     inst = random_minsum_1d_instance(rng, **bounds)
     _, cost = solve_minsum_1d(inst)
-    a_cost, b_cost = oracle_minsum_1d(inst, Fraction(1, 8))
+    delta = oracle_step(inst)
+    a_cost, b_cost = oracle_minsum_1d(inst, delta)
     n = len(inst.points)
-    agree = cost == a_cost and a_cost <= b_cost <= a_cost + n * Fraction(1, 8)
+    agree = cost == a_cost and a_cost <= b_cost <= a_cost + n * delta
     payload = {"points": [str(p) for p in inst.points],
                "radius": str(inst.radius), "length": str(inst.length)}
     return DiffReport(config_digest(payload), str(cost),

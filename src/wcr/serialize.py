@@ -30,10 +30,25 @@ def _rat_field(obj: dict, key: str, where: str) -> Fraction:
         raise ParseError(f"bad rational at {where}.{key}: {value!r}") from None
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _int_field(obj: dict, key: str, where: str) -> int:
     value = _get(obj, key, where)
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         raise ParseError(f"expected integer at {where}.{key}: {value!r}")
+    return value
+
+
+def _int_list_field(obj: dict, key: str, where: str) -> list[int]:
+    value = _get(obj, key, where)
+    if not isinstance(value, list):
+        raise ParseError(f"{where}.{key} must be an array")
+    for i, item in enumerate(value):
+        if not _is_int(item):
+            raise ParseError(
+                f"expected integer at {where}.{key}[{i}]: {item!r}")
     return value
 
 
@@ -128,12 +143,9 @@ def write_solution(sol: Solution) -> str:
 def vh_from_obj(obj: dict):
     from .minmax import VHInstance
     config = config_from_obj(obj)
-    v = _get(obj, "v_lines", "$")
-    h = _get(obj, "h_lines", "$")
-    if not isinstance(v, list) or not isinstance(h, list):
-        raise ParseError("$.v_lines and $.h_lines must be arrays")
     return VHInstance(config=config,
-                      v_lines=frozenset(v), h_lines=frozenset(h),
+                      v_lines=frozenset(_int_list_field(obj, "v_lines", "$")),
+                      h_lines=frozenset(_int_list_field(obj, "h_lines", "$")),
                       max_move=_rat_field(obj, "max_move", "$"))
 
 
@@ -176,8 +188,7 @@ def read_formula(data):
     parsed = []
     for i, clause in enumerate(clauses):
         if not isinstance(clause, list) or not all(
-                isinstance(l, int) and not isinstance(l, bool) and l != 0
-                for l in clause):
+                _is_int(l) and l != 0 for l in clause):
             raise ParseError(f"$.clauses[{i}] must be nonzero integers")
         parsed.append(tuple(clause))
     if dialect == "max2sat-3occ":
@@ -192,26 +203,32 @@ def read_meta(data):
     """Reduction metadata (forward/backward mapping tables)."""
     from .reductions import MinMaxMapping, MinNumMeta, VHMeta
     obj = _loads(data)
-    kind = _get(obj, "kind", "$")
+    if not isinstance(obj, dict):
+        raise ParseError("meta must be a JSON object")
+
+    def get(key):
+        return _get(obj, key, "$")
+
+    kind = get("kind")
     if kind == "minnum":
         return MinNumMeta(
-            n=obj["n"], m=obj["m"], t=obj["t"], side=obj["side"],
-            occ_sensor={(v, c): sid for v, c, sid in obj["occ_sensor"]},
-            alpha={int(k): v for k, v in obj["alpha"].items()},
-            beta={int(k): v for k, v in obj["beta"].items()})
+            n=get("n"), m=get("m"), t=get("t"), side=get("side"),
+            occ_sensor={(v, c): sid for v, c, sid in get("occ_sensor")},
+            alpha={int(k): v for k, v in get("alpha").items()},
+            beta={int(k): v for k, v in get("beta").items()})
     if kind == "vh":
         return VHMeta(
-            n=obj["n"], m=obj["m"],
-            var_sensor={(v, role): sid for v, role, sid in obj["var_sensor"]},
-            clause_sensor={(j, p): sid for j, p, sid in obj["clause_sensor"]},
-            slot_row={int(k): v for k, v in obj["slot_row"].items()},
-            triples=tuple(tuple(t) for t in obj["triples"]))
+            n=get("n"), m=get("m"),
+            var_sensor={(v, role): sid for v, role, sid in get("var_sensor")},
+            clause_sensor={(j, p): sid for j, p, sid in get("clause_sensor")},
+            slot_row={int(k): v for k, v in get("slot_row").items()},
+            triples=tuple(tuple(t) for t in get("triples")))
     if kind == "minmax":
         return MinMaxMapping(
-            vh=vh_from_obj(obj["vh"]),
-            padded=config_from_obj(obj["padded"]),
-            dx=obj["dx"], dy=obj["dy"],
-            v_ids=tuple(obj["v_ids"]), h_ids=tuple(obj["h_ids"]))
+            vh=vh_from_obj(get("vh")),
+            padded=config_from_obj(get("padded")),
+            dx=get("dx"), dy=get("dy"),
+            v_ids=tuple(get("v_ids")), h_ids=tuple(get("h_ids")))
     raise ParseError(f"unknown meta kind {kind!r}")
 
 

@@ -6,7 +6,9 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
-from wcr.errors import Infeasible
+from wcr.core import HALF, Solution, distance, interval_gaps
+from wcr.errors import Infeasible, SearchLimit
+from wcr.minmax import DEFAULT_NODE_BUDGET, VHInstance, move_domain, verify_vh
 from wcr.minnum import FREE_TYPES, classify
 from wcr.minsum import Line1DInstance
 from wcr.reductions import Max2Sat3Occ, Sat3_22
@@ -222,3 +224,98 @@ def reference_minsum_1d(inst: Line1DInstance, *, keep=lambda v: True
                Fraction(0))
     assert cost == total
     return tuple(targets), cost
+
+
+# --- Line blocking: the original decide_vh, which rescans every sensor's
+# move domain for every unsatisfied line at every node, and the
+# lines_blocked that tests every line against every gap.  The indexed
+# solver must explore the same nodes and return the same witness.
+
+def reference_lines_blocked(positions, v_lines, h_lines):
+    """Required lines blocked by the given (possibly fractional)
+    positions: line i is blocked when the unit intervals around the
+    coordinates cover [i - 1/2, i + 1/2], i.e. when no gap of their
+    union over the span of the required lines meets that interval."""
+    def blocked(coords, lines):
+        if not lines:
+            return set()
+        gaps = interval_gaps(((c - HALF, c + HALF) for c in coords),
+                             min(lines) - HALF, max(lines) + HALF)
+        return {i for i in lines
+                if not any(lo < i + HALF and hi > i - HALF for lo, hi in gaps)}
+
+    return (blocked([x for x, _ in positions], v_lines),
+            blocked([y for _, y in positions], h_lines))
+
+
+def reference_decide_vh(inst: VHInstance, budget: int | None = None
+                        ) -> tuple[bool, Solution | None]:
+    """Backtracking decision: can every required line be blocked with
+    per-sensor moves at most max_move?
+
+    Lines are branched on in MRV order (fewest candidate blockers,
+    ties (axis, index) with vertical first); candidates are
+    (uncommitted sensor, destination on the line) pairs tried by
+    smallest displacement.  Raises SearchLimit past the node budget.
+    """
+    config = inst.config
+    limit = DEFAULT_NODE_BUDGET if budget is None else budget
+    domains = {s.id: move_domain(config, (int(s.x), int(s.y)),
+                                  inst.max_move)
+               for s in config.sensors}
+    required = [("v", v) for v in sorted(inst.v_lines)] + \
+               [("h", h) for h in sorted(inst.h_lines)]
+    committed: dict[int, tuple[int, int]] = {}
+    nodes = [0]
+
+    def on_line(q, line) -> bool:
+        axis, idx = line
+        return (q[0] if axis == "v" else q[1]) == idx
+
+    def candidates(line):
+        out = []
+        for s in config.sensors:
+            if s.id in committed:
+                continue
+            for q in domains[s.id]:
+                if on_line(q, line):
+                    out.append((distance(config.metric,
+                                         (int(s.x), int(s.y)), q),
+                                q[0], q[1], s.id))
+        out.sort()
+        return out
+
+    def search(unsat: frozenset) -> bool:
+        nodes[0] += 1
+        if nodes[0] > limit:
+            raise SearchLimit(nodes[0])
+        if not unsat:
+            return True
+        axis_rank = {"v": 0, "h": 1}
+        best = None
+        for line in sorted(unsat, key=lambda l: (axis_rank[l[0]], l[1])):
+            cands = candidates(line)
+            if not cands:
+                return False
+            if best is None or len(cands) < len(best[1]):
+                best = (line, cands)
+                if len(cands) == 1:
+                    break
+        line, cands = best
+        for _, x, y, sid in cands:
+            committed[sid] = (x, y)
+            now_sat = {l for l in unsat if on_line((x, y), l)}
+            if search(unsat - now_sat):
+                return True
+            del committed[sid]
+        return False
+
+    feasible = search(frozenset(required))
+    if not feasible:
+        return False, None
+    sol = Solution({s.id: (Fraction(committed[s.id][0]),
+                           Fraction(committed[s.id][1]))
+                    if s.id in committed else (s.x, s.y)
+                    for s in config.sensors})
+    assert verify_vh(inst, dict(sol.positions))
+    return True, sol

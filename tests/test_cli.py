@@ -131,6 +131,84 @@ def test_oracle_minsum_rejects_heterogeneous_ranges(tmp_path, capsys):
     assert captured.out == "" and "heterogeneous" in captured.err
 
 
+def continuous_file(tmp_path, width, height, centers, radius):
+    sensors = tuple(Sensor(i, F(x), F(y), F(radius))
+                    for i, (x, y) in enumerate(centers, start=1))
+    path = tmp_path / "cont.json"
+    path.write_text(serialize.write_config(Configuration(
+        width=F(width), height=F(height), sensors=sensors,
+        mode="continuous", metric="manhattan")))
+    return path
+
+
+def test_oracle_minsum_refines_the_grid_to_the_side(tmp_path, capsys):
+    # 1/8 does not divide 7/3: the grid step becomes 1/24
+    path = continuous_file(tmp_path, "7/3", 2, [(1, 1), (2, 1)], 1)
+    assert main(["oracle", "minsum", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    for axis in ("x", "y"):
+        a, b = F(out[axis]["candidate_dp"]), F(out[axis]["grid"])
+        assert a <= b <= a + 2 * F(1, 24)
+
+
+def test_oracle_minsum_grid_size_limit_exits_3(tmp_path, capsys):
+    centers = [(F(3 * k + 1, 3), 1) for k in range(6)]
+    path = continuous_file(tmp_path, "43/3", 2, centers, 2)
+    assert main(["oracle", "minsum", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("resource limit: grid oracle limited")
+
+
+def test_diff_max_grid_bounds(capsys):
+    # minsum honours the bound as the segment length; minmax draws grid
+    # sides past its default sensor count of 5
+    for problem, bound in (("minsum", "3"), ("minmax", "7")):
+        assert main(["diff", problem, "--seed", "2", "--count", "4",
+                     "--max-grid", bound]) == 0
+        summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert summary == {"count": 4, "disagreements": 0}
+    with pytest.raises(SystemExit) as exc:
+        main(["diff", "minnum", "--max-grid", "1"])
+    assert exc.value.code == 2
+    assert "must be at least 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lines", [["1"], [1.5], [True]])
+def test_vh_lines_must_be_integers(tmp_path, capsys, lines):
+    obj = json.loads(cfg_file(tmp_path, [(1, 1), (2, 2)], a=2, b=2
+                              ).read_text())
+    obj.update(v_lines=[1, 2], h_lines=lines, max_move="1")
+    path = tmp_path / "vh.json"
+    path.write_text(json.dumps(obj))
+    for command in (["decide", "vh"], ["verify"]):
+        assert main([*command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "expected integer at $.h_lines[0]" in captured.err
+
+
+@pytest.mark.parametrize("meta", ['{"kind": "vh", "n": 1}',
+                                  '{"kind": "minnum"}',
+                                  '{"kind": "minmax"}', "[]"])
+def test_incomplete_meta_exit_2(tmp_path, capsys, meta):
+    path = tmp_path / "m.json"
+    path.write_text(meta)
+    assert main(["extract", "vh", "--meta", str(path),
+                 "--solution", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_boolean_coordinate_exit_2(tmp_path, capsys):
+    obj = json.loads(cfg_file(tmp_path, [(1, 1)], a=1, b=1).read_text())
+    obj["sensors"][0]["x"] = True
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(obj))
+    assert main(["verify", str(path)]) == 2
+    assert "bad rational at $.sensors[0].x: True" in capsys.readouterr().err
+
+
 def test_gen_decide_extract_pipeline(tmp_path, capsys):
     formula = tmp_path / "f.json"
     formula.write_text(json.dumps(FORMULA))

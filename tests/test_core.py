@@ -41,6 +41,8 @@ def test_rat_str_roundtrip(q):
 def test_rat_rejects_floats():
     with pytest.raises(ValidationError):
         rat(0.5)
+    with pytest.raises(ValidationError):
+        rat(True)
 
 
 # -- configuration validation ------------------------------------------------

@@ -2,14 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from brutes import (random_sat22_n3, reference_decide_vh,
+                    reference_lines_blocked)
 from wcr import minmax
 from wcr.core import Configuration, Sensor, is_blocking, solution_costs
 from wcr.errors import SearchLimit, SizeLimit, ValidationError
 from wcr.minmax import (VHInstance, decide_vh, full_lines, lines_blocked,
                         move_domain, oracle_minmax,
                         solve_minmax, verify_vh)
-from wcr.oracle import random_vh_instance
+from wcr.oracle import random_integer_config, random_vh_instance
+from wcr.reductions import gen_vh
 
 F = Fraction
 H = F(1, 2)
@@ -33,7 +37,7 @@ def test_full_lines():
 
 def test_move_domain_sorted_by_distance():
     cfg = grid(3, 3, [(2, 2)])
-    dom = move_domain(cfg, 1, F(1))
+    dom = move_domain(cfg, (2, 2), F(1))
     assert dom[0] == (F(2), F(2))
     assert set(dom) == {(F(2), F(2)), (F(1), F(2)), (F(3), F(2)),
                         (F(2), F(1)), (F(2), F(3))}
@@ -46,6 +50,26 @@ def test_lines_blocked_unions():
     assert v == {2} and h == {1}
     v, _ = lines_blocked([(F(3, 2), F(1))], {2}, set())
     assert v == set()
+
+
+coords = st.builds(F, st.integers(0, 36), st.sampled_from([1, 2, 3, 4]))
+lines = st.frozensets(st.integers(1, 8))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(coords, coords), max_size=8), lines, lines)
+def test_lines_blocked_matches_reference(pos, v, h):
+    assert lines_blocked(pos, v, h) == reference_lines_blocked(pos, v, h)
+
+
+def test_lines_blocked_at_touching_gaps():
+    # a gap that ends exactly at i - 1/2 or starts at i + 1/2 leaves
+    # line i blocked; one reaching past either end does not
+    pos = [(F(2), F(2)), (F(4), F(4)), (F(11, 2), F(6))]
+    v, h = lines_blocked(pos, {1, 2, 3, 4, 5, 6}, {2, 3, 4, 6})
+    assert v == {2, 4} and h == {2, 4, 6}
+    assert (v, h) == reference_lines_blocked(pos, {1, 2, 3, 4, 5, 6},
+                                             {2, 3, 4, 6})
 
 
 def test_decide_trivial_and_infeasible():
@@ -72,6 +96,78 @@ def test_decide_matches_oracle():
     for _ in range(150):
         inst = random_vh_instance(rng)
         assert decide_vh(inst)[0] == oracle_minmax(inst)
+
+
+def run(decide, inst, budget=None):
+    """decide's result as comparable data: the witness positions, or
+    the node count at which SearchLimit fired."""
+    try:
+        ok, wit = decide(inst, budget)
+    except SearchLimit as e:
+        return "limit", e.nodes
+    return ok, wit and dict(wit.positions)
+
+
+def nodes_explored(decide, inst) -> int:
+    """Least node budget under which decide finishes (budget 0 never
+    does: the root is node 1)."""
+    lo, hi = 0, 1
+    while run(decide, inst, hi)[0] == "limit":
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if run(decide, inst, mid)[0] == "limit":
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def seeded_vh_instances(seed: int, count: int):
+    """Random line sets on random grids, alternating with all lines of
+    an a x a grid and a sensors crowded into one corner, whose searches
+    backtrack (up to a few hundred nodes)."""
+    rng = random.Random(seed)
+    for i in range(count):
+        metric = ("manhattan", "euclidean")[i % 2]
+        if i % 4 < 2:
+            a, b = rng.randint(1, 7), rng.randint(1, 7)
+            cfg = random_integer_config(rng, a, b, rng.randint(1, 9), metric)
+            density = rng.choice([0.3, 0.7, 1.0])
+            v = frozenset(x for x in range(1, a + 1) if rng.random() < density)
+            h = frozenset(y for y in range(1, b + 1) if rng.random() < density)
+            d = rng.choice([F(0), F(1), F(3, 2), F(2)])
+        else:
+            a = b = rng.randint(4, 6)
+            corner = rng.randint(2, 4)
+            cfg = grid(a, a, [(rng.randint(1, corner), rng.randint(1, corner))
+                              for _ in range(a)], metric)
+            v, h = full_lines(cfg)
+            d = rng.choice([F(2), F(5, 2), F(3)])
+        yield VHInstance(cfg, v, h, d)
+
+
+def test_decide_matches_reference_search():
+    """The indexed search visits the reference's nodes: same answer and
+    witness, and SearchLimit at the same node under every budget."""
+    for inst in seeded_vh_instances(seed=31, count=300):
+        assert run(decide_vh, inst) == run(reference_decide_vh, inst)
+        for budget in (0, 1, 2, 3, 5, 8, 13):
+            assert run(decide_vh, inst, budget) == \
+                run(reference_decide_vh, inst, budget)
+        nodes = nodes_explored(reference_decide_vh, inst)
+        assert run(decide_vh, inst, nodes - 1) == ("limit", nodes)
+        assert run(decide_vh, inst, nodes)[0] != "limit"
+
+
+def test_decide_matches_reference_on_gadgets():
+    rng = random.Random(41)
+    for _ in range(4):
+        inst, _ = gen_vh(random_sat22_n3(rng))
+        assert run(decide_vh, inst) == run(reference_decide_vh, inst)
+        nodes = nodes_explored(reference_decide_vh, inst)
+        assert run(decide_vh, inst, nodes - 1) == ("limit", nodes)
+        assert run(decide_vh, inst, nodes)[0] != "limit"
 
 
 def test_verify_rejections():
@@ -153,7 +249,7 @@ def test_euclidean_ladder_budgets_admit_exactly_their_key(monkeypatch):
         while moves[count][0] <= key:
             count += 1
         admitted = {(1 + dx, 1 + dy) for _, dx, dy in moves[:count]}
-        assert set(move_domain(wide, 1, d)) == admitted
+        assert set(move_domain(wide, (1, 1), d)) == admitted
 
 
 def test_oracle_size_limit():

@@ -22,6 +22,7 @@ def test_generators_respect_bounds():
         assert mm.width <= 5 and mm.height <= 5 and mm.n <= 7
         ms = random_minsum_1d_instance(rng)
         assert len(ms.points) <= 6
+        assert random_minsum_1d_instance(rng, max_grid=3).length <= 3
         assert all(0 <= p <= ms.length for p in ms.points)
         assert 2 * ms.radius in (2, 3, 4)
         vh = random_vh_instance(rng)
