@@ -46,6 +46,13 @@ def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
+def _write_solution(path: str | None, sol) -> None:
+    """Write the solution to path, or to stdout when path is None."""
+    _write(path, serialize.write_solution(sol))
+    if path:
+        _emit({"written": path})
+
+
 def _with_metric(config: Configuration, metric: str | None) -> Configuration:
     if metric is None or metric == config.metric:
         return config
@@ -78,7 +85,6 @@ def cmd_verify(args) -> int:
     sol = None
     if args.solution:
         sol = serialize.read_solution(_read(args.solution))
-        sol.validate(config)
     report = is_blocking(config, sol)
     out["blocking"] = report.blocking
     out["x_gaps"] = _gaps_json(report.x_gaps, config.mode)
@@ -123,7 +129,7 @@ def cmd_solve(args) -> int:
         out["max_move_squared"] = rat_str(result.value_squared)
         if result.value is not None:
             out["max_move"] = rat_str(result.value)
-    out["solution"] = json.loads(serialize.write_solution(sol))
+    out["solution"] = serialize.solution_to_obj(sol)
     _emit(out)
     if args.output:
         _write(args.output, serialize.write_solution(sol))
@@ -137,7 +143,7 @@ def cmd_decide(args) -> int:
     feasible, witness = minmax.decide_vh(inst, args.budget)
     out = {"feasible": feasible}
     if witness is not None:
-        out["witness"] = json.loads(serialize.write_solution(witness))
+        out["witness"] = serialize.solution_to_obj(witness)
     _emit(out)
     if args.output and witness is not None:
         _write(args.output, serialize.write_solution(witness))
@@ -190,10 +196,7 @@ def cmd_embed(args) -> int:
             out = reductions.embed_minnum(inst, meta, formula, assignment)
         else:
             out = reductions.embed_vh(inst, meta, formula, assignment)
-    text = serialize.write_solution(out)
-    _write(args.output, text)
-    if args.output:
-        _emit({"written": args.output})
+    _write_solution(args.output, out)
     return 0
 
 
@@ -201,10 +204,7 @@ def cmd_extract(args) -> int:
     meta = serialize.read_meta(_read(args.meta))
     sol = serialize.read_solution(_read(args.solution))
     if args.construction == "minmax":
-        inner = reductions.extract_minmax(meta, sol)
-        _write(args.output, serialize.write_solution(inner))
-        if args.output:
-            _emit({"written": args.output})
+        _write_solution(args.output, reductions.extract_minmax(meta, sol))
         return 0
     formula = serialize.read_formula(_read(args.formula))
     inst = serialize.read_instance(_read(args.instance))
@@ -220,11 +220,7 @@ def cmd_integerize(args) -> int:
     meta = serialize.read_meta(_read(args.meta))
     inst = serialize.read_instance(_read(args.instance))
     sol = serialize.read_solution(_read(args.solution))
-    out = reductions.integerize(inst, meta, sol)
-    text = serialize.write_solution(out)
-    _write(args.output, text)
-    if args.output:
-        _emit({"written": args.output})
+    _write_solution(args.output, reductions.integerize(inst, meta, sol))
     return 0
 
 

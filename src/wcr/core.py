@@ -164,7 +164,8 @@ class CoverageReport:
 class CostReport:
     """Movement costs of a solution.  Manhattan costs are always exact;
     the euclidean sum is exact only for axis-aligned displacements and
-    otherwise reported as a certified interval of width <= 10^-9."""
+    otherwise reported as a certified interval of width <= 10^-9 (each
+    of the k oblique moves is bounded to within 10^-9 / max(10, k))."""
 
     moved: int
     sum_low: Fraction
@@ -289,6 +290,7 @@ def solution_costs(config: Configuration, sol: Solution) -> CostReport:
     moved = 0
     sum_lo = sum_hi = Fraction(0)
     max_key = Fraction(0)  # largest distance, squared under euclidean
+    oblique = []  # squared lengths of the euclidean moves off both axes
     for s in config.sensors:
         home, dest = (s.x, s.y), sol.positions[s.id]
         key = distance(config.metric, home, dest)
@@ -296,11 +298,18 @@ def solution_costs(config: Configuration, sol: Solution) -> CostReport:
             moved += 1
         max_key = max(max_key, key)
         if config.metric == "manhattan":
-            d_lo = d_hi = key
+            exact = key
         elif home[0] == dest[0] or home[1] == dest[1]:  # axis-aligned: exact
-            d_lo = d_hi = distance("manhattan", home, dest)
+            exact = distance("manhattan", home, dest)
         else:
-            d_lo, d_hi = _sqrt_bounds(key, _EUCLID_EPS)
+            oblique.append(key)
+            continue
+        sum_lo += exact
+        sum_hi += exact
+    # k enclosures of width <= 1e-9 / max(10, k) sum to a width <= 1e-9
+    eps = Fraction(1, 10**9 * max(10, len(oblique)))
+    for key in oblique:
+        d_lo, d_hi = _sqrt_bounds(key, eps)
         sum_lo += d_lo
         sum_hi += d_hi
     if config.metric == "manhattan":

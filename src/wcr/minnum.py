@@ -8,11 +8,18 @@ sensor; a maximum free set is a largest set of free sensors that can all
 be removed simultaneously without emptying any occupied row or column.
 Free sensors are the only ones that can repair a row gap and a column
 gap with a single jumping move.
+
+Sensor types: a non-free sensor is type 0 when it is alone in both its
+row and its column and type 1 otherwise; a free sensor is type 2, plus
+one for each of its two lines that holds only free sensors.  (A free
+sensor's non-free line-mate has a line-mate, so it is type 1: a line
+with a type-1 sensor is exactly a line that is not all-free.)
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,7 +29,6 @@ from .errors import Infeasible, ModeError, SizeLimit
 from .matching import Graph, minimum_edge_cover
 
 TYPE0, TYPE1, TYPE2, TYPE3, TYPE4 = range(5)
-FREE_TYPES = (TYPE2, TYPE3, TYPE4)
 
 
 def _require_integer(config: Configuration) -> None:
@@ -30,69 +36,34 @@ def _require_integer(config: Configuration) -> None:
         raise ModeError("integer mode required")
 
 
-def _line_members(config: Configuration):
-    rows: dict[int, list[int]] = {}
-    cols: dict[int, list[int]] = {}
-    for s in config.sensors:
-        rows.setdefault(int(s.y), []).append(s.id)
-        cols.setdefault(int(s.x), []).append(s.id)
-    return rows, cols
+def _line_table(config: Configuration):
+    """(sensors per row, sensors per column, ids of the free sensors,
+    rows holding only free sensors, columns holding only free sensors)."""
+    _require_integer(config)
+    rows = Counter(int(s.y) for s in config.sensors)
+    cols = Counter(int(s.x) for s in config.sensors)
+    free = {s.id for s in config.sensors
+            if rows[int(s.y)] > 1 and cols[int(s.x)] > 1}
+    free_rows = rows.keys() - {int(s.y) for s in config.sensors
+                               if s.id not in free}
+    free_cols = cols.keys() - {int(s.x) for s in config.sensors
+                               if s.id not in free}
+    return rows, cols, free, free_rows, free_cols
 
 
 def classify(config: Configuration) -> dict[int, int]:
-    """Type of every sensor per the 0-4 taxonomy (partition)."""
-    _require_integer(config)
-    rows, cols = _line_members(config)
-
-    free = {}
+    """Type of every sensor per the 0-4 taxonomy (partition): a non-free
+    sensor is type 0 when alone in its row and its column, else type 1;
+    a free sensor is TYPE2 + (row all-free) + (column all-free)."""
+    rows, cols, free, free_rows, free_cols = _line_table(config)
+    types = {}
     for s in config.sensors:
-        free[s.id] = (len(rows[int(s.y)]) > 1 and len(cols[int(s.x)]) > 1)
-
-    types: dict[int, int] = {}
-    for s in config.sensors:
-        row_mates = [i for i in rows[int(s.y)] if i != s.id]
-        col_mates = [i for i in cols[int(s.x)] if i != s.id]
-        if not row_mates and not col_mates:
-            types[s.id] = TYPE0
-        elif not free[s.id]:
-            types[s.id] = TYPE1
-    for s in config.sensors:
-        if s.id in types:
-            continue
-        row_has_t1 = any(types.get(i) == TYPE1
-                         for i in rows[int(s.y)] if i != s.id)
-        col_has_t1 = any(types.get(i) == TYPE1
-                         for i in cols[int(s.x)] if i != s.id)
-        row_all_free = all(free[i] for i in rows[int(s.y)])
-        col_all_free = all(free[i] for i in cols[int(s.x)])
-        if row_has_t1 and col_has_t1:
-            types[s.id] = TYPE2
-        elif row_all_free and col_all_free:
-            types[s.id] = TYPE4
+        x, y = int(s.x), int(s.y)
+        if s.id in free:
+            types[s.id] = TYPE2 + (y in free_rows) + (x in free_cols)
         else:
-            types[s.id] = TYPE3
-    assert len(types) == config.n
+            types[s.id] = TYPE0 if rows[y] == cols[x] == 1 else TYPE1
     return types
-
-
-@dataclass(frozen=True)
-class GapReport:
-    row_gaps: tuple[int, ...]
-    col_gaps: tuple[int, ...]
-
-    @property
-    def r(self) -> int:
-        return len(self.row_gaps)
-
-    @property
-    def c(self) -> int:
-        return len(self.col_gaps)
-
-
-def gaps(config: Configuration) -> GapReport:
-    _require_integer(config)
-    report = is_blocking(config)
-    return GapReport(row_gaps=report.y_gaps, col_gaps=report.x_gaps)
 
 
 def build_free_graph(config: Configuration):
@@ -100,50 +71,39 @@ def build_free_graph(config: Configuration):
     labels a minimum blocking set for the all-free rows and columns.
 
     Vertices: one per row/column containing only free sensors, plus two
-    hubs x, y.  A type-4 sensor is an edge row-column; a type-3 sensor
-    is an edge from its all-free line to hub x; hub edge x-y always
+    hubs x, y.  A free sensor on an all-free row and an all-free column
+    (type 4) is an edge row-column; one on exactly one all-free line
+    (type 3) is an edge from that line to hub x; hub edge x-y always
     present (label None).  Returns (Graph, legend) where legend[i] is
     ("row", idx) | ("col", idx) | ("x",) | ("y",).
     """
-    _require_integer(config)
-    types = classify(config)
-    rows, cols = _line_members(config)
-    free_ids = {i for i, t in types.items() if t in FREE_TYPES}
-    x_rows = sorted(i for i, members in rows.items()
-                    if all(m in free_ids for m in members))
-    x_cols = sorted(j for j, members in cols.items()
-                    if all(m in free_ids for m in members))
-
-    legend = [("row", i) for i in x_rows] + [("col", j) for j in x_cols]
+    _, _, _, free_rows, free_cols = _line_table(config)
+    legend = [("row", i) for i in sorted(free_rows)] + \
+        [("col", j) for j in sorted(free_cols)]
     index = {v: k for k, v in enumerate(legend)}
     legend += [("x",), ("y",)]
     hub_x, hub_y = len(legend) - 2, len(legend) - 1
 
     edges = []
     for s in sorted(config.sensors, key=lambda s: s.id):
-        t = types[s.id]
         row_v = index.get(("row", int(s.y)))
         col_v = index.get(("col", int(s.x)))
-        if t == TYPE4:
+        if row_v is not None and col_v is not None:
             edges.append((row_v, col_v, s.id))
-        elif t == TYPE3:
-            # exactly one of the two lines is all-free
-            line = row_v if row_v is not None else col_v
-            edges.append((line, hub_x, s.id))
+        elif row_v is not None or col_v is not None:
+            edges.append((col_v if row_v is None else row_v, hub_x, s.id))
     edges.append((hub_x, hub_y, None))
     return Graph(vertex_count=len(legend), edges=tuple(edges)), legend
 
 
 def max_free_set(config: Configuration) -> frozenset[int]:
     """Largest simultaneously-removable set of free sensors."""
-    types = classify(config)
-    free_ids = frozenset(i for i, t in types.items() if t in FREE_TYPES)
-    if not free_ids:
+    free = _line_table(config)[2]
+    if not free:
         return frozenset()
     g, _ = build_free_graph(config)
     cover = minimum_edge_cover(g)
-    blocking_set = {g.edges[i][2] for i in cover} - {None}
-    return free_ids - blocking_set
+    return frozenset(free - {g.edges[i][2] for i in cover})
 
 
 @dataclass(frozen=True)
@@ -158,10 +118,6 @@ class MinNumPlan:
         return len(self.moves)
 
 
-def _sensor_order_key(s):
-    return (s.y, s.x, s.id)
-
-
 def solve_minnum(config: Configuration) -> MinNumPlan:
     """Relocate the fewest sensors to make the configuration blocking.
 
@@ -172,8 +128,10 @@ def solve_minnum(config: Configuration) -> MinNumPlan:
     if config.n < max(config.width, config.height):
         raise Infeasible("fewer sensors than the longer side")
 
-    g = gaps(config)
-    if g.r < g.c:
+    report = is_blocking(config)
+    row_gaps, col_gaps = list(report.y_gaps), list(report.x_gaps)
+    r, c = len(row_gaps), len(col_gaps)
+    if r < c:
         plan = solve_minnum(transpose(config))
         return MinNumPlan(
             free_set=plan.free_set, k=plan.k,
@@ -182,17 +140,14 @@ def solve_minnum(config: Configuration) -> MinNumPlan:
                          (ty, tx)) for sid, kind, (tx, ty) in plan.moves),
             solution=transpose_solution(plan.solution))
 
-    by_id = config.sensor_by_id()
     M = max_free_set(config)
     k = len(M)
-    row_gaps = list(g.row_gaps)
-    col_gaps = list(g.col_gaps)
-
-    movers = sorted((by_id[i] for i in M), key=_sensor_order_key)
+    movers = sorted((s for s in config.sensors if s.id in M),
+                    key=lambda s: (s.y, s.x, s.id))
     moves: list[tuple[int, str, tuple[Fraction, Fraction]]] = []
 
     # jumping moves: pair sorted column gaps with sorted row gaps
-    jumps = min(k, g.c)
+    jumps = min(k, c)
     for idx in range(jumps):
         s = movers[idx]
         moves.append((s.id, "jump",
@@ -207,34 +162,24 @@ def solve_minnum(config: Configuration) -> MinNumPlan:
         moves.append((s.id, "slide-row", (s.x, Fraction(row_gaps[idx]))))
     row_gaps = row_gaps[fills:]
 
-    # remaining gaps are repaired by sliding non-free sensors; occupancy
-    # is recomputed after every move so no slide creates a fresh gap
+    # remaining gaps are repaired by sliding non-free sensors off lines
+    # that keep another sensor, so no slide creates a fresh gap; gap
+    # lines hold no unmoved sensor, so their counts are never read
     pos = {s.id: (s.x, s.y) for s in config.sensors}
     for sid, _, target in moves:
         pos[sid] = target
-    moved_ids = {sid for sid, _, _ in moves}
-
-    def line_counts():
-        rows: dict[int, int] = {}
-        cols: dict[int, int] = {}
-        for x, y in pos.values():
-            rows[int(y)] = rows.get(int(y), 0) + 1
-            cols[int(x)] = cols.get(int(x), 0) + 1
-        return rows, cols
+    rows = Counter(int(y) for _, y in pos.values())
+    cols = Counter(int(x) for x, _ in pos.values())
+    moved_ids = set(M)
 
     def slide(gap: int, vertical: bool) -> None:
-        rows, cols = line_counts()
-        candidates = []
-        for s in config.sensors:
-            if s.id in moved_ids or s.id in M:
-                continue
-            x, y = pos[s.id]
-            surplus = rows[int(y)] > 1 if vertical else cols[int(x)] > 1
-            if surplus:
-                candidates.append((y, x, s.id))
+        counts = rows if vertical else cols
+        candidates = [(s.y, s.x, s.id) for s in config.sensors
+                      if s.id not in moved_ids
+                      and counts[int(s.y if vertical else s.x)] > 1]
         assert candidates, "no slide candidate: pigeonhole guarantee broken"
-        _, _, sid = min(candidates)
-        x, y = pos[sid]
+        y, x, sid = min(candidates)
+        counts[int(y if vertical else x)] -= 1
         target = (x, Fraction(gap)) if vertical else (Fraction(gap), y)
         moves.append((sid, "slide-row" if vertical else "slide-col", target))
         pos[sid] = target
@@ -246,9 +191,9 @@ def solve_minnum(config: Configuration) -> MinNumPlan:
         slide(gap, vertical=False)
 
     sol = Solution(dict(pos))
-    report = is_blocking(config, sol)
-    assert report.blocking, "planner produced a non-blocking solution"
-    expected = g.r if k >= g.c else g.r + g.c - k
+    assert is_blocking(config, sol).blocking, \
+        "planner produced a non-blocking solution"
+    expected = r if k >= c else r + c - k
     assert len(moves) == expected, "move count deviates from the formula"
     return MinNumPlan(free_set=M, k=k, moves=tuple(moves), solution=sol)
 

@@ -52,6 +52,32 @@ def _int_list_field(obj: dict, key: str, where: str) -> list[int]:
     return value
 
 
+def _meta_rows(obj: dict, key: str, *kinds: type) -> list:
+    """$.key: an array of arrays whose items have the types in kinds."""
+    value = _get(obj, key, "$")
+    if not isinstance(value, list):
+        raise ParseError(f"$.{key} must be an array")
+    for i, row in enumerate(value):
+        if not (isinstance(row, list) and len(row) == len(kinds) and all(
+                _is_int(v) if kind is int else isinstance(v, kind)
+                for v, kind in zip(row, kinds))):
+            names = ", ".join(kind.__name__ for kind in kinds)
+            raise ParseError(f"$.{key}[{i}] must be [{names}]: {row!r}")
+    return value
+
+
+def _meta_int_map(obj: dict, key: str) -> dict[int, int]:
+    """$.key: an object mapping integers (as strings) to integers."""
+    value = _get(obj, key, "$")
+    if not isinstance(value, dict):
+        raise ParseError(f"$.{key} must be an object")
+    for k, v in value.items():
+        if not (k.removeprefix("-").isdecimal() and _is_int(v)):
+            raise ParseError(
+                f"$.{key} must map integers to integers: {k!r}: {v!r}")
+    return {int(k): v for k, v in value.items()}
+
+
 def _loads(data) -> Any:
     if isinstance(data, (bytes, bytearray)):
         data = data.decode("utf-8")
@@ -132,10 +158,14 @@ def read_solution(data) -> Solution:
     return Solution(positions)
 
 
-def write_solution(sol: Solution) -> str:
-    return dumps({"positions": [
+def solution_to_obj(sol: Solution) -> dict:
+    return {"positions": [
         {"id": sid, "x": rat_str(x), "y": rat_str(y)}
-        for sid, (x, y) in sorted(sol.positions.items())]})
+        for sid, (x, y) in sorted(sol.positions.items())]}
+
+
+def write_solution(sol: Solution) -> str:
+    return dumps(solution_to_obj(sol))
 
 
 # VH instances reuse the configuration schema plus v_lines/h_lines/max_move.
@@ -206,29 +236,33 @@ def read_meta(data):
     if not isinstance(obj, dict):
         raise ParseError("meta must be a JSON object")
 
-    def get(key):
-        return _get(obj, key, "$")
+    def num(key):
+        return _int_field(obj, key, "$")
 
-    kind = get("kind")
+    kind = _get(obj, "kind", "$")
     if kind == "minnum":
+        occ = _meta_rows(obj, "occ_sensor", int, int, int)
         return MinNumMeta(
-            n=get("n"), m=get("m"), t=get("t"), side=get("side"),
-            occ_sensor={(v, c): sid for v, c, sid in get("occ_sensor")},
-            alpha={int(k): v for k, v in get("alpha").items()},
-            beta={int(k): v for k, v in get("beta").items()})
+            n=num("n"), m=num("m"), t=num("t"), side=num("side"),
+            occ_sensor={(v, c): sid for v, c, sid in occ},
+            alpha=_meta_int_map(obj, "alpha"), beta=_meta_int_map(obj, "beta"))
     if kind == "vh":
+        var = _meta_rows(obj, "var_sensor", int, str, int)
+        clause = _meta_rows(obj, "clause_sensor", int, int, int)
+        triples = _meta_rows(obj, "triples", int, int, int, int)
         return VHMeta(
-            n=get("n"), m=get("m"),
-            var_sensor={(v, role): sid for v, role, sid in get("var_sensor")},
-            clause_sensor={(j, p): sid for j, p, sid in get("clause_sensor")},
-            slot_row={int(k): v for k, v in get("slot_row").items()},
-            triples=tuple(tuple(t) for t in get("triples")))
+            n=num("n"), m=num("m"),
+            var_sensor={(v, role): sid for v, role, sid in var},
+            clause_sensor={(j, p): sid for j, p, sid in clause},
+            slot_row=_meta_int_map(obj, "slot_row"),
+            triples=tuple(map(tuple, triples)))
     if kind == "minmax":
         return MinMaxMapping(
-            vh=vh_from_obj(get("vh")),
-            padded=config_from_obj(get("padded")),
-            dx=get("dx"), dy=get("dy"),
-            v_ids=tuple(get("v_ids")), h_ids=tuple(get("h_ids")))
+            vh=vh_from_obj(_get(obj, "vh", "$")),
+            padded=config_from_obj(_get(obj, "padded", "$")),
+            dx=num("dx"), dy=num("dy"),
+            v_ids=tuple(_int_list_field(obj, "v_ids", "$")),
+            h_ids=tuple(_int_list_field(obj, "h_ids", "$")))
     raise ParseError(f"unknown meta kind {kind!r}")
 
 

@@ -9,7 +9,7 @@ from itertools import combinations
 from wcr.core import HALF, Solution, distance, interval_gaps
 from wcr.errors import Infeasible, SearchLimit
 from wcr.minmax import DEFAULT_NODE_BUDGET, VHInstance, move_domain, verify_vh
-from wcr.minnum import FREE_TYPES, classify
+from wcr.minnum import TYPE0, TYPE1, TYPE2, TYPE3, TYPE4
 from wcr.minsum import Line1DInstance
 from wcr.reductions import Max2Sat3Occ, Sat3_22
 
@@ -39,10 +39,60 @@ def occupancy(config, removed=frozenset()):
     return rows, cols
 
 
+def _line_members(config):
+    rows: dict[int, list[int]] = {}
+    cols: dict[int, list[int]] = {}
+    for s in config.sensors:
+        rows.setdefault(int(s.y), []).append(s.id)
+        cols.setdefault(int(s.x), []).append(s.id)
+    return rows, cols
+
+
+def reference_classify(config) -> dict[int, int]:
+    """The three-pass 0-4 taxonomy as first written (type 2 = a free
+    sensor with a type-1 mate in its row and in its column, type 4 = a
+    free sensor whose row and column hold only free sensors, type 3 =
+    the other free sensors); `wcr.minnum.classify` must agree."""
+    rows, cols = _line_members(config)
+
+    free = {}
+    for s in config.sensors:
+        free[s.id] = (len(rows[int(s.y)]) > 1 and len(cols[int(s.x)]) > 1)
+
+    types: dict[int, int] = {}
+    for s in config.sensors:
+        row_mates = [i for i in rows[int(s.y)] if i != s.id]
+        col_mates = [i for i in cols[int(s.x)] if i != s.id]
+        if not row_mates and not col_mates:
+            types[s.id] = TYPE0
+        elif not free[s.id]:
+            types[s.id] = TYPE1
+    for s in config.sensors:
+        if s.id in types:
+            continue
+        row_has_t1 = any(types.get(i) == TYPE1
+                         for i in rows[int(s.y)] if i != s.id)
+        col_has_t1 = any(types.get(i) == TYPE1
+                         for i in cols[int(s.x)] if i != s.id)
+        row_all_free = all(free[i] for i in rows[int(s.y)])
+        col_all_free = all(free[i] for i in cols[int(s.x)])
+        if row_has_t1 and col_has_t1:
+            types[s.id] = TYPE2
+        elif row_all_free and col_all_free:
+            types[s.id] = TYPE4
+        else:
+            types[s.id] = TYPE3
+    assert len(types) == config.n
+    return types
+
+
 def brute_max_free_set_size(config) -> int:
-    """Largest set of free sensors whose removal leaves every occupied
-    row and column occupied."""
-    free = [sid for sid, t in classify(config).items() if t in FREE_TYPES]
+    """Largest set of free sensors (each shares its row and its column
+    with another sensor) whose removal leaves every occupied row and
+    column occupied."""
+    free = [s.id for s in config.sensors
+            if sum(t.y == s.y for t in config.sensors) > 1
+            and sum(t.x == s.x for t in config.sensors) > 1]
     rows0, cols0 = occupancy(config)
     best = 0
     for k in range(len(free), 0, -1):

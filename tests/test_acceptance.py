@@ -18,7 +18,7 @@ from wcr.errors import InconsistentSolution
 from wcr.matching import Graph, maximum_matching, minimum_edge_cover
 from wcr.minmax import VHInstance, decide_vh, oracle_minmax, solve_minmax, \
     verify_vh
-from wcr.minnum import brute_minnum, gaps, max_free_set, solve_minnum
+from wcr.minnum import brute_minnum, max_free_set, solve_minnum
 from wcr.minsum import (Line1DInstance, oracle_minsum_1d, solve_minsum_1d,
                         solve_minsum_manhattan)
 from wcr.oracle import (differential_suite, random_integer_config,
@@ -77,8 +77,8 @@ def test_criterion_2_minnum_formula(minnum_sweep):
     bad = 0
     for cfg in minnum_sweep:
         plan = solve_minnum(cfg)
-        rep = gaps(cfg)
-        r, c = max(rep.r, rep.c), min(rep.r, rep.c)
+        rep = is_blocking(cfg)
+        r, c = sorted((len(rep.y_gaps), len(rep.x_gaps)), reverse=True)
         expected = r if plan.k >= c else r + c - plan.k
         if plan.moved != expected:
             bad += 1

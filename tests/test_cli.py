@@ -200,6 +200,42 @@ def test_incomplete_meta_exit_2(tmp_path, capsys, meta):
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
+def _meta_with(kind, **tables):
+    """A complete meta of the given kind whose tables are all empty,
+    except for the ones passed in."""
+    plain = json.loads(serialize.write_config(Configuration(
+        width=F(2), height=F(2), sensors=(Sensor(1, F(1), F(1), H),),
+        mode="integer", metric="manhattan")))
+    meta = {"minnum": {"n": 1, "m": 1, "t": 1, "side": 8, "occ_sensor": [],
+                       "alpha": {}, "beta": {}},
+            "vh": {"n": 1, "m": 1, "var_sensor": [], "clause_sensor": [],
+                   "slot_row": {}, "triples": []},
+            "minmax": {"vh": {**plain, "v_lines": [], "h_lines": [],
+                              "max_move": "1"},
+                       "padded": plain, "dx": 0, "dy": 0, "v_ids": [],
+                       "h_ids": []}}[kind]
+    return json.dumps({"kind": kind, **meta, **tables})
+
+
+@pytest.mark.parametrize("kind, tables, field", [
+    ("vh", {"var_sensor": [1]}, "$.var_sensor[0]"),
+    ("vh", {"triples": [[1, 2, 3]]}, "$.triples[0]"),
+    ("minnum", {"occ_sensor": [[1, 2]]}, "$.occ_sensor[0]"),
+    ("minnum", {"alpha": {"x": 1}}, "$.alpha"),
+    ("minmax", {"v_ids": 5}, "$.v_ids"),
+    ("minmax", {"dx": "1"}, "$.dx"),
+])
+def test_meta_table_of_wrong_shape_exit_2(tmp_path, capsys, kind, tables,
+                                          field):
+    path = tmp_path / "m.json"
+    path.write_text(_meta_with(kind, **tables))
+    assert main(["extract", kind, "--meta", str(path),
+                 "--solution", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and field in captured.err
+
+
 def test_boolean_coordinate_exit_2(tmp_path, capsys):
     obj = json.loads(cfg_file(tmp_path, [(1, 1)], a=1, b=1).read_text())
     obj["sensors"][0]["x"] = True

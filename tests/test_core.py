@@ -190,6 +190,18 @@ def test_costs_euclidean_interval():
         rep.max_cost
 
 
+@pytest.mark.parametrize("k", [30, 200])
+def test_costs_euclidean_sum_enclosure_of_many_moves(k):
+    # k diagonal unit moves: the sum is k * sqrt(2), known only as an
+    # interval whose width must stay within 1e-9 whatever k is
+    cfg = grid(k + 1, 2, [(x, 1) for x in range(1, k + 1)],
+               metric="euclidean")
+    sol = Solution({i: (F(i + 1), F(2)) for i in range(1, k + 1)})
+    rep = solution_costs(cfg, sol)
+    assert rep.sum_low ** 2 <= 2 * k * k <= rep.sum_high ** 2
+    assert 0 < rep.sum_high - rep.sum_low <= F(1, 10 ** 9)
+
+
 def test_costs_euclidean_perfect_square():
     cfg = grid(5, 5, [(1, 1)], metric="euclidean")
     sol = Solution({1: (F(4), F(5))})       # 3-4-5 triangle

@@ -107,6 +107,40 @@ def _minmax_cases():
         yield f"minmax-{i}", files, steps
 
 
+def _minnum_large_cases():
+    """12x12 to 40x40 grids whose plans use jumps, free slides, non-free
+    slides on both axes and the transposed path (more column gaps)."""
+    for i in range(8):
+        rng = random.Random(f"minnum-large:{i}")
+        a, b = rng.randint(12, 40), rng.randint(12, 40)
+        side = max(a, b)
+        n = rng.randint(side, 3 * side)
+        if i % 2:
+            # one or two crowded lines: free sensors are scarce, so
+            # non-free sensors slide into the remaining gaps
+            n = min(n, side + side // 4)
+            if rng.random() < 0.5:
+                rows = rng.sample(range(1, b + 1), rng.randint(1, 2))
+                cells = [(rng.randint(1, a), rng.choice(rows))
+                         for _ in range(n)]
+            else:
+                cols = rng.sample(range(1, a + 1), rng.randint(1, 2))
+                cells = [(rng.choice(cols), rng.randint(1, b))
+                         for _ in range(n)]
+        else:
+            # sensors crowd a random block, so gaps pile up on both axes
+            w, h = rng.randint(a // 3, a), rng.randint(b // 3, b)
+            x0, y0 = rng.randint(1, a - w + 1), rng.randint(1, b - h + 1)
+            cells = [(rng.randint(x0, x0 + w - 1), rng.randint(y0, y0 + h - 1))
+                     for _ in range(n)]
+        files = {"inst.json": _config("integer", "manhattan", a, b,
+                                      [(x, y, "1/2") for x, y in cells])}
+        steps = [["verify", "inst.json"],
+                 ["solve", "minnum", "inst.json", "-o", "sol.json"],
+                 ["verify", "inst.json", "--solution", "sol.json"]]
+        yield f"minnum-large-{i}", files, steps
+
+
 def _continuous_cases():
     for i in range(24):
         rng = random.Random(f"continuous:{i}")
@@ -317,7 +351,8 @@ def _error_cases():
 
 
 def corpus():
-    for group in (_integer_cases, _minmax_cases, _continuous_cases,
+    for group in (_integer_cases, _minmax_cases, _minnum_large_cases,
+                  _continuous_cases,
                   _vh_cases, _vh_gadget_cases, _minnum_gadget_cases,
                   _minmax_gadget_cases, _diff_cases, _error_cases):
         yield from group()

@@ -2,13 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from brutes import brute_max_free_set_size
+from brutes import brute_max_free_set_size, reference_classify
 from wcr.core import Configuration, Sensor, is_blocking, solution_costs, \
     transpose
 from wcr.errors import SizeLimit
 from wcr.minnum import (TYPE0, TYPE1, TYPE2, TYPE3, TYPE4, brute_minnum,
-                        build_free_graph, classify, gaps, max_free_set,
+                        build_free_graph, classify, max_free_set,
                         solve_minnum)
 from wcr.oracle import random_minnum_instance
 
@@ -49,10 +50,43 @@ def test_classify_type3_type4():
     assert set(classify(cfg3).values()) <= {TYPE3, TYPE4}
 
 
+def random_cells(rng, a, b):
+    return [(rng.randint(1, a), rng.randint(1, b))
+            for _ in range(rng.randint(0, 20))]
+
+
+def test_classify_matches_reference_on_seeded_grids():
+    rng = random.Random(2026)
+    for _ in range(3000):
+        a, b = rng.randint(1, 7), rng.randint(1, 7)
+        cfg = grid(a, b, random_cells(rng, a, b))
+        assert classify(cfg) == reference_classify(cfg)
+    for k in range(1, 8):  # single rows and single columns
+        for a, b in ((1, k), (k, 1)):
+            for _ in range(20):
+                cfg = grid(a, b, random_cells(rng, a, b))
+                assert classify(cfg) == reference_classify(cfg)
+
+
+@st.composite
+def sparse_grids(draw):
+    """Up to 20 sensors, possibly stacked, on a grid of side 1-7 whose
+    rows and columns may stay empty."""
+    a, b = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    cells = draw(st.lists(st.tuples(st.integers(1, a), st.integers(1, b)),
+                          max_size=20))
+    return grid(a, b, cells)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_grids())
+def test_classify_matches_reference(cfg):
+    assert classify(cfg) == reference_classify(cfg)
+
+
 def test_gaps():
-    rep = gaps(grid(3, 3, [(1, 1), (2, 1), (1, 2)]))
-    assert rep.row_gaps == (3,) and rep.col_gaps == (3,)
-    assert rep.r == rep.c == 1
+    rep = is_blocking(grid(3, 3, [(1, 1), (2, 1), (1, 2)]))
+    assert rep.y_gaps == (3,) and rep.x_gaps == (3,)
 
 
 def test_free_graph_structure():
@@ -88,8 +122,8 @@ def test_solve_formula_and_blocking():
     for _ in range(200):
         cfg = random_minnum_instance(rng)
         plan = solve_minnum(cfg)
-        rep = gaps(cfg)
-        r, c = max(rep.r, rep.c), min(rep.r, rep.c)
+        rep = is_blocking(cfg)
+        r, c = sorted((len(rep.y_gaps), len(rep.x_gaps)), reverse=True)
         k = plan.k
         assert plan.moved == (r if k >= c else r + c - k)
         assert is_blocking(cfg, plan.solution).blocking
