@@ -175,11 +175,13 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _read_assignment(path: str):
-    obj = json.loads(_read(path))
+def _read_assignment(path: str, n: int):
+    obj = serialize._loads(_read(path))
     if not isinstance(obj, list) or not all(
             isinstance(v, (bool, int)) for v in obj):
         raise ParseError("assignment must be a JSON array of booleans")
+    if len(obj) != n:
+        raise ParseError(f"assignment has {len(obj)} values for {n} variables")
     return tuple(bool(v) for v in obj)
 
 
@@ -190,7 +192,7 @@ def cmd_embed(args) -> int:
         out = reductions.embed_minmax(meta, sol)
     else:
         formula = serialize.read_formula(_read(args.formula))
-        assignment = _read_assignment(args.assignment)
+        assignment = _read_assignment(args.assignment, formula.n)
         inst = serialize.read_instance(_read(args.instance))
         if args.construction == "minnum":
             out = reductions.embed_minnum(inst, meta, formula, assignment)

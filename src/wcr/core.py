@@ -1,7 +1,10 @@
 """Geometric model: configurations, coverage verification, movement costs.
 
 All coordinates and distances are exact rationals (fractions.Fraction);
-no floating point is used anywhere on solver paths.
+no floating point is used anywhere on solver paths.  The checks and
+costs at the boundary run on ints: integer-mode checks read numerators
+once the denominators are 1, and solution_costs scales every coordinate
+by one lcm of their denominators, converting only the reported figures.
 
 Conventions
 -----------
@@ -56,10 +59,6 @@ class Sensor:
     y: Fraction
     range: Fraction
 
-    @property
-    def diameter(self) -> Fraction:
-        return 2 * self.range
-
 
 @dataclass(frozen=True)
 class Configuration:
@@ -81,20 +80,22 @@ class Configuration:
             raise ValidationError("duplicate sensor id")
         if any(s.id < 0 for s in self.sensors):
             raise ValidationError("sensor ids must be non-negative")
-        if any(s.range <= 0 for s in self.sensors):
+        # denominators are positive: signs and grid checks read numerators
+        if any(s.range.numerator <= 0 for s in self.sensors):
             raise ValidationError("sensor range must be positive")
         if self.mode == "integer":
             if self.width.denominator != 1 or self.height.denominator != 1:
                 raise ValidationError("integer mode requires integer dimensions")
+            a, b = self.width.numerator, self.height.numerator
             for s in self.sensors:
-                if s.range != HALF:
+                if s.range.numerator != 1 or s.range.denominator != 2:
                     raise ValidationError(
                         f"integer mode requires range 1/2, sensor {s.id} has "
                         f"{rat_str(s.range)}")
                 if s.x.denominator != 1 or s.y.denominator != 1:
                     raise ValidationError(
                         f"sensor {s.id} not on the integer grid")
-                if not (1 <= s.x <= self.width and 1 <= s.y <= self.height):
+                if not (1 <= s.x.numerator <= a and 1 <= s.y.numerator <= b):
                     raise ValidationError(f"sensor {s.id} outside the grid")
         else:
             lo_x, hi_x = self.x_extent
@@ -121,13 +122,6 @@ class Configuration:
             return HALF, self.height + HALF
         return Fraction(0), Fraction(self.height)
 
-    @property
-    def coverage_feasible(self) -> bool:
-        """Whether sum of diameters reaches the longer side (prerequisite
-        for any blocking configuration to exist)."""
-        total = sum((s.diameter for s in self.sensors), Fraction(0))
-        return total >= max(self.width, self.height)
-
     def sensor_by_id(self) -> dict[int, Sensor]:
         return {s.id: s for s in self.sensors}
 
@@ -143,12 +137,18 @@ class Solution:
             raise KeyMismatch("solution ids differ from configuration ids")
         lo_x, hi_x = config.x_extent
         lo_y, hi_y = config.y_extent
+        grid = config.mode == "integer"
+        a, b = config.width.numerator, config.height.numerator
         for sid, (x, y) in self.positions.items():
-            if not (lo_x <= x <= hi_x and lo_y <= y <= hi_y):
+            on_grid = x.denominator == 1 and y.denominator == 1
+            if grid and on_grid:  # [1/2, a + 1/2] holds the ints 1..a
+                inside = 1 <= x.numerator <= a and 1 <= y.numerator <= b
+            else:
+                inside = lo_x <= x <= hi_x and lo_y <= y <= hi_y
+            if not inside:
                 raise ValidationError(
                     f"final position of sensor {sid} outside the rectangle")
-            if config.mode == "integer" and (
-                    x.denominator != 1 or y.denominator != 1):
+            if grid and not on_grid:
                 raise ValidationError(
                     f"final position of sensor {sid} not on the integer grid")
 
@@ -206,26 +206,22 @@ def interval_gaps(intervals: Iterable[tuple[Fraction, Fraction]],
     return gaps
 
 
-def _positions(config: Configuration, solution: Solution | None):
-    if solution is None:
-        return [(s.x, s.y, s.range) for s in config.sensors]
-    solution.validate(config)
-    return [(solution.positions[s.id][0], solution.positions[s.id][1], s.range)
-            for s in config.sensors]
-
-
 def is_blocking(config: Configuration,
                 solution: Solution | None = None) -> CoverageReport:
     """Coverage report of the configuration (optionally with sensors moved
     to the solution's final positions).  Total function: never raises for
     a valid configuration."""
-    pos = _positions(config, solution)
+    if solution is None:
+        pos = [(s.x, s.y, s.range) for s in config.sensors]
+    else:
+        solution.validate(config)
+        pos = [(*solution.positions[s.id], s.range) for s in config.sensors]
     if config.mode == "integer":
-        cols = {int(x) for x, _, _ in pos}
-        rows = {int(y) for _, y, _ in pos}
-        x_gaps = tuple(i for i in range(1, int(config.width) + 1)
+        cols = {x.numerator for x, _, _ in pos}
+        rows = {y.numerator for _, y, _ in pos}
+        x_gaps = tuple(i for i in range(1, config.width.numerator + 1)
                        if i not in cols)
-        y_gaps = tuple(j for j in range(1, int(config.height) + 1)
+        y_gaps = tuple(j for j in range(1, config.height.numerator + 1)
                        if j not in rows)
     else:
         lo_x, hi_x = config.x_extent
@@ -286,55 +282,43 @@ _EUCLID_EPS = Fraction(1, 10**10)
 
 
 def solution_costs(config: Configuration, sol: Solution) -> CostReport:
-    sol.validate(config)
-    moved = 0
-    sum_lo = sum_hi = Fraction(0)
-    max_key = Fraction(0)  # largest distance, squared under euclidean
+    """Costs of a solution that Solution.validate (run by is_blocking)
+    accepted, taken on ints: every coordinate is scaled by one lcm D of
+    their denominators, and only the reported figures are Fractions."""
+    moves = [(s.x, s.y, *sol.positions[s.id]) for s in config.sensors]
+    D = math.lcm(*{c.denominator for move in moves for c in move})
+    metric = config.metric
+    moved = total = top = 0  # total: exact terms; top: largest key
     oblique = []  # squared lengths of the euclidean moves off both axes
-    for s in config.sensors:
-        home, dest = (s.x, s.y), sol.positions[s.id]
-        key = distance(config.metric, home, dest)
+    for move in moves:
+        hx, hy, x, y = [c.numerator * (D // c.denominator) for c in move]
+        key = distance(metric, (hx, hy), (x, y))  # in units 1/D or 1/D²
         if key:
             moved += 1
-        max_key = max(max_key, key)
-        if config.metric == "manhattan":
-            exact = key
-        elif home[0] == dest[0] or home[1] == dest[1]:  # axis-aligned: exact
-            exact = distance("manhattan", home, dest)
+            top = max(top, key)
+        if metric == "manhattan":
+            total += key
+        elif hx == x or hy == y:  # axis-aligned: exact
+            total += distance("manhattan", (hx, hy), (x, y))
         else:
             oblique.append(key)
-            continue
-        sum_lo += exact
-        sum_hi += exact
+    sum_lo = sum_hi = Fraction(total, D)
     # k enclosures of width <= 1e-9 / max(10, k) sum to a width <= 1e-9
     eps = Fraction(1, 10**9 * max(10, len(oblique)))
     for key in oblique:
-        d_lo, d_hi = _sqrt_bounds(key, eps)
+        d_lo, d_hi = _sqrt_bounds(Fraction(key, D * D), eps)
         sum_lo += d_lo
         sum_hi += d_hi
-    if config.metric == "manhattan":
+    if metric == "manhattan":
+        max_key = Fraction(top, D)
         max_sq, max_lo, max_hi = max_key * max_key, max_key, max_key
     else:
-        max_sq, root = max_key, exact_sqrt(max_key)
+        max_sq = Fraction(top, D * D)
+        root = exact_sqrt(max_sq)
         max_lo, max_hi = (root, root) if root is not None \
-            else _sqrt_bounds(max_key, _EUCLID_EPS)
+            else _sqrt_bounds(max_sq, _EUCLID_EPS)
     return CostReport(moved=moved, sum_low=sum_lo, sum_high=sum_hi,
                       max_low=max_lo, max_high=max_hi, max_squared=max_sq)
-
-
-def identity_solution(config: Configuration) -> Solution:
-    return Solution({s.id: (s.x, s.y) for s in config.sensors})
-
-
-def apply_moves(config: Configuration,
-                moves: Mapping[int, tuple[Fraction, Fraction]]) -> Solution:
-    """Identity solution overridden by the given final positions."""
-    pos = {s.id: (s.x, s.y) for s in config.sensors}
-    for sid, target in moves.items():
-        if sid not in pos:
-            raise KeyMismatch(f"unknown sensor id {sid}")
-        pos[sid] = target
-    return Solution(pos)
 
 
 # ---------------------------------------------------------------------------

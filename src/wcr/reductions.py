@@ -113,6 +113,17 @@ def sat_brute(f) -> tuple[tuple[bool, ...], int]:
     return best, best_count
 
 
+def _check_gadget(config: Configuration, meta, gadget: Configuration,
+                  gadget_meta) -> None:
+    """Reject an instance or meta that differs from the gadget and meta
+    gen builds from the formula, before an embedding or extraction
+    indexes into them."""
+    if meta != gadget_meta:
+        raise NotGadgetInstance("meta was not generated from this formula")
+    if set(config.sensors) != set(gadget.sensors):
+        raise NotGadgetInstance("instance is not the gadget of this formula")
+
+
 # ---------------------------------------------------------------------------
 # Max-2SAT(3 occ) -> minimum-relocation instances (continuous, range 1)
 
@@ -175,6 +186,7 @@ def embed_minnum(config: Configuration, meta: MinNumMeta, f: Max2Sat3Occ,
                  assignment, chosen=None) -> Solution:
     """Move one occurrence sensor per counted satisfied clause onto the
     diagonal of the uncovered band; exactly t sensors move."""
+    _check_gadget(config, meta, *gen_minnum(f))
     satisfied = [idx for idx, c in enumerate(f.clauses)
                  if eval_clause(c, assignment)]
     if len(satisfied) < meta.t:
@@ -207,6 +219,7 @@ def extract_minnum(config: Configuration, meta: MinNumMeta, f: Max2Sat3Occ,
     """Read an assignment off a blocking solution that relocated at most
     t sensors; relocations must be structurally consistent (only
     occurrence sensors, one per clause, one polarity per variable)."""
+    _check_gadget(config, meta, *gen_minnum(f))
     if not is_blocking(config, sol).blocking:
         raise InconsistentSolution("solution is not blocking")
     moved = [s.id for s in config.sensors
@@ -339,6 +352,8 @@ def gen_vh(f: Sat3_22) -> tuple[VHInstance, VHMeta]:
 def embed_vh(inst: VHInstance, meta: VHMeta, f: Sat3_22,
              assignment) -> Solution:
     """Canonical unit-move solution encoding a satisfying assignment."""
+    gadget, gadget_meta = gen_vh(f)
+    _check_gadget(inst.config, meta, gadget.config, gadget_meta)
     config = inst.config
     by_id = config.sensor_by_id()
     positions = {s.id: (s.x, s.y) for s in config.sensors}
@@ -370,6 +385,8 @@ def embed_vh(inst: VHInstance, meta: VHMeta, f: Sat3_22,
 def extract_vh(inst: VHInstance, meta: VHMeta, f: Sat3_22, sol: Solution):
     """Assignment read off an integer unit-move solution: a literal is
     made true iff its clause sensor moved one column left."""
+    gadget, gadget_meta = gen_vh(f)
+    _check_gadget(inst.config, meta, gadget.config, gadget_meta)
     if not verify_vh(inst, dict(sol.positions)):
         raise NotASolution("not an integer unit-move blocking solution")
     by_id = inst.config.sensor_by_id()
@@ -411,6 +428,8 @@ def integerize(inst: VHInstance, meta: VHMeta, sol: Solution) -> Solution:
     by_id = config.sensor_by_id()
     if set(sol.positions) != set(by_id):
         raise NotGadgetInstance("solution ids do not match the instance")
+    if not {sid for triple in meta.triples for sid in triple[:3]} <= set(by_id):
+        raise NotGadgetInstance("meta names sensors the instance lacks")
     for s in config.sensors:
         if not within(config.metric, (s.x, s.y), sol.positions[s.id],
                       inst.max_move):
@@ -529,6 +548,8 @@ _H_TAIL = ((0, 1), (0, -1), (-1, 0), (1, 0))
 
 def embed_minmax(mapping: MinMaxMapping, sol: Solution) -> Solution:
     vh = mapping.vh
+    if mapping != gen_minmax(vh)[1]:
+        raise NotGadgetInstance("meta was not generated by gen minmax")
     if not verify_vh(vh, dict(sol.positions)):
         raise NotASolution("input is not a unit-move line-blocking solution")
     by_id = mapping.padded.sensor_by_id()

@@ -1,9 +1,11 @@
 """Canonical JSON serialization for instances, solutions and formulas.
 
 Rationals are written as "p/q" (or a bare integer string) and parsed
-exactly; decimal strings like "0.5" are accepted on input.  Output is
-canonical: sensors sorted by id, fixed key order, so identical values
-serialize to identical bytes.
+exactly, each distinct string once per document; decimal strings like
+"0.5" are accepted on input.  The location of a bad field is only
+worked out once a parse has failed.  Output is canonical: sensors sorted
+by id, fixed key order, so identical values serialize to identical
+bytes.
 """
 
 from __future__ import annotations
@@ -22,10 +24,26 @@ def _get(obj: dict, key: str, where: str):
     return obj[key]
 
 
-def _rat_field(obj: dict, key: str, where: str) -> Fraction:
+def _rational(value, rats: dict) -> Fraction:
+    """rat(value), parsing each distinct string of a document once into
+    rats.  Only str values are keys: True == 1 and they hash alike."""
+    if value.__class__ is not str:
+        return rat(value)
+    parsed = rats.get(value)
+    if parsed is None:
+        parsed = rats[value] = rat(value)
+    return parsed
+
+
+# what a malformed item raises on the unchecked first parse of an array
+_BAD_FIELD = (LookupError, TypeError, ValueError, ZeroDivisionError,
+              ValidationError)
+
+
+def _rat_field(obj: dict, key: str, where: str, rats: dict) -> Fraction:
     value = _get(obj, key, where)
     try:
-        return rat(value)
+        return _rational(value, rats)
     except (ValueError, ZeroDivisionError, ValidationError):
         raise ParseError(f"bad rational at {where}.{key}: {value!r}") from None
 
@@ -96,26 +114,31 @@ def config_from_obj(obj: dict) -> Configuration:
     sensors_obj = _get(obj, "sensors", "$")
     if not isinstance(sensors_obj, list):
         raise ParseError("$.sensors must be an array")
-    sensors = []
-    for i, s in enumerate(sensors_obj):
-        where = f"$.sensors[{i}]"
-        if not isinstance(s, dict):
-            raise ParseError(f"{where} must be an object")
-        sensors.append(Sensor(
-            id=_int_field(s, "id", where),
-            x=_rat_field(s, "x", where),
-            y=_rat_field(s, "y", where),
-            range=_rat_field(s, "range", where)))
+    rats = {}
+    try:
+        sensors = [Sensor(s["id"], _rational(s["x"], rats),
+                          _rational(s["y"], rats), _rational(s["range"], rats))
+                   for s in sensors_obj]
+    except _BAD_FIELD:
+        sensors = None
+    if sensors is None or not all(_is_int(s.id) for s in sensors):
+        # parse again, with checks that name the bad field
+        sensors = []
+        for i, s in enumerate(sensors_obj):
+            where = f"$.sensors[{i}]"
+            if not isinstance(s, dict):
+                raise ParseError(f"{where} must be an object")
+            sensors.append(Sensor(
+                id=_int_field(s, "id", where),
+                x=_rat_field(s, "x", where, rats),
+                y=_rat_field(s, "y", where, rats),
+                range=_rat_field(s, "range", where, rats)))
     return Configuration(
-        width=_rat_field(rect, "width", "$.rect"),
-        height=_rat_field(rect, "height", "$.rect"),
+        width=_rat_field(rect, "width", "$.rect", rats),
+        height=_rat_field(rect, "height", "$.rect", rats),
         sensors=tuple(sensors),
         mode=_get(obj, "mode", "$"),
         metric=obj.get("metric", "manhattan"))
-
-
-def read_config(data) -> Configuration:
-    return config_from_obj(_loads(data))
 
 
 def config_to_obj(config: Configuration) -> dict:
@@ -146,15 +169,25 @@ def read_solution(data) -> Solution:
     entries = _get(obj, "positions", "$")
     if not isinstance(entries, list):
         raise ParseError("$.positions must be an array")
-    positions = {}
-    for i, e in enumerate(entries):
-        where = f"$.positions[{i}]"
-        if not isinstance(e, dict):
-            raise ParseError(f"{where} must be an object")
-        sid = _int_field(e, "id", where)
-        if sid in positions:
-            raise ParseError(f"{where}: duplicate id {sid}")
-        positions[sid] = (_rat_field(e, "x", where), _rat_field(e, "y", where))
+    rats = {}
+    try:
+        positions = {e["id"]: (_rational(e["x"], rats),
+                               _rational(e["y"], rats)) for e in entries}
+    except _BAD_FIELD:
+        positions = None
+    if positions is None or len(positions) < len(entries) or \
+            not all(map(_is_int, positions)):
+        # parse again, with checks that name the bad field or duplicate
+        positions = {}
+        for i, e in enumerate(entries):
+            where = f"$.positions[{i}]"
+            if not isinstance(e, dict):
+                raise ParseError(f"{where} must be an object")
+            sid = _int_field(e, "id", where)
+            if sid in positions:
+                raise ParseError(f"{where}: duplicate id {sid}")
+            positions[sid] = (_rat_field(e, "x", where, rats),
+                              _rat_field(e, "y", where, rats))
     return Solution(positions)
 
 
@@ -176,11 +209,7 @@ def vh_from_obj(obj: dict):
     return VHInstance(config=config,
                       v_lines=frozenset(_int_list_field(obj, "v_lines", "$")),
                       h_lines=frozenset(_int_list_field(obj, "h_lines", "$")),
-                      max_move=_rat_field(obj, "max_move", "$"))
-
-
-def read_vh(data):
-    return vh_from_obj(_loads(data))
+                      max_move=_rat_field(obj, "max_move", "$", {}))
 
 
 def write_vh(inst) -> str:

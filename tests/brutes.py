@@ -6,8 +6,9 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
-from wcr.core import HALF, Solution, distance, interval_gaps
-from wcr.errors import Infeasible, SearchLimit
+from wcr.core import HALF, CostReport, CoverageReport, Solution, \
+    _sqrt_bounds, distance, exact_sqrt, interval_gaps, rat_str
+from wcr.errors import Infeasible, KeyMismatch, SearchLimit, ValidationError
 from wcr.minmax import DEFAULT_NODE_BUDGET, VHInstance, move_domain, verify_vh
 from wcr.minnum import TYPE0, TYPE1, TYPE2, TYPE3, TYPE4
 from wcr.minsum import Line1DInstance
@@ -28,6 +29,13 @@ def brute_max_matching_size(vertex_count: int, edges) -> int:
         return best
 
     return go(0, frozenset())
+
+
+def coverage_feasible(config) -> bool:
+    """Whether the sensors' diameters add up to the longer side, which
+    any blocking configuration needs."""
+    return sum(2 * s.range for s in config.sensors) >= max(config.width,
+                                                             config.height)
 
 
 def occupancy(config, removed=frozenset()):
@@ -369,3 +377,130 @@ def reference_decide_vh(inst: VHInstance, budget: int | None = None
                     for s in config.sensors})
     assert verify_vh(inst, dict(sol.positions))
     return True, sol
+
+
+# ---------------------------------------------------------------------------
+# The boundary checks and costs as first written, on Fractions only:
+# Configuration.__post_init__, Solution.validate, is_blocking and
+# solution_costs (which validated the solution itself).  The scaled-int
+# versions in wcr.core must agree on every report, error type and message.
+
+def reference_validate_config(self) -> None:
+    """Configuration.__post_init__ as first written (self: the config)."""
+    if self.mode not in ("integer", "continuous"):
+        raise ValidationError(f"unknown mode {self.mode!r}")
+    if self.metric not in ("manhattan", "euclidean"):
+        raise ValidationError(f"unknown metric {self.metric!r}")
+    if self.width <= 0 or self.height <= 0:
+        raise ValidationError("rectangle dimensions must be positive")
+    ids = [s.id for s in self.sensors]
+    if len(ids) != len(set(ids)):
+        raise ValidationError("duplicate sensor id")
+    if any(s.id < 0 for s in self.sensors):
+        raise ValidationError("sensor ids must be non-negative")
+    if any(s.range <= 0 for s in self.sensors):
+        raise ValidationError("sensor range must be positive")
+    if self.mode == "integer":
+        if self.width.denominator != 1 or self.height.denominator != 1:
+            raise ValidationError("integer mode requires integer dimensions")
+        for s in self.sensors:
+            if s.range != HALF:
+                raise ValidationError(
+                    f"integer mode requires range 1/2, sensor {s.id} has "
+                    f"{rat_str(s.range)}")
+            if s.x.denominator != 1 or s.y.denominator != 1:
+                raise ValidationError(
+                    f"sensor {s.id} not on the integer grid")
+            if not (1 <= s.x <= self.width and 1 <= s.y <= self.height):
+                raise ValidationError(f"sensor {s.id} outside the grid")
+    else:
+        lo_x, hi_x = self.x_extent
+        lo_y, hi_y = self.y_extent
+        for s in self.sensors:
+            if not (lo_x <= s.x <= hi_x and lo_y <= s.y <= hi_y):
+                raise ValidationError(
+                    f"sensor {s.id} outside the covered rectangle")
+
+
+def reference_validate_solution(self, config) -> None:
+    """Solution.validate as first written (self: the solution)."""
+    if set(self.positions) != {s.id for s in config.sensors}:
+        raise KeyMismatch("solution ids differ from configuration ids")
+    lo_x, hi_x = config.x_extent
+    lo_y, hi_y = config.y_extent
+    for sid, (x, y) in self.positions.items():
+        if not (lo_x <= x <= hi_x and lo_y <= y <= hi_y):
+            raise ValidationError(
+                f"final position of sensor {sid} outside the rectangle")
+        if config.mode == "integer" and (
+                x.denominator != 1 or y.denominator != 1):
+            raise ValidationError(
+                f"final position of sensor {sid} not on the integer grid")
+
+
+def _reference_positions(config, solution):
+    if solution is None:
+        return [(s.x, s.y, s.range) for s in config.sensors]
+    reference_validate_solution(solution, config)
+    return [(solution.positions[s.id][0], solution.positions[s.id][1], s.range)
+            for s in config.sensors]
+
+
+def reference_is_blocking(config, solution=None) -> CoverageReport:
+    pos = _reference_positions(config, solution)
+    if config.mode == "integer":
+        cols = {int(x) for x, _, _ in pos}
+        rows = {int(y) for _, y, _ in pos}
+        x_gaps = tuple(i for i in range(1, int(config.width) + 1)
+                       if i not in cols)
+        y_gaps = tuple(j for j in range(1, int(config.height) + 1)
+                       if j not in rows)
+    else:
+        lo_x, hi_x = config.x_extent
+        lo_y, hi_y = config.y_extent
+        x_gaps = tuple(interval_gaps(((x - r, x + r) for x, _, r in pos),
+                                     lo_x, hi_x))
+        y_gaps = tuple(interval_gaps(((y - r, y + r) for _, y, r in pos),
+                                     lo_y, hi_y))
+    return CoverageReport(blocking=not x_gaps and not y_gaps,
+                          x_gaps=x_gaps, y_gaps=y_gaps)
+
+
+_EUCLID_EPS = Fraction(1, 10**10)
+
+
+def reference_solution_costs(config, sol) -> CostReport:
+    reference_validate_solution(sol, config)
+    moved = 0
+    sum_lo = sum_hi = Fraction(0)
+    max_key = Fraction(0)  # largest distance, squared under euclidean
+    oblique = []  # squared lengths of the euclidean moves off both axes
+    for s in config.sensors:
+        home, dest = (s.x, s.y), sol.positions[s.id]
+        key = distance(config.metric, home, dest)
+        if key:
+            moved += 1
+        max_key = max(max_key, key)
+        if config.metric == "manhattan":
+            exact = key
+        elif home[0] == dest[0] or home[1] == dest[1]:  # axis-aligned: exact
+            exact = distance("manhattan", home, dest)
+        else:
+            oblique.append(key)
+            continue
+        sum_lo += exact
+        sum_hi += exact
+    # k enclosures of width <= 1e-9 / max(10, k) sum to a width <= 1e-9
+    eps = Fraction(1, 10**9 * max(10, len(oblique)))
+    for key in oblique:
+        d_lo, d_hi = _sqrt_bounds(key, eps)
+        sum_lo += d_lo
+        sum_hi += d_hi
+    if config.metric == "manhattan":
+        max_sq, max_lo, max_hi = max_key * max_key, max_key, max_key
+    else:
+        max_sq, root = max_key, exact_sqrt(max_key)
+        max_lo, max_hi = (root, root) if root is not None \
+            else _sqrt_bounds(max_key, _EUCLID_EPS)
+    return CostReport(moved=moved, sum_low=sum_lo, sum_high=sum_hi,
+                      max_low=max_lo, max_high=max_hi, max_squared=max_sq)

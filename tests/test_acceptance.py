@@ -10,7 +10,8 @@ from itertools import combinations
 import pytest
 
 from brutes import (brute_max_free_set_size, brute_max_matching_size,
-                    random_graph, random_max2sat3occ, random_sat22_n3)
+                    coverage_feasible, random_graph, random_max2sat3occ,
+                    random_sat22_n3)
 from wcr.core import (Configuration, Sensor, Solution, interval_gaps,
                       is_blocking, reflect_x, reflect_y, solution_costs,
                       transpose)
@@ -125,7 +126,7 @@ def test_criterion_4_minsum():
         a, b = rng2.randint(2, 6), rng2.randint(2, 6)
         n = rng2.randint(max(a, b), max(a, b) + 4)
         cfg = random_integer_config(rng2, a, b, n, "manhattan")
-        if not cfg.coverage_feasible:
+        if not coverage_feasible(cfg):
             continue
         done += 1
         sol, cost = solve_minsum_manhattan(cfg)
@@ -426,7 +427,7 @@ def test_criterion_10_invariance_and_determinism():
             if is_blocking(other).blocking != is_blocking(cfg).blocking \
                     or brute_minnum(other) != ref:
                 bad += 1
-        if cfg.coverage_feasible:
+        if coverage_feasible(cfg):
             cost = solve_minsum_manhattan(cfg)[1]
             for tr in (transpose, reflect_x, reflect_y):
                 if solve_minsum_manhattan(tr(cfg))[1] != cost:

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import wcr
+from brutes import random_max2sat3occ
 from wcr import serialize
 from wcr.cli import main
 from wcr.core import Configuration, Sensor
@@ -317,3 +319,127 @@ def test_stdout_byte_identical(tmp_path, capsys):
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def _vh_gadget(tmp_path):
+    """gen vh on FORMULA: paths of the formula, instance and meta, and
+    the argv shared by embed and extract."""
+    formula = tmp_path / "f.json"
+    formula.write_text(json.dumps(FORMULA))
+    inst = tmp_path / "vh.json"
+    assert main(["gen", "vh", "--formula", str(formula), "-o", str(inst)]) == 0
+    meta = tmp_path / "vh.json.meta"
+    return formula, inst, meta, ["--meta", str(meta), "--instance", str(inst),
+                                 "--formula", str(formula)]
+
+
+def test_invalid_assignment_json_exit_2(tmp_path, capsys):
+    _, _, _, gadget = _vh_gadget(tmp_path)
+    capsys.readouterr()
+    bad = tmp_path / "a.json"
+    bad.write_text("{nope")
+    proc = run_wcr("embed", "vh", *gadget, "--assignment", str(bad))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: invalid JSON: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_assignment_of_wrong_length_exit_2(tmp_path, capsys):
+    _, _, _, gadget = _vh_gadget(tmp_path)
+    short = tmp_path / "a.json"
+    short.write_text("[true]")
+    assert main(["embed", "vh", *gadget, "--assignment", str(short)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: assignment has 1 values for 3 variables\n"
+
+
+def _tampered(path, **changes):
+    """Rewrite a meta file with some fields replaced."""
+    meta = json.loads(path.read_text())
+    meta.update(changes)
+    path.write_text(json.dumps(meta))
+
+
+@pytest.mark.parametrize("changes", [
+    {"n": 4}, {"n": 2}, {"m": 5}, {"var_sensor": [[1, "sx_a", 999]]},
+    {"clause_sensor": []},
+], ids=["n+1", "n-1", "m+1", "var_sensor", "clause_sensor"])
+def test_vh_meta_disagreeing_with_formula_exit_2(tmp_path, capsys, changes):
+    _, _, meta, gadget = _vh_gadget(tmp_path)
+    f = Sat3_22(3, tuple(tuple(c) for c in FORMULA["clauses"]))
+    assign = tmp_path / "a.json"
+    assign.write_text(json.dumps(list(sat_brute(f)[0])))
+    sol = tmp_path / "e.json"
+    assert main(["embed", "vh", *gadget, "--assignment", str(assign),
+                 "-o", str(sol)]) == 0
+    capsys.readouterr()
+    _tampered(meta, **changes)
+    for argv in (["embed", "vh", *gadget, "--assignment", str(assign)],
+                 ["extract", "vh", *gadget, "--solution", str(sol)]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", "error: meta was not generated from this formula\n")
+
+
+def test_vh_instance_or_triples_not_of_the_gadget_exit_2(tmp_path, capsys):
+    _, inst, meta, gadget = _vh_gadget(tmp_path)
+    config = serialize.read_instance(inst.read_text()).config
+    sol = tmp_path / "e.json"
+    sol.write_text(serialize.write_solution(
+        wcr.Solution({s.id: (s.x, s.y) for s in config.sensors})))
+    moved = json.loads(inst.read_text())
+    moved["sensors"][0]["x"] = "2"
+    inst.write_text(json.dumps(moved))
+    capsys.readouterr()
+    assert main(["extract", "vh", *gadget, "--solution", str(sol)]) == 2
+    assert capsys.readouterr().err == \
+        "error: instance is not the gadget of this formula\n"
+    tables = json.loads(meta.read_text())
+    tables["triples"][0][0] = 998
+    meta.write_text(json.dumps(tables))
+    assert main(["integerize", "--meta", str(meta), "--instance", str(inst),
+                 "--solution", str(sol)]) == 2
+    assert capsys.readouterr().err == \
+        "error: meta names sensors the instance lacks\n"
+
+
+@pytest.mark.parametrize("field, delta", [("n", 2), ("n", -2), ("t", -6)],
+                         ids=["n+2", "n-2", "t=0"])
+def test_minnum_meta_disagreeing_with_formula_exit_2(tmp_path, capsys, field,
+                                                     delta):
+    f = random_max2sat3occ(random.Random(3), 4)
+    formula = tmp_path / "f.json"
+    formula.write_text(json.dumps({
+        "dialect": "max2sat-3occ", "variables": f.n, "t": f.t,
+        "clauses": [list(c) for c in f.clauses]}))
+    inst = tmp_path / "g.json"
+    assert main(["gen", "minnum", "--formula", str(formula),
+                 "-o", str(inst)]) == 0
+    meta = tmp_path / "g.json.meta"
+    _tampered(meta, **{field: json.loads(meta.read_text())[field] + delta})
+    assign = tmp_path / "a.json"
+    assign.write_text(json.dumps(list(sat_brute(f)[0])))
+    capsys.readouterr()
+    assert main(["embed", "minnum", "--meta", str(meta), "--instance",
+                 str(inst), "--formula", str(formula),
+                 "--assignment", str(assign)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: meta was not generated from this formula\n")
+
+
+def test_minmax_meta_naming_unknown_sensors_exit_2(tmp_path, capsys):
+    obj = json.loads(cfg_file(tmp_path, [(1, 1), (2, 3)], a=4, b=4
+                              ).read_text())
+    obj.update(v_lines=[1, 2], h_lines=[1, 3], max_move="1")
+    vh = tmp_path / "vh.json"
+    vh.write_text(json.dumps(obj))
+    meta, wit = tmp_path / "p.meta", tmp_path / "w.json"
+    assert main(["gen", "minmax", "--vh", str(vh), "-o",
+                 str(tmp_path / "p.json"), "--meta", str(meta)]) == 0
+    assert main(["decide", "vh", str(vh), "-o", str(wit)]) == 0
+    _tampered(meta, v_ids=[999] + json.loads(meta.read_text())["v_ids"][1:])
+    capsys.readouterr()
+    assert main(["embed", "minmax", "--meta", str(meta),
+                 "--solution", str(wit)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: meta was not generated by gen minmax\n")

@@ -327,6 +327,118 @@ def _diff_cases():
             yield f"diff-{problem}-{seed}", {}, steps
 
 
+_HUGE = (10**110 + 1, 3 * 10**109 + 7)  # coprime denominators near 1e110
+
+
+def _mixed(rng, hi):
+    q = rng.choice((1, 3, 997) + _HUGE)
+    return Fraction(rng.randint(0, int(hi * q)), q)
+
+
+def _boundary_cases():
+    """verify on continuous solutions with large mixed denominators, on
+    many oblique euclidean moves, and on each rejected final position,
+    configuration and rational."""
+    for i in range(8):
+        rng = random.Random(f"boundary:{i}")
+        w, h = Fraction(rng.randint(3, 12)), Fraction(rng.randint(6, 30), 2)
+        n = rng.randint(1, 10)
+        radius = rng.choice(("1", "5/3", f"1/{_HUGE[0]}"))
+        homes = [(_mixed(rng, w), _mixed(rng, h)) for _ in range(n)]
+        moved = [(_mixed(rng, w), _mixed(rng, h)) for _ in range(n)]
+        # axis-aligned moves keep the euclidean sum exact
+        axis = [(x, y) if j % 2 else (hx, y)
+                for j, ((x, y), (hx, _)) in enumerate(zip(moved, homes))]
+        files = {"inst.json": _config("continuous", rng.choice(METRICS), w, h,
+                                      [(x, y, radius) for x, y in homes]),
+                 "rand.json": _solution(moved),
+                 "axis.json": _solution(axis)}
+        steps = [["verify", "inst.json"]]
+        for sol in ("rand.json", "axis.json"):
+            for metric in METRICS:
+                steps.append(["verify", "inst.json", "--solution", sol,
+                              "--metric", metric])
+        yield f"boundary-mixed-{i}", files, steps
+    for i in range(4):
+        rng = random.Random(f"boundary-oblique:{i}")
+        a, b = rng.randint(5, 40), rng.randint(5, 40)
+        n = rng.randint(max(a, b), 2 * max(a, b))
+        cells = [(rng.randint(1, a), rng.randint(1, b)) for _ in range(n)]
+        moved = [(rng.randint(1, a), rng.randint(1, b)) for _ in range(n)]
+        files = {"inst.json": _config("integer", "euclidean", a, b,
+                                      [(x, y, "1/2") for x, y in cells]),
+                 "rand.json": _solution(moved)}
+        steps = [["verify", "inst.json", "--solution", "rand.json"],
+                 ["verify", "inst.json", "--solution", "rand.json",
+                  "--metric", "manhattan"],
+                 ["solve", "minnum", "inst.json", "-o", "mn.json"],
+                 ["verify", "inst.json", "--solution", "mn.json"]]
+        yield f"boundary-oblique-{i}", files, steps
+    # every Solution.validate exit, in integer and continuous mode; the
+    # final positions are fine except at the index named in the file
+    grid = _config("integer", "euclidean", 3, 2,
+                   [(1, 1, "1/2"), (2, 2, "1/2"), (3, 1, "1/2")])
+    box = _config("continuous", "manhattan", 3, 2,
+                  [(0, 0, "1"), (f"3/{_HUGE[0]}", 2, "1"), (3, "3/2", "1")])
+    files = {"grid.json": grid, "box.json": box}
+    steps = []
+    tiny = Fraction(1, _HUGE[1])
+    bad = {"ids-missing": [(1, 1), (2, 2)],
+           "ids-extra": [(1, 1), (2, 2), (3, 1), (1, 2)],
+           "ok-edges": [(1, 1), (3, 2), (3, 1)],
+           "ok-half": [(Fraction(1, 2), 1), (3, 2), (3, 1)],
+           "x-low": [(1, 1), (Fraction(1, 2) - tiny, 2), (3, 1)],
+           "x-high": [(1, 1), (2, 2), (Fraction(7, 2) + tiny, 1)],
+           "y-low": [(1, 1), (2, Fraction(1, 4)), (3, 1)],
+           "y-high": [(1, 1), (2, 2), (3, Fraction(5, 2) + tiny)],
+           "x-off": [(1, 1), (Fraction(5, 3), 2), (3, 1)],
+           "y-off": [(1, 1), (2, 2), (3, Fraction(3, 2))],
+           "x-edge-off": [(Fraction(7, 2), 1), (2, 2), (3, 1)],
+           "y-edge-off": [(1, Fraction(1, 2)), (2, 2), (3, 1)],
+           "off-then-out": [(Fraction(3, 2), 1), (2, 5), (3, 1)],
+           "out-then-off": [(0, 1), (Fraction(3, 2), 2), (3, 1)],
+           "neg": [(-1, 1), (2, 2), (3, 1)],
+           "box-edges": [(0, 0), (3, 2), (tiny, 2 - tiny)]}
+    for name, points in bad.items():
+        files[f"{name}.json"] = _solution(points)
+        for inst in ("grid.json", "box.json"):
+            steps.append(["verify", inst, "--solution", f"{name}.json"])
+    yield "boundary-solutions", files, steps
+    # configurations and rationals the boundary layer must reject
+    sensor = '{"id": %s, "x": %s, "y": %s, "range": %s}'
+    rect = '{"mode": "%s", "rect": {"width": "%s", "height": "%s"}, ' \
+           '"sensors": [%s]}\n'
+    cfgs = {
+        "good": ("integer", 3, 2, [(0, '"1"', 1, '"1/2"'), (1, 3, 2, '"0.5"')]),
+        "x-true": ("integer", 3, 2, [(0, '"1"', 1, '"1/2"'),
+                                     (1, "true", 2, '"1/2"')]),
+        "y-false": ("continuous", 3, 2, [(0, '"1"', "false", '"1"')]),
+        "id-true": ("integer", 3, 2, [("true", 1, 1, '"1/2"')]),
+        "range": ("integer", 3, 2, [(0, 1, 1, '"1"')]),
+        "range-zero": ("continuous", 3, 2, [(0, 1, 1, '"0"')]),
+        "range-neg": ("continuous", 3, 2, [(0, 1, 1, '"-1/2"')]),
+        "off-grid": ("integer", 3, 2, [(0, 1, '"3/2"', '"1/2"')]),
+        "x-zero": ("integer", 3, 2, [(0, 0, 1, '"1/2"')]),
+        "y-over": ("integer", 3, 2, [(0, 1, 3, '"1/2"')]),
+        "off-and-out": ("integer", 3, 2, [(0, '"7/2"', 1, '"1/2"')]),
+        "dims": ("integer", "3/2", 2, []),
+        "dims-zero": ("continuous", 0, 2, []),
+        "dup": ("integer", 3, 2, [(0, 1, 1, '"1/2"'), (0, 2, 2, '"1/2"')]),
+        "neg-id": ("integer", 3, 2, [(-1, 1, 1, '"1/2"')]),
+        "box-out": ("continuous", 3, 2, [(0, '"%d/%d"' % (3 * _HUGE[0] + 1,
+                                                         _HUGE[0]), 1, 1)]),
+        "box-edge": ("continuous", 3, 2, [(0, 3, '"2"', 1), (1, 0, 0, 1)]),
+        "mode": ("grid", 3, 2, []),
+    }
+    files, steps = {}, []
+    for name, (mode, width, height, sensors) in cfgs.items():
+        body = ", ".join(sensor % s for s in sensors)
+        files[f"{name}.json"] = rect % (mode, width, height, body)
+        steps.append(["verify", f"{name}.json"])
+        steps.append(["solve", "minnum", f"{name}.json"])
+    yield "boundary-configs", files, steps
+
+
 def _error_cases():
     plain = _config("integer", "manhattan", 2, 2, [(1, 1, "1/2")])
     yield "errors", {
@@ -354,7 +466,8 @@ def corpus():
     for group in (_integer_cases, _minmax_cases, _minnum_large_cases,
                   _continuous_cases,
                   _vh_cases, _vh_gadget_cases, _minnum_gadget_cases,
-                  _minmax_gadget_cases, _diff_cases, _error_cases):
+                  _minmax_gadget_cases, _diff_cases, _error_cases,
+                  _boundary_cases):
         yield from group()
 
 
