@@ -19,7 +19,8 @@ import sys
 from dataclasses import asdict
 
 from . import minmax, minnum, minsum, oracle, reductions, serialize
-from .core import Configuration, is_blocking, rat_str, solution_costs
+from .core import Configuration, _costs, is_blocking, rat_str, \
+    solution_costs
 from .errors import Infeasible, ParseError, SearchLimit, SizeLimit, \
     ValidationError, WcrError
 
@@ -94,7 +95,7 @@ def cmd_verify(args) -> int:
             {s.id: (s.x, s.y) for s in config.sensors}
         out["vh_blocking"] = minmax.verify_vh(vh, positions)
     if sol is not None:
-        costs = solution_costs(config, sol)
+        costs = _costs(config, sol)  # is_blocking validated sol
         out["moved"] = costs.moved
         out["sum_cost"] = rat_str(costs.sum_low) if \
             costs.sum_low == costs.sum_high else \

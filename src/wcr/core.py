@@ -282,9 +282,14 @@ _EUCLID_EPS = Fraction(1, 10**10)
 
 
 def solution_costs(config: Configuration, sol: Solution) -> CostReport:
-    """Costs of a solution that Solution.validate (run by is_blocking)
-    accepted, taken on ints: every coordinate is scaled by one lcm D of
-    their denominators, and only the reported figures are Fractions."""
+    sol.validate(config)
+    return _costs(config, sol)
+
+
+def _costs(config: Configuration, sol: Solution) -> CostReport:
+    """solution_costs of a solution that Solution.validate accepted, taken
+    on ints: every coordinate is scaled by one lcm D of their
+    denominators, and only the reported figures are Fractions."""
     moves = [(s.x, s.y, *sol.positions[s.id]) for s in config.sensors]
     D = math.lcm(*{c.denominator for move in moves for c in move})
     metric = config.metric

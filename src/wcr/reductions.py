@@ -18,7 +18,7 @@ Rows are numbered top-down; "up" means row index - 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .core import Configuration, Sensor, Solution, is_blocking, within
@@ -113,14 +113,23 @@ def sat_brute(f) -> tuple[tuple[bool, ...], int]:
     return best, best_count
 
 
-def _check_gadget(config: Configuration, meta, gadget: Configuration,
-                  gadget_meta) -> None:
+def _by_id(inst):
+    """inst (a Configuration or VHInstance) with its sensors sorted by id,
+    so that whole instances compare equal in any sensor order."""
+    if isinstance(inst, VHInstance):
+        return replace(inst, config=_by_id(inst.config))
+    return replace(inst, sensors=tuple(sorted(inst.sensors,
+                                              key=lambda s: s.id)))
+
+
+def _check_gadget(inst, meta, gadget, gadget_meta) -> None:
     """Reject an instance or meta that differs from the gadget and meta
-    gen builds from the formula, before an embedding or extraction
+    gen builds from the formula (rectangle, mode, metric, sensors and,
+    for VH, lines and budget), before an embedding or extraction
     indexes into them."""
     if meta != gadget_meta:
         raise NotGadgetInstance("meta was not generated from this formula")
-    if set(config.sensors) != set(gadget.sensors):
+    if _by_id(inst) != _by_id(gadget):
         raise NotGadgetInstance("instance is not the gadget of this formula")
 
 
@@ -352,8 +361,7 @@ def gen_vh(f: Sat3_22) -> tuple[VHInstance, VHMeta]:
 def embed_vh(inst: VHInstance, meta: VHMeta, f: Sat3_22,
              assignment) -> Solution:
     """Canonical unit-move solution encoding a satisfying assignment."""
-    gadget, gadget_meta = gen_vh(f)
-    _check_gadget(inst.config, meta, gadget.config, gadget_meta)
+    _check_gadget(inst, meta, *gen_vh(f))
     config = inst.config
     by_id = config.sensor_by_id()
     positions = {s.id: (s.x, s.y) for s in config.sensors}
@@ -385,8 +393,7 @@ def embed_vh(inst: VHInstance, meta: VHMeta, f: Sat3_22,
 def extract_vh(inst: VHInstance, meta: VHMeta, f: Sat3_22, sol: Solution):
     """Assignment read off an integer unit-move solution: a literal is
     made true iff its clause sensor moved one column left."""
-    gadget, gadget_meta = gen_vh(f)
-    _check_gadget(inst.config, meta, gadget.config, gadget_meta)
+    _check_gadget(inst, meta, *gen_vh(f))
     if not verify_vh(inst, dict(sol.positions)):
         raise NotASolution("not an integer unit-move blocking solution")
     by_id = inst.config.sensor_by_id()

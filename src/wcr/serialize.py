@@ -2,8 +2,8 @@
 
 Rationals are written as "p/q" (or a bare integer string) and parsed
 exactly, each distinct string once per document; decimal strings like
-"0.5" are accepted on input.  The location of a bad field is only
-worked out once a parse has failed.  Output is canonical: sensors sorted
+"0.5" are accepted on input.  The location of a bad array item is only
+formatted once its parse has failed.  Output is canonical: sensors sorted
 by id, fixed key order, so identical values serialize to identical
 bytes.
 """
@@ -18,9 +18,14 @@ from .core import Configuration, Sensor, Solution, rat, rat_str
 from .errors import ParseError, ValidationError
 
 
-def _get(obj: dict, key: str, where: str):
+def _at(where: str, i: int | None) -> str:
+    """The location where[i] (or where), formatted only for an error."""
+    return where if i is None else f"{where}[{i}]"
+
+
+def _get(obj: dict, key: str, where: str, i: int | None = None):
     if key not in obj:
-        raise ParseError(f"missing field {where}.{key}")
+        raise ParseError(f"missing field {_at(where, i)}.{key}")
     return obj[key]
 
 
@@ -35,27 +40,25 @@ def _rational(value, rats: dict) -> Fraction:
     return parsed
 
 
-# what a malformed item raises on the unchecked first parse of an array
-_BAD_FIELD = (LookupError, TypeError, ValueError, ZeroDivisionError,
-              ValidationError)
-
-
-def _rat_field(obj: dict, key: str, where: str, rats: dict) -> Fraction:
-    value = _get(obj, key, where)
+def _rat_field(obj: dict, key: str, where: str, rats: dict,
+               i: int | None = None) -> Fraction:
+    value = _get(obj, key, where, i)
     try:
         return _rational(value, rats)
     except (ValueError, ZeroDivisionError, ValidationError):
-        raise ParseError(f"bad rational at {where}.{key}: {value!r}") from None
+        raise ParseError(
+            f"bad rational at {_at(where, i)}.{key}: {value!r}") from None
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _int_field(obj: dict, key: str, where: str) -> int:
-    value = _get(obj, key, where)
+def _int_field(obj: dict, key: str, where: str, i: int | None = None) -> int:
+    value = _get(obj, key, where, i)
     if not _is_int(value):
-        raise ParseError(f"expected integer at {where}.{key}: {value!r}")
+        raise ParseError(
+            f"expected integer at {_at(where, i)}.{key}: {value!r}")
     return value
 
 
@@ -115,24 +118,15 @@ def config_from_obj(obj: dict) -> Configuration:
     if not isinstance(sensors_obj, list):
         raise ParseError("$.sensors must be an array")
     rats = {}
-    try:
-        sensors = [Sensor(s["id"], _rational(s["x"], rats),
-                          _rational(s["y"], rats), _rational(s["range"], rats))
-                   for s in sensors_obj]
-    except _BAD_FIELD:
-        sensors = None
-    if sensors is None or not all(_is_int(s.id) for s in sensors):
-        # parse again, with checks that name the bad field
-        sensors = []
-        for i, s in enumerate(sensors_obj):
-            where = f"$.sensors[{i}]"
-            if not isinstance(s, dict):
-                raise ParseError(f"{where} must be an object")
-            sensors.append(Sensor(
-                id=_int_field(s, "id", where),
-                x=_rat_field(s, "x", where, rats),
-                y=_rat_field(s, "y", where, rats),
-                range=_rat_field(s, "range", where, rats)))
+    sensors = []
+    for i, s in enumerate(sensors_obj):
+        if not isinstance(s, dict):
+            raise ParseError(f"$.sensors[{i}] must be an object")
+        sensors.append(Sensor(
+            id=_int_field(s, "id", "$.sensors", i),
+            x=_rat_field(s, "x", "$.sensors", rats, i),
+            y=_rat_field(s, "y", "$.sensors", rats, i),
+            range=_rat_field(s, "range", "$.sensors", rats, i)))
     return Configuration(
         width=_rat_field(rect, "width", "$.rect", rats),
         height=_rat_field(rect, "height", "$.rect", rats),
@@ -170,24 +164,15 @@ def read_solution(data) -> Solution:
     if not isinstance(entries, list):
         raise ParseError("$.positions must be an array")
     rats = {}
-    try:
-        positions = {e["id"]: (_rational(e["x"], rats),
-                               _rational(e["y"], rats)) for e in entries}
-    except _BAD_FIELD:
-        positions = None
-    if positions is None or len(positions) < len(entries) or \
-            not all(map(_is_int, positions)):
-        # parse again, with checks that name the bad field or duplicate
-        positions = {}
-        for i, e in enumerate(entries):
-            where = f"$.positions[{i}]"
-            if not isinstance(e, dict):
-                raise ParseError(f"{where} must be an object")
-            sid = _int_field(e, "id", where)
-            if sid in positions:
-                raise ParseError(f"{where}: duplicate id {sid}")
-            positions[sid] = (_rat_field(e, "x", where, rats),
-                              _rat_field(e, "y", where, rats))
+    positions = {}
+    for i, e in enumerate(entries):
+        if not isinstance(e, dict):
+            raise ParseError(f"$.positions[{i}] must be an object")
+        sid = _int_field(e, "id", "$.positions", i)
+        if sid in positions:
+            raise ParseError(f"$.positions[{i}]: duplicate id {sid}")
+        positions[sid] = (_rat_field(e, "x", "$.positions", rats, i),
+                          _rat_field(e, "y", "$.positions", rats, i))
     return Solution(positions)
 
 

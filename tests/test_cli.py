@@ -403,10 +403,9 @@ def test_vh_instance_or_triples_not_of_the_gadget_exit_2(tmp_path, capsys):
         "error: meta names sensors the instance lacks\n"
 
 
-@pytest.mark.parametrize("field, delta", [("n", 2), ("n", -2), ("t", -6)],
-                         ids=["n+2", "n-2", "t=0"])
-def test_minnum_meta_disagreeing_with_formula_exit_2(tmp_path, capsys, field,
-                                                     delta):
+def _minnum_gadget(tmp_path):
+    """gen minnum on a seeded formula: paths of the instance and of a
+    satisfying assignment, and the argv shared by embed and extract."""
     f = random_max2sat3occ(random.Random(3), 4)
     formula = tmp_path / "f.json"
     formula.write_text(json.dumps({
@@ -415,14 +414,21 @@ def test_minnum_meta_disagreeing_with_formula_exit_2(tmp_path, capsys, field,
     inst = tmp_path / "g.json"
     assert main(["gen", "minnum", "--formula", str(formula),
                  "-o", str(inst)]) == 0
-    meta = tmp_path / "g.json.meta"
-    _tampered(meta, **{field: json.loads(meta.read_text())[field] + delta})
     assign = tmp_path / "a.json"
     assign.write_text(json.dumps(list(sat_brute(f)[0])))
+    return inst, assign, ["--meta", str(tmp_path / "g.json.meta"),
+                          "--instance", str(inst), "--formula", str(formula)]
+
+
+@pytest.mark.parametrize("field, delta", [("n", 2), ("n", -2), ("t", -6)],
+                         ids=["n+2", "n-2", "t=0"])
+def test_minnum_meta_disagreeing_with_formula_exit_2(tmp_path, capsys, field,
+                                                     delta):
+    _, assign, gadget = _minnum_gadget(tmp_path)
+    meta = tmp_path / "g.json.meta"
+    _tampered(meta, **{field: json.loads(meta.read_text())[field] + delta})
     capsys.readouterr()
-    assert main(["embed", "minnum", "--meta", str(meta), "--instance",
-                 str(inst), "--formula", str(formula),
-                 "--assignment", str(assign)]) == 2
+    assert main(["embed", "minnum", *gadget, "--assignment", str(assign)]) == 2
     assert capsys.readouterr() == (
         "", "error: meta was not generated from this formula\n")
 
@@ -443,3 +449,51 @@ def test_minmax_meta_naming_unknown_sensors_exit_2(tmp_path, capsys):
                  "--solution", str(wit)]) == 2
     assert capsys.readouterr() == (
         "", "error: meta was not generated by gen minmax\n")
+
+
+@pytest.mark.parametrize("changes", [
+    {"rect": "width"}, {"rect": "height"}, {"metric": "euclidean"},
+], ids=["wider", "taller", "euclidean"])
+def test_minnum_instance_not_of_the_gadget_exit_2(tmp_path, capsys, changes):
+    inst, assign, gadget = _minnum_gadget(tmp_path)
+    sol = tmp_path / "e.json"
+    assert main(["embed", "minnum", *gadget, "--assignment", str(assign),
+                 "-o", str(sol)]) == 0
+    obj = json.loads(inst.read_text())
+    if "rect" in changes:  # one more unit on a side, same sensors
+        side = changes["rect"]
+        obj["rect"][side] = str(int(obj["rect"][side]) + 1)
+    else:
+        obj.update(changes)
+    inst.write_text(json.dumps(obj))
+    capsys.readouterr()
+    for argv in (["embed", "minnum", *gadget, "--assignment", str(assign)],
+                 ["extract", "minnum", *gadget, "--solution", str(sol)]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", "error: instance is not the gadget of this formula\n")
+
+
+@pytest.mark.parametrize("field", ["v_lines", "h_lines", "max_move"])
+def test_vh_lines_or_budget_not_of_the_gadget_exit_2(tmp_path, capsys, field):
+    _, inst, _, gadget = _vh_gadget(tmp_path)
+    f = Sat3_22(3, tuple(tuple(c) for c in FORMULA["clauses"]))
+    assign = tmp_path / "a.json"
+    assign.write_text(json.dumps(list(sat_brute(f)[0])))
+    sol = tmp_path / "e.json"
+    assert main(["embed", "vh", *gadget, "--assignment", str(assign),
+                 "-o", str(sol)]) == 0
+    obj = json.loads(inst.read_text())
+    if field == "max_move":
+        obj["max_move"] = "2"
+    else:  # one more line, still inside the rectangle
+        side = obj["rect"]["width" if field == "v_lines" else "height"]
+        obj[field] = sorted(set(range(1, int(side) + 1)) - set(obj[field]))[:1] \
+            + obj[field]
+    inst.write_text(json.dumps(obj))
+    capsys.readouterr()
+    for argv in (["embed", "vh", *gadget, "--assignment", str(assign)],
+                 ["extract", "vh", *gadget, "--solution", str(sol)]):
+        proc = run_wcr(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "error: instance is not the gadget of this formula\n")
