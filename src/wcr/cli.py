@@ -14,12 +14,13 @@ relocation and is labeled "integer-restricted".
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 from . import minmax, minnum, minsum, oracle, reductions, serialize
-from .core import Configuration, _costs, is_blocking, rat_str, \
+from .core import Configuration, Solution, _costs, is_blocking, rat_str, \
     solution_costs
 from .errors import Infeasible, ParseError, SearchLimit, SizeLimit, \
     ValidationError, WcrError
@@ -43,30 +44,57 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+def _emit(obj, path: str | None = None) -> None:
+    """Encode obj once and write it to path, or to stdout when path is
+    None."""
+    _write(path, serialize.dumps(obj))
 
 
-def _write_solution(path: str | None, sol) -> None:
-    """Write the solution to path, or to stdout when path is None."""
-    _write(path, serialize.write_solution(sol))
+def _emit_solution(sol: Solution, path: str | None) -> None:
+    """Write sol to path, then name the file on stdout; or write sol to
+    stdout when path is None."""
+    _emit(serialize.solution_to_obj(sol), path)
     if path:
         _emit({"written": path})
 
 
+# Each kind of document a command reads: the serialize reader that
+# parses it and its name in errors, by the class the reader returns.
+_KINDS = {
+    Configuration: ("instance", "a plain instance"),
+    minmax.VHInstance: ("instance", "a line-blocking instance"),
+    Solution: ("solution", "a solution"),
+    reductions.MinNumMeta: ("meta", "a minnum meta"),
+    reductions.VHMeta: ("meta", "a vh meta"),
+    reductions.MinMaxMapping: ("meta", "a minmax meta"),
+    reductions.Max2Sat3Occ: ("formula", "a max2sat-3occ formula"),
+    reductions.Sat3_22: ("formula", "a 3sat22 formula"),
+}
+
+# The gadget instance, meta and formula kinds of each construction;
+# minmax reads neither: gen minmax starts from a line-blocking instance.
+_CONSTRUCTIONS = {
+    "minnum": (Configuration, reductions.MinNumMeta, reductions.Max2Sat3Occ),
+    "vh": (minmax.VHInstance, reductions.VHMeta, reductions.Sat3_22),
+    "minmax": (None, reductions.MinMaxMapping, None),
+}
+
+
+def _load(path: str, *kinds: type):
+    """Parse the document at path, which must be one of kinds; the
+    first kind picks the reader."""
+    doc = getattr(serialize, "read_" + _KINDS[kinds[0]][0])(_read(path))
+    if not isinstance(doc, kinds):
+        expected = " or ".join(_KINDS[kind][1] for kind in kinds)
+        raise ParseError(
+            f"{path}: expected {expected}, got {_KINDS[type(doc)][1]}")
+    return doc
+
+
 def _with_metric(config: Configuration, metric: str | None) -> Configuration:
-    if metric is None or metric == config.metric:
+    if metric in (None, config.metric):
         return config
-    return Configuration(width=config.width, height=config.height,
-                         sensors=config.sensors, mode=config.mode,
-                         metric=metric)
-
-
-def _load_config(path: str, metric: str | None) -> Configuration:
-    inst = serialize.read_instance(_read(path))
-    if isinstance(inst, minmax.VHInstance):
-        raise ParseError("expected a plain instance, got a line-blocking one")
-    return _with_metric(inst, metric)
+    return replace(config, metric=metric)
 
 
 def _gaps_json(gaps, mode):
@@ -76,16 +104,13 @@ def _gaps_json(gaps, mode):
 
 
 def cmd_verify(args) -> int:
-    inst = serialize.read_instance(_read(args.instance))
-    vh = None
+    inst = _load(args.instance, Configuration, minmax.VHInstance)
     if isinstance(inst, minmax.VHInstance):
         vh, config = inst, inst.config
     else:
-        config = _with_metric(inst, args.metric)
+        vh, config = None, _with_metric(inst, args.metric)
     out = {"metric": config.metric, "mode": config.mode}
-    sol = None
-    if args.solution:
-        sol = serialize.read_solution(_read(args.solution))
+    sol = _load(args.solution, Solution) if args.solution else None
     report = is_blocking(config, sol)
     out["blocking"] = report.blocking
     out["x_gaps"] = _gaps_json(report.x_gaps, config.mode)
@@ -109,7 +134,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    config = _load_config(args.instance, args.metric)
+    config = _with_metric(_load(args.instance, Configuration), args.metric)
     out = {"problem": args.problem, "metric": config.metric}
     if args.problem == "minnum":
         plan = minnum.solve_minnum(config)
@@ -133,45 +158,31 @@ def cmd_solve(args) -> int:
     out["solution"] = serialize.solution_to_obj(sol)
     _emit(out)
     if args.output:
-        _write(args.output, serialize.write_solution(sol))
+        _emit(out["solution"], args.output)
     return 0
 
 
 def cmd_decide(args) -> int:
-    inst = serialize.read_instance(_read(args.instance))
-    if not isinstance(inst, minmax.VHInstance):
-        raise ParseError("decide vh expects v_lines/h_lines/max_move fields")
+    inst = _load(args.instance, minmax.VHInstance)
     feasible, witness = minmax.decide_vh(inst, args.budget)
     out = {"feasible": feasible}
     if witness is not None:
         out["witness"] = serialize.solution_to_obj(witness)
     _emit(out)
     if args.output and witness is not None:
-        _write(args.output, serialize.write_solution(witness))
+        _emit(out["witness"], args.output)
     return 0 if feasible else 1
 
 
 def cmd_gen(args) -> int:
+    _, _, formula_kind = _CONSTRUCTIONS[args.construction]
     if args.construction == "minmax":
-        vh = serialize.read_instance(_read(args.vh))
-        if not isinstance(vh, minmax.VHInstance):
-            raise ParseError("gen minmax expects a line-blocking instance")
-        padded, mapping = reductions.gen_minmax(vh)
-        _write(args.output, serialize.write_instance(padded))
-        meta_text = serialize.write_meta(mapping)
+        source = _load(args.vh, minmax.VHInstance)
     else:
-        formula = serialize.read_formula(_read(args.formula))
-        if args.construction == "minnum":
-            if not isinstance(formula, reductions.Max2Sat3Occ):
-                raise ParseError("gen minnum expects the max2sat-3occ dialect")
-            inst, meta = reductions.gen_minnum(formula)
-        else:
-            if not isinstance(formula, reductions.Sat3_22):
-                raise ParseError("gen vh expects the 3sat22 dialect")
-            inst, meta = reductions.gen_vh(formula)
-        _write(args.output, serialize.write_instance(inst))
-        meta_text = serialize.write_meta(meta)
-    _write(args.meta or args.output + ".meta", meta_text)
+        source = _load(args.formula, formula_kind)
+    inst, meta = getattr(reductions, "gen_" + args.construction)(source)
+    _write(args.output, serialize.write_instance(inst))
+    _write(args.meta or args.output + ".meta", serialize.write_meta(meta))
     _emit({"written": args.output})
     return 0
 
@@ -187,70 +198,58 @@ def _read_assignment(path: str, n: int):
 
 
 def cmd_embed(args) -> int:
-    meta = serialize.read_meta(_read(args.meta))
+    inst_kind, meta_kind, formula_kind = _CONSTRUCTIONS[args.construction]
+    meta = _load(args.meta, meta_kind)
     if args.construction == "minmax":
-        sol = serialize.read_solution(_read(args.solution))
-        out = reductions.embed_minmax(meta, sol)
+        out = reductions.embed_minmax(meta, _load(args.solution, Solution))
     else:
-        formula = serialize.read_formula(_read(args.formula))
+        formula = _load(args.formula, formula_kind)
         assignment = _read_assignment(args.assignment, formula.n)
-        inst = serialize.read_instance(_read(args.instance))
-        if args.construction == "minnum":
-            out = reductions.embed_minnum(inst, meta, formula, assignment)
-        else:
-            out = reductions.embed_vh(inst, meta, formula, assignment)
-    _write_solution(args.output, out)
+        inst = _load(args.instance, inst_kind)
+        embed = getattr(reductions, "embed_" + args.construction)
+        out = embed(inst, meta, formula, assignment)
+    _emit_solution(out, args.output)
     return 0
 
 
 def cmd_extract(args) -> int:
-    meta = serialize.read_meta(_read(args.meta))
-    sol = serialize.read_solution(_read(args.solution))
+    inst_kind, meta_kind, formula_kind = _CONSTRUCTIONS[args.construction]
+    meta = _load(args.meta, meta_kind)
+    sol = _load(args.solution, Solution)
     if args.construction == "minmax":
-        _write_solution(args.output, reductions.extract_minmax(meta, sol))
+        _emit_solution(reductions.extract_minmax(meta, sol), args.output)
         return 0
-    formula = serialize.read_formula(_read(args.formula))
-    inst = serialize.read_instance(_read(args.instance))
-    if args.construction == "minnum":
-        assignment = reductions.extract_minnum(inst, meta, formula, sol)
-    else:
-        assignment = reductions.extract_vh(inst, meta, formula, sol)
-    _emit({"assignment": list(assignment)})
+    formula = _load(args.formula, formula_kind)
+    inst = _load(args.instance, inst_kind)
+    extract = getattr(reductions, "extract_" + args.construction)
+    _emit({"assignment": list(extract(inst, meta, formula, sol))})
     return 0
 
 
 def cmd_integerize(args) -> int:
-    meta = serialize.read_meta(_read(args.meta))
-    inst = serialize.read_instance(_read(args.instance))
-    sol = serialize.read_solution(_read(args.solution))
-    _write_solution(args.output, reductions.integerize(inst, meta, sol))
+    meta = _load(args.meta, reductions.VHMeta)
+    inst = _load(args.instance, minmax.VHInstance)
+    sol = _load(args.solution, Solution)
+    _emit_solution(reductions.integerize(inst, meta, sol), args.output)
     return 0
 
 
 def cmd_oracle(args) -> int:
     if args.problem == "minnum":
-        config = _load_config(args.instance, None)
+        config = _load(args.instance, Configuration)
         _emit({"moved": minnum.brute_minnum(config)})
         return 0
     if args.problem == "minsum":
-        config = _load_config(args.instance, None)
-        r = minsum.common_range(config)
         out = {}
-        for axis, (lo, hi) in (("x", config.x_extent),
-                               ("y", config.y_extent)):
-            pts = tuple((s.x if axis == "x" else s.y) - lo
-                        for s in sorted(config.sensors, key=lambda s: s.id))
-            inst = minsum.Line1DInstance(
-                points=pts, radius=r, length=hi - lo)
+        for axis, inst in zip("xy", minsum.axis_instances(
+                _load(args.instance, Configuration))):
             a_cost, b_cost = minsum.oracle_minsum_1d(
                 inst, minsum.oracle_step(inst))
             out[axis] = {"candidate_dp": rat_str(a_cost),
                          "grid": rat_str(b_cost)}
         _emit(out)
         return 0
-    inst = serialize.read_instance(_read(args.instance))
-    if not isinstance(inst, minmax.VHInstance):
-        raise ParseError("oracle vh expects a line-blocking instance")
+    inst = _load(args.instance, minmax.VHInstance)
     feasible = minmax.oracle_minmax(inst)
     _emit({"feasible": feasible})
     return 0 if feasible else 1
@@ -277,6 +276,7 @@ def _grid_bound(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="wcr",

@@ -133,7 +133,7 @@ def decide_vh(inst: VHInstance, budget: int | None = None
     destination on it.  A node reads a line's candidates by dropping
     the committed sensors from its list, which keeps the order, and
     picks the MRV line from live candidate counts that commit and undo
-    keep up to date.
+    update.
     """
     config = inst.config
     limit = DEFAULT_NODE_BUDGET if budget is None else budget

@@ -163,7 +163,7 @@ def solve_minnum(config: Configuration) -> MinNumPlan:
     row_gaps = row_gaps[fills:]
 
     # remaining gaps are repaired by sliding non-free sensors off lines
-    # that keep another sensor, so no slide creates a fresh gap; gap
+    # that still hold another sensor, so no slide creates a fresh gap; gap
     # lines hold no unmoved sensor, so their counts are never read
     pos = {s.id: (s.x, s.y) for s in config.sensors}
     for sid, _, target in moves:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, lcm
 
-from .core import HALF, Configuration, Solution
+from .core import Configuration, Solution
 from .errors import (HeterogeneousRanges, Infeasible, ModeError, SizeLimit,
                      ValidationError)
 
@@ -60,8 +60,7 @@ def _scaled(inst: Line1DInstance) -> tuple[int, list[int]]:
     return d, [v.numerator * (d // v.denominator) for v in vals]
 
 
-def candidate_targets(inst: Line1DInstance,
-                      keep=lambda v: True) -> list[Fraction]:
+def candidate_targets(inst: Line1DInstance) -> list[Fraction]:
     d, (r, L, *pts) = _scaled(inst)
     n = len(pts)
     raw = set()
@@ -71,16 +70,17 @@ def candidate_targets(inst: Line1DInstance,
         raw.add(L - r - shift)
         raw.update(p + shift for p in pts)
     grid = sorted({min(max(v, 0), L) for v in raw})
-    return [v for v in (Fraction(g, d) for g in grid) if keep(v)]
+    return [Fraction(g, d) for g in grid]
 
 
-def solve_minsum_1d(inst: Line1DInstance, *, keep=lambda v: True
+def solve_minsum_1d(inst: Line1DInstance
                     ) -> tuple[tuple[Fraction, ...], Fraction]:
     """Optimal targets (aligned to input order) and their total cost.
 
-    `keep` optionally filters the candidate grid (used by the integer-
-    mode caller to stay on lattice points; safe whenever an optimum
-    exists within the filtered set).
+    On an integer-mode axis (half-integer points, r = 1/2, integer L)
+    every grid point but the clamped ends 0 and L is a half-integer,
+    and those ends are never optimal (r and L - r cover as much at a
+    strictly smaller move), so the targets stay on lattice points.
     """
     if not inst.feasible:
         raise Infeasible("sum of diameters shorter than the segment")
@@ -89,7 +89,7 @@ def solve_minsum_1d(inst: Line1DInstance, *, keep=lambda v: True
     order = sorted(range(n), key=lambda i: (inst.points[i], i))
     pts = [scaled[i] for i in order]
     C = [v.numerator * (d // v.denominator)
-         for v in candidate_targets(inst, keep)]
+         for v in candidate_targets(inst)]
     m = len(C)
     done_from = next((c for c in range(m) if C[c] >= L - r), m)
 
@@ -178,28 +178,31 @@ def common_range(config: Configuration) -> Fraction:
     return ranges.pop()
 
 
+def axis_instances(config: Configuration
+                   ) -> tuple[Line1DInstance, Line1DInstance]:
+    """The x and the y 1D instance of config: sensors in id order, each
+    axis shifted by the low end of its extent, the common range."""
+    r = common_range(config)
+    sensors = sorted(config.sensors, key=lambda s: s.id)
+    (lo_x, hi_x), (lo_y, hi_y) = config.x_extent, config.y_extent
+    return (Line1DInstance(points=tuple(s.x - lo_x for s in sensors),
+                           radius=r, length=hi_x - lo_x),
+            Line1DInstance(points=tuple(s.y - lo_y for s in sensors),
+                           radius=r, length=hi_y - lo_y))
+
+
 def solve_minsum_manhattan(config: Configuration
                            ) -> tuple[Solution, Fraction]:
     """Exact 2D MinSum for homogeneous ranges under Manhattan distance."""
-    r = common_range(config)
+    xin, yin = axis_instances(config)
     if config.metric != "manhattan":
         raise ModeError("MinSum solver is Manhattan-only")
-    # integer mode: grid i <-> i - 1/2 on the shifted axis
-    keep = (lambda v: (v + HALF).denominator == 1) \
-        if config.mode == "integer" else (lambda v: True)
-
-    lo_x, hi_x = config.x_extent
-    lo_y, hi_y = config.y_extent
-    sensors = sorted(config.sensors, key=lambda s: s.id)
-    xin = Line1DInstance(points=tuple(s.x - lo_x for s in sensors),
-                         radius=r, length=hi_x - lo_x)
-    yin = Line1DInstance(points=tuple(s.y - lo_y for s in sensors),
-                         radius=r, length=hi_y - lo_y)
-    tx, cx = solve_minsum_1d(xin, keep=keep)
-    ty, cy = solve_minsum_1d(yin, keep=keep)
-    sol = Solution({s.id: (tx[i] + lo_x, ty[i] + lo_y)
-                    for i, s in enumerate(sensors)})
-    return sol, cx + cy
+    tx, cx = solve_minsum_1d(xin)
+    ty, cy = solve_minsum_1d(yin)
+    x0, y0 = config.x_extent[0], config.y_extent[0]
+    ids = sorted(s.id for s in config.sensors)
+    return Solution({sid: (x + x0, y + y0)
+                     for sid, x, y in zip(ids, tx, ty)}), cx + cy
 
 
 ORACLE_GRID_CELLS = 2 * 10**5  # sensors x grid states x window of the DP B

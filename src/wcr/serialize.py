@@ -135,25 +135,8 @@ def config_from_obj(obj: dict) -> Configuration:
         metric=obj.get("metric", "manhattan"))
 
 
-def config_to_obj(config: Configuration) -> dict:
-    return {
-        "mode": config.mode,
-        "metric": config.metric,
-        "rect": {"width": rat_str(config.width),
-                 "height": rat_str(config.height)},
-        "sensors": [
-            {"id": s.id, "x": rat_str(s.x), "y": rat_str(s.y),
-             "range": rat_str(s.range)}
-            for s in sorted(config.sensors, key=lambda s: s.id)],
-    }
-
-
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=False) + "\n"
-
-
-def write_config(config: Configuration) -> str:
-    return dumps(config_to_obj(config))
+    return json.dumps(obj, indent=2) + "\n"
 
 
 def read_solution(data) -> Solution:
@@ -197,12 +180,24 @@ def vh_from_obj(obj: dict):
                       max_move=_rat_field(obj, "max_move", "$", {}))
 
 
-def write_vh(inst) -> str:
-    obj = config_to_obj(inst.config)
-    obj["v_lines"] = sorted(inst.v_lines)
-    obj["h_lines"] = sorted(inst.h_lines)
-    obj["max_move"] = rat_str(inst.max_move)
-    return dumps(obj)
+def instance_to_obj(inst) -> dict:
+    """A Configuration, or a VHInstance: its configuration's object plus
+    its lines and budget."""
+    if not isinstance(inst, Configuration):
+        return {**instance_to_obj(inst.config),
+                "v_lines": sorted(inst.v_lines),
+                "h_lines": sorted(inst.h_lines),
+                "max_move": rat_str(inst.max_move)}
+    return {
+        "mode": inst.mode,
+        "metric": inst.metric,
+        "rect": {"width": rat_str(inst.width),
+                 "height": rat_str(inst.height)},
+        "sensors": [
+            {"id": s.id, "x": rat_str(s.x), "y": rat_str(s.y),
+             "range": rat_str(s.range)}
+            for s in sorted(inst.sensors, key=lambda s: s.id)],
+    }
 
 
 def read_instance(data):
@@ -214,9 +209,7 @@ def read_instance(data):
 
 
 def write_instance(inst) -> str:
-    if isinstance(inst, Configuration):
-        return write_config(inst)
-    return write_vh(inst)
+    return dumps(instance_to_obj(inst))
 
 
 def read_formula(data):
@@ -299,8 +292,8 @@ def write_meta(meta) -> str:
                             in sorted(meta.slot_row.items())},
                "triples": [list(t) for t in meta.triples]}
     elif isinstance(meta, MinMaxMapping):
-        obj = {"kind": "minmax", "vh": json.loads(write_vh(meta.vh)),
-               "padded": config_to_obj(meta.padded),
+        obj = {"kind": "minmax", "vh": instance_to_obj(meta.vh),
+               "padded": instance_to_obj(meta.padded),
                "dx": meta.dx, "dy": meta.dy,
                "v_ids": list(meta.v_ids), "h_ids": list(meta.h_ids)}
     else:

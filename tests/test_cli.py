@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 import wcr
 from brutes import random_max2sat3occ
 from wcr import serialize
-from wcr.cli import main
+from wcr.cli import build_parser, main
 from wcr.core import Configuration, Sensor
 from wcr.reductions import Sat3_22, sat_brute
 
@@ -30,7 +31,7 @@ def cfg_file(tmp_path, cells, a=3, b=3, name="inst.json",
     cfg = Configuration(width=F(a), height=F(b), sensors=sensors,
                         mode="integer", metric=metric)
     path = tmp_path / name
-    path.write_text(serialize.write_config(cfg))
+    path.write_text(serialize.write_instance(cfg))
     return path
 
 
@@ -125,7 +126,7 @@ def test_euclidean_minmax_search_limit_exits_3(tmp_path):
 def test_oracle_minsum_rejects_heterogeneous_ranges(tmp_path, capsys):
     sensors = (Sensor(1, F(1), F(1), F(1)), Sensor(2, F(3), F(3), F(3, 2)))
     path = tmp_path / "mixed.json"
-    path.write_text(serialize.write_config(Configuration(
+    path.write_text(serialize.write_instance(Configuration(
         width=F(4), height=F(4), sensors=sensors, mode="continuous",
         metric="manhattan")))
     assert main(["oracle", "minsum", str(path)]) == 2
@@ -137,7 +138,7 @@ def continuous_file(tmp_path, width, height, centers, radius):
     sensors = tuple(Sensor(i, F(x), F(y), F(radius))
                     for i, (x, y) in enumerate(centers, start=1))
     path = tmp_path / "cont.json"
-    path.write_text(serialize.write_config(Configuration(
+    path.write_text(serialize.write_instance(Configuration(
         width=F(width), height=F(height), sensors=sensors,
         mode="continuous", metric="manhattan")))
     return path
@@ -205,7 +206,7 @@ def test_incomplete_meta_exit_2(tmp_path, capsys, meta):
 def _meta_with(kind, **tables):
     """A complete meta of the given kind whose tables are all empty,
     except for the ones passed in."""
-    plain = json.loads(serialize.write_config(Configuration(
+    plain = json.loads(serialize.write_instance(Configuration(
         width=F(2), height=F(2), sensors=(Sensor(1, F(1), F(1), H),),
         mode="integer", metric="manhattan")))
     meta = {"minnum": {"n": 1, "m": 1, "t": 1, "side": 8, "occ_sensor": [],
@@ -312,6 +313,14 @@ def test_stdout_byte_identical(tmp_path, capsys):
     path = cfg_file(tmp_path, [(1, 1), (2, 1), (1, 2)])
     main(["solve", "minnum", str(path)])
     first = capsys.readouterr().out
+    main(["solve", "minnum", str(path)])
+    assert capsys.readouterr().out == first
+    # a usage error on the parser all calls share changes no later call
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit) as exit_:
+        main(["solve", "minnum", str(path), "--metric", "taxicab"])
+    assert exit_.value.code == 2
+    capsys.readouterr()
     main(["solve", "minnum", str(path)])
     assert capsys.readouterr().out == first
 
@@ -497,3 +506,49 @@ def test_vh_lines_or_budget_not_of_the_gadget_exit_2(tmp_path, capsys, field):
         proc = run_wcr(*argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             2, "", "error: instance is not the gadget of this formula\n")
+
+
+def _gadget_documents(tmp_path):
+    """Paths, by name, of the formula, instance and meta of gen vh and of
+    gen minnum, of a solution (the vh instance's sensors left home) and
+    of an assignment for each formula."""
+    (tmp_path / "vh").mkdir()
+    (tmp_path / "minnum").mkdir()
+    sat22, vh, vh_meta, _ = _vh_gadget(tmp_path / "vh")
+    plain, a_max2sat, gadget = _minnum_gadget(tmp_path / "minnum")
+    sol = tmp_path / "sol.json"
+    sol.write_text(serialize.write_solution(wcr.Solution({
+        s.id: (s.x, s.y)
+        for s in serialize.read_instance(vh.read_text()).config.sensors})))
+    a_sat22 = tmp_path / "a.json"
+    a_sat22.write_text(json.dumps([True] * FORMULA["variables"]))
+    return {name: str(path) for name, path in [
+        ("sat22", sat22), ("vh_inst", vh), ("vh_meta", vh_meta),
+        ("max2sat", gadget[5]), ("plain", plain), ("minnum_meta", gadget[1]),
+        ("sol", sol), ("a_sat22", a_sat22), ("a_max2sat", a_max2sat)]}
+
+
+@pytest.mark.parametrize("argv", [
+    "integerize --meta minnum_meta --instance vh_inst --solution sol",
+    "integerize --meta vh_meta --instance plain --solution sol",
+    "extract minmax --meta vh_meta --solution sol",
+    "embed minmax --meta minnum_meta --solution sol",
+    "embed minnum --meta minnum_meta --instance plain --formula sat22 "
+    "--assignment a_sat22",
+    "extract minnum --meta minnum_meta --instance plain --formula sat22 "
+    "--solution sol",
+    "embed vh --meta vh_meta --instance vh_inst --formula max2sat "
+    "--assignment a_max2sat",
+    "extract vh --meta vh_meta --instance vh_inst --formula max2sat "
+    "--solution sol",
+], ids=["integerize-meta", "integerize-instance", "extract-minmax-meta",
+        "embed-minmax-meta", "embed-minnum-formula", "extract-minnum-formula",
+        "embed-vh-formula", "extract-vh-formula"])
+def test_document_of_the_wrong_kind_exit_2(tmp_path, capsys, argv):
+    docs = _gadget_documents(tmp_path)
+    capsys.readouterr()
+    assert main([docs.get(word, word) for word in argv.split()]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"error: \S+: expected an? [^,]+, got an? [^,]+\n",
+                        err)

@@ -8,6 +8,9 @@ keep the CLI output byte-identical keeps every digest.  After a change
 that alters output on purpose, rewrite the digests with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints the name of each group whose digest it changed, added or
+dropped.
 """
 
 import contextlib
@@ -509,5 +512,10 @@ def test_cli_output_matches_golden_digests(tmp_path):
 if __name__ == "__main__":
     import tempfile
 
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
-        GOLDEN.write_text(_dumps(digests(Path(tmp))))
+        new = digests(Path(tmp))
+    GOLDEN.write_text(_dumps(new))
+    for name in sorted(old.keys() | new.keys()):
+        if old.get(name) != new.get(name):
+            print(name)
