@@ -26,9 +26,11 @@ from .errors import Infeasible, ParseError, SearchLimit, SizeLimit, \
     ValidationError, WcrError
 
 
-def _read(path: str) -> str:
+def _read(args, name: str) -> str:
+    """The text of the file that argument name of args gives."""
+    path = getattr(args, name)
     if path is None:
-        raise ParseError("a required input file option is missing")
+        raise ParseError(f"missing --{name}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
@@ -39,9 +41,12 @@ def _read(path: str) -> str:
 def _write(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as e:
+        raise WcrError(f"cannot write {path}: {e}") from None
 
 
 def _emit(obj, path: str | None = None) -> None:
@@ -80,14 +85,15 @@ _CONSTRUCTIONS = {
 }
 
 
-def _load(path: str, *kinds: type):
-    """Parse the document at path, which must be one of kinds; the
-    first kind picks the reader."""
-    doc = getattr(serialize, "read_" + _KINDS[kinds[0]][0])(_read(path))
+def _load(args, name: str, *kinds: type):
+    """Parse the document that argument name of args gives, which must
+    be one of kinds; the first kind picks the reader."""
+    reader = getattr(serialize, "read_" + _KINDS[kinds[0]][0])
+    doc = reader(_read(args, name))
     if not isinstance(doc, kinds):
         expected = " or ".join(_KINDS[kind][1] for kind in kinds)
-        raise ParseError(
-            f"{path}: expected {expected}, got {_KINDS[type(doc)][1]}")
+        raise ParseError(f"{getattr(args, name)}: expected {expected}, "
+                         f"got {_KINDS[type(doc)][1]}")
     return doc
 
 
@@ -104,13 +110,14 @@ def _gaps_json(gaps, mode):
 
 
 def cmd_verify(args) -> int:
-    inst = _load(args.instance, Configuration, minmax.VHInstance)
+    inst = _load(args, "instance", Configuration, minmax.VHInstance)
     if isinstance(inst, minmax.VHInstance):
-        vh, config = inst, inst.config
+        config = _with_metric(inst.config, args.metric)
+        vh = replace(inst, config=config)
     else:
         vh, config = None, _with_metric(inst, args.metric)
     out = {"metric": config.metric, "mode": config.mode}
-    sol = _load(args.solution, Solution) if args.solution else None
+    sol = _load(args, "solution", Solution) if args.solution else None
     report = is_blocking(config, sol)
     out["blocking"] = report.blocking
     out["x_gaps"] = _gaps_json(report.x_gaps, config.mode)
@@ -134,7 +141,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    config = _with_metric(_load(args.instance, Configuration), args.metric)
+    config = _with_metric(_load(args, "instance", Configuration),
+                          args.metric)
     out = {"problem": args.problem, "metric": config.metric}
     if args.problem == "minnum":
         plan = minnum.solve_minnum(config)
@@ -156,30 +164,30 @@ def cmd_solve(args) -> int:
         if result.value is not None:
             out["max_move"] = rat_str(result.value)
     out["solution"] = serialize.solution_to_obj(sol)
-    _emit(out)
     if args.output:
         _emit(out["solution"], args.output)
+    _emit(out)
     return 0
 
 
 def cmd_decide(args) -> int:
-    inst = _load(args.instance, minmax.VHInstance)
+    inst = _load(args, "instance", minmax.VHInstance)
     feasible, witness = minmax.decide_vh(inst, args.budget)
     out = {"feasible": feasible}
     if witness is not None:
         out["witness"] = serialize.solution_to_obj(witness)
+        if args.output:
+            _emit(out["witness"], args.output)
     _emit(out)
-    if args.output and witness is not None:
-        _emit(out["witness"], args.output)
     return 0 if feasible else 1
 
 
 def cmd_gen(args) -> int:
     _, _, formula_kind = _CONSTRUCTIONS[args.construction]
     if args.construction == "minmax":
-        source = _load(args.vh, minmax.VHInstance)
+        source = _load(args, "vh", minmax.VHInstance)
     else:
-        source = _load(args.formula, formula_kind)
+        source = _load(args, "formula", formula_kind)
     inst, meta = getattr(reductions, "gen_" + args.construction)(source)
     _write(args.output, serialize.write_instance(inst))
     _write(args.meta or args.output + ".meta", serialize.write_meta(meta))
@@ -187,8 +195,8 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _read_assignment(path: str, n: int):
-    obj = serialize._loads(_read(path))
+def _read_assignment(args, n: int):
+    obj = serialize._loads(_read(args, "assignment"))
     if not isinstance(obj, list) or not all(
             isinstance(v, (bool, int)) for v in obj):
         raise ParseError("assignment must be a JSON array of booleans")
@@ -199,13 +207,13 @@ def _read_assignment(path: str, n: int):
 
 def cmd_embed(args) -> int:
     inst_kind, meta_kind, formula_kind = _CONSTRUCTIONS[args.construction]
-    meta = _load(args.meta, meta_kind)
+    meta = _load(args, "meta", meta_kind)
     if args.construction == "minmax":
-        out = reductions.embed_minmax(meta, _load(args.solution, Solution))
+        out = reductions.embed_minmax(meta, _load(args, "solution", Solution))
     else:
-        formula = _load(args.formula, formula_kind)
-        assignment = _read_assignment(args.assignment, formula.n)
-        inst = _load(args.instance, inst_kind)
+        formula = _load(args, "formula", formula_kind)
+        assignment = _read_assignment(args, formula.n)
+        inst = _load(args, "instance", inst_kind)
         embed = getattr(reductions, "embed_" + args.construction)
         out = embed(inst, meta, formula, assignment)
     _emit_solution(out, args.output)
@@ -214,42 +222,42 @@ def cmd_embed(args) -> int:
 
 def cmd_extract(args) -> int:
     inst_kind, meta_kind, formula_kind = _CONSTRUCTIONS[args.construction]
-    meta = _load(args.meta, meta_kind)
-    sol = _load(args.solution, Solution)
+    meta = _load(args, "meta", meta_kind)
+    sol = _load(args, "solution", Solution)
     if args.construction == "minmax":
         _emit_solution(reductions.extract_minmax(meta, sol), args.output)
         return 0
-    formula = _load(args.formula, formula_kind)
-    inst = _load(args.instance, inst_kind)
+    formula = _load(args, "formula", formula_kind)
+    inst = _load(args, "instance", inst_kind)
     extract = getattr(reductions, "extract_" + args.construction)
     _emit({"assignment": list(extract(inst, meta, formula, sol))})
     return 0
 
 
 def cmd_integerize(args) -> int:
-    meta = _load(args.meta, reductions.VHMeta)
-    inst = _load(args.instance, minmax.VHInstance)
-    sol = _load(args.solution, Solution)
+    meta = _load(args, "meta", reductions.VHMeta)
+    inst = _load(args, "instance", minmax.VHInstance)
+    sol = _load(args, "solution", Solution)
     _emit_solution(reductions.integerize(inst, meta, sol), args.output)
     return 0
 
 
 def cmd_oracle(args) -> int:
     if args.problem == "minnum":
-        config = _load(args.instance, Configuration)
+        config = _load(args, "instance", Configuration)
         _emit({"moved": minnum.brute_minnum(config)})
         return 0
     if args.problem == "minsum":
         out = {}
         for axis, inst in zip("xy", minsum.axis_instances(
-                _load(args.instance, Configuration))):
+                _load(args, "instance", Configuration))):
             a_cost, b_cost = minsum.oracle_minsum_1d(
                 inst, minsum.oracle_step(inst))
             out[axis] = {"candidate_dp": rat_str(a_cost),
                          "grid": rat_str(b_cost)}
         _emit(out)
         return 0
-    inst = _load(args.instance, minmax.VHInstance)
+    inst = _load(args, "instance", minmax.VHInstance)
     feasible = minmax.oracle_minmax(inst)
     _emit({"feasible": feasible})
     return 0 if feasible else 1

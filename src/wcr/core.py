@@ -19,6 +19,9 @@ Conventions
 * Continuous mode: the covered rectangle is [0, a] x [0, b] and sensor
   centers lie inside it.
 * Coverage is closed: touching an interval endpoint counts as covered.
+* A Configuration keeps its sensors in id order, so configurations of
+  the same sensors compare equal whatever order they were given in;
+  validation walks the given order.
 """
 
 from __future__ import annotations
@@ -104,6 +107,8 @@ class Configuration:
                 if not (lo_x <= s.x <= hi_x and lo_y <= s.y <= hi_y):
                     raise ValidationError(
                         f"sensor {s.id} outside the covered rectangle")
+        object.__setattr__(self, "sensors",
+                           tuple(sorted(self.sensors, key=lambda s: s.id)))
 
     @property
     def n(self) -> int:

@@ -85,7 +85,7 @@ def build_free_graph(config: Configuration):
     hub_x, hub_y = len(legend) - 2, len(legend) - 1
 
     edges = []
-    for s in sorted(config.sensors, key=lambda s: s.id):
+    for s in config.sensors:  # by id
         row_v = index.get(("row", int(s.y)))
         col_v = index.get(("col", int(s.x)))
         if row_v is not None and col_v is not None:

@@ -167,27 +167,22 @@ def solve_minsum_1d(inst: Line1DInstance
     return tuple(targets), cost
 
 
-def common_range(config: Configuration) -> Fraction:
-    """The sensing range every sensor shares; exact MinSum needs one."""
+def axis_instances(config: Configuration
+                   ) -> tuple[Line1DInstance, Line1DInstance]:
+    """The x and the y 1D instance of config: sensors in id order, each
+    axis shifted by the low end of its extent, the range they all share
+    (exact MinSum needs one)."""
     ranges = {s.range for s in config.sensors}
     if len(ranges) > 1:
         raise HeterogeneousRanges(
             "heterogeneous MinSum is intractable; see the brute-force oracle")
     if not ranges:
         raise Infeasible("no sensors to cover the rectangle")
-    return ranges.pop()
-
-
-def axis_instances(config: Configuration
-                   ) -> tuple[Line1DInstance, Line1DInstance]:
-    """The x and the y 1D instance of config: sensors in id order, each
-    axis shifted by the low end of its extent, the common range."""
-    r = common_range(config)
-    sensors = sorted(config.sensors, key=lambda s: s.id)
+    r = ranges.pop()
     (lo_x, hi_x), (lo_y, hi_y) = config.x_extent, config.y_extent
-    return (Line1DInstance(points=tuple(s.x - lo_x for s in sensors),
+    return (Line1DInstance(points=tuple(s.x - lo_x for s in config.sensors),
                            radius=r, length=hi_x - lo_x),
-            Line1DInstance(points=tuple(s.y - lo_y for s in sensors),
+            Line1DInstance(points=tuple(s.y - lo_y for s in config.sensors),
                            radius=r, length=hi_y - lo_y))
 
 
@@ -200,9 +195,8 @@ def solve_minsum_manhattan(config: Configuration
     tx, cx = solve_minsum_1d(xin)
     ty, cy = solve_minsum_1d(yin)
     x0, y0 = config.x_extent[0], config.y_extent[0]
-    ids = sorted(s.id for s in config.sensors)
-    return Solution({sid: (x + x0, y + y0)
-                     for sid, x, y in zip(ids, tx, ty)}), cx + cy
+    return Solution({s.id: (x + x0, y + y0)
+                     for s, x, y in zip(config.sensors, tx, ty)}), cx + cy
 
 
 ORACLE_GRID_CELLS = 2 * 10**5  # sensors x grid states x window of the DP B

@@ -14,11 +14,16 @@ Three constructions:
   border sensors force the required-line structure of the core.
 
 Rows are numbered top-down; "up" means row index - 1.
+
+Embeddings and extractions regenerate the gadget and meta from the
+formula and require both to equal the ones given; a Configuration keeps
+its sensors in id order, so an instance may list them in any order.
+Input a construction cannot handle raises a WcrError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Configuration, Sensor, Solution, is_blocking, within
@@ -54,6 +59,9 @@ class Max2Sat3Occ:
                 if not 1 <= abs(lit) <= self.n:
                     raise DialectError(f"literal {lit} out of range")
                 occ[abs(lit)].append((idx, lit > 0))
+            if abs(clause[0]) == abs(clause[1]):
+                raise DialectError(
+                    f"clause {idx} has variable {abs(clause[0])} twice")
         for v, entries in occ.items():
             if len(entries) != 3:
                 raise DialectError(f"variable {v} occurs {len(entries)} times")
@@ -113,15 +121,6 @@ def sat_brute(f) -> tuple[tuple[bool, ...], int]:
     return best, best_count
 
 
-def _by_id(inst):
-    """inst (a Configuration or VHInstance) with its sensors sorted by id,
-    so that whole instances compare equal in any sensor order."""
-    if isinstance(inst, VHInstance):
-        return replace(inst, config=_by_id(inst.config))
-    return replace(inst, sensors=tuple(sorted(inst.sensors,
-                                              key=lambda s: s.id)))
-
-
 def _check_gadget(inst, meta, gadget, gadget_meta) -> None:
     """Reject an instance or meta that differs from the gadget and meta
     gen builds from the formula (rectangle, mode, metric, sensors and,
@@ -129,7 +128,7 @@ def _check_gadget(inst, meta, gadget, gadget_meta) -> None:
     indexes into them."""
     if meta != gadget_meta:
         raise NotGadgetInstance("meta was not generated from this formula")
-    if _by_id(inst) != _by_id(gadget):
+    if inst != gadget:
         raise NotGadgetInstance("instance is not the gadget of this formula")
 
 
@@ -186,37 +185,22 @@ def gen_minnum(f: Max2Sat3Occ) -> tuple[Configuration, MinNumMeta]:
                               occ_sensor=occ_sensor, alpha=alpha, beta=beta)
 
 
-def _diag_spot(meta: MinNumMeta, i: int) -> Fraction:
-    # i-th (1-based) relocated sensor lands on the uncovered diagonal
-    return Fraction(6 * meta.n + 2 * (i - 1) + 1)
-
-
 def embed_minnum(config: Configuration, meta: MinNumMeta, f: Max2Sat3Occ,
-                 assignment, chosen=None) -> Solution:
+                 assignment) -> Solution:
     """Move one occurrence sensor per counted satisfied clause onto the
-    diagonal of the uncovered band; exactly t sensors move."""
+    diagonal of the uncovered band; exactly t sensors move, those of the
+    first true literal of each of the first t satisfied clauses."""
     _check_gadget(config, meta, *gen_minnum(f))
     satisfied = [idx for idx, c in enumerate(f.clauses)
                  if eval_clause(c, assignment)]
     if len(satisfied) < meta.t:
         raise NotEnoughSatisfied(
             f"assignment satisfies {len(satisfied)} < t={meta.t} clauses")
-    if chosen is None:
-        chosen = []
-        for idx in satisfied[:meta.t]:
-            lit = next(l for l in f.clauses[idx]
-                       if (l > 0) == assignment[abs(l) - 1])
-            chosen.append((idx, abs(lit)))
-    if len(chosen) != meta.t or \
-            len({idx for idx, _ in chosen}) != meta.t:
-        raise NotEnoughSatisfied("need t distinct satisfied clauses")
     positions = {s.id: (s.x, s.y) for s in config.sensors}
-    for i, (idx, v) in enumerate(sorted(chosen), start=1):
-        lit = next((l for l in f.clauses[idx] if abs(l) == v), None)
-        if lit is None or (lit > 0) != assignment[v - 1]:
-            raise NotEnoughSatisfied(
-                f"chosen literal of clause {idx} is not satisfied")
-        spot = _diag_spot(meta, i)
+    for i, idx in enumerate(satisfied[:meta.t]):
+        v = next(abs(l) for l in f.clauses[idx]
+                 if (l > 0) == assignment[abs(l) - 1])
+        spot = Fraction(6 * meta.n + 2 * i + 1)  # on the uncovered diagonal
         positions[meta.occ_sensor[(v, idx)]] = (spot, spot)
     sol = Solution(positions)
     assert is_blocking(config, sol).blocking
@@ -433,6 +417,8 @@ def integerize(inst: VHInstance, meta: VHMeta, sol: Solution) -> Solution:
     """
     config = inst.config
     by_id = config.sensor_by_id()
+    if inst.max_move != 1:
+        raise PropertyViolation("integerize requires budget 1")
     if set(sol.positions) != set(by_id):
         raise NotGadgetInstance("solution ids do not match the instance")
     if not {sid for triple in meta.triples for sid in triple[:3]} <= set(by_id):
@@ -482,9 +468,11 @@ def integerize(inst: VHInstance, meta: VHMeta, sol: Solution) -> Solution:
             pos[r][1] = Fraction(h + 3)
 
     out = Solution({sid: (x, y) for sid, (x, y) in pos.items()})
-    if verify_vh(inst, dict(sol.positions), require_integer=False):
-        # blocking inputs must normalize to blocking outputs
-        assert verify_vh(inst, dict(out.positions))
+    # blocking inputs normalize to blocking outputs on the gadget of
+    # the meta; a meta of another instance can break that
+    if verify_vh(inst, dict(sol.positions), require_integer=False) and \
+            not verify_vh(inst, dict(out.positions)):
+        raise NotGadgetInstance("meta does not fit the instance")
     return out
 
 

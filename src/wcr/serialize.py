@@ -3,9 +3,9 @@
 Rationals are written as "p/q" (or a bare integer string) and parsed
 exactly, each distinct string once per document; decimal strings like
 "0.5" are accepted on input.  The location of a bad array item is only
-formatted once its parse has failed.  Output is canonical: sensors sorted
-by id, fixed key order, so identical values serialize to identical
-bytes.
+formatted once its parse has failed.  Output is canonical: sensors in
+the id order a Configuration keeps, fixed key order, so identical values
+serialize to identical bytes.
 """
 
 from __future__ import annotations
@@ -196,7 +196,7 @@ def instance_to_obj(inst) -> dict:
         "sensors": [
             {"id": s.id, "x": rat_str(s.x), "y": rat_str(s.y),
              "range": rat_str(s.range)}
-            for s in sorted(inst.sensors, key=lambda s: s.id)],
+            for s in inst.sensors],
     }
 
 

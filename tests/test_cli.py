@@ -552,3 +552,119 @@ def test_document_of_the_wrong_kind_exit_2(tmp_path, capsys, argv):
     assert out == ""
     assert re.fullmatch(r"error: \S+: expected an? [^,]+, got an? [^,]+\n",
                         err)
+
+
+def _vh_embedding(tmp_path):
+    """gen vh and embed vh on FORMULA: paths of the instance, meta and
+    embedded solution."""
+    _, inst, meta, gadget = _vh_gadget(tmp_path)
+    f = Sat3_22(3, tuple(tuple(c) for c in FORMULA["clauses"]))
+    assign = tmp_path / "a.json"
+    assign.write_text(json.dumps(list(sat_brute(f)[0])))
+    sol = tmp_path / "e.json"
+    assert main(["embed", "vh", *gadget, "--assignment", str(assign),
+                 "-o", str(sol)]) == 0
+    return inst, meta, sol
+
+
+def test_integerize_needs_budget_1_exit_2(tmp_path, capsys):
+    inst, meta, sol = _vh_embedding(tmp_path)
+    _tampered(inst, max_move="2")
+    home = json.loads(inst.read_text())["sensors"][0]
+    positions = json.loads(sol.read_text())
+    positions["positions"][0].update(x=str(int(home["x"]) - 1),
+                                     y=str(int(home["y"]) + 1))
+    sol.write_text(json.dumps(positions))
+    capsys.readouterr()
+    assert main(["integerize", "--meta", str(meta), "--instance", str(inst),
+                 "--solution", str(sol)]) == 2
+    assert capsys.readouterr() == ("", "error: integerize requires budget 1\n")
+
+
+def test_integerize_meta_not_of_the_instance_exit_2(tmp_path, capsys):
+    # triple 0 names the r sensor of triple 4, which the solution moves
+    # half way up to its H-line: pass 4 would put it on triple 0's row
+    inst, meta, sol = _vh_embedding(tmp_path)
+    triples = json.loads(meta.read_text())["triples"]
+    r = triples[4][2]
+    triples[0][2] = r
+    _tampered(meta, triples=triples)
+    positions = json.loads(sol.read_text())
+    (entry,) = [e for e in positions["positions"] if e["id"] == r]
+    entry["y"] = str(Fraction(entry["y"]) + Fraction(1, 2))
+    sol.write_text(json.dumps(positions))
+    capsys.readouterr()
+    assert main(["integerize", "--meta", str(meta), "--instance", str(inst),
+                 "--solution", str(sol)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: meta does not fit the instance\n")
+
+
+@pytest.mark.parametrize("argv", [
+    "solve minnum INST -o OUT",
+    "decide vh VH -o OUT",
+    "gen minmax --vh VH -o OUT",
+    "gen minmax --vh VH -o P --meta OUT",
+    "embed minmax --meta META --solution SOL -o OUT",
+], ids=["solve", "decide", "gen", "gen-meta", "embed"])
+def test_unwritable_output_exit_2(tmp_path, capsys, argv):
+    inst = cfg_file(tmp_path, [(1, 1), (2, 2), (2, 3), (3, 3)], a=4, b=4)
+    vh = tmp_path / "vh.json"
+    vh.write_text(json.dumps({**json.loads(inst.read_text()), "max_move": "1",
+                              "v_lines": [1, 2], "h_lines": [1, 3]}))
+    meta, sol = tmp_path / "p.meta", tmp_path / "w.json"
+    assert main(["gen", "minmax", "--vh", str(vh), "-o",
+                 str(tmp_path / "p.json"), "--meta", str(meta)]) == 0
+    assert main(["decide", "vh", str(vh), "-o", str(sol)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "missing" / "out.json"
+    files = {"INST": inst, "VH": vh, "META": meta, "SOL": sol, "OUT": out,
+             "P": tmp_path / "p2.json"}
+    assert main([str(files.get(word, word)) for word in argv.split()]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: cannot write {out}: [Errno 2] No such file or "
+            f"directory: '{out}'\n")
+
+
+@pytest.mark.parametrize("argv, option", [
+    ("embed vh --meta META", "formula"),
+    ("embed vh --meta META --formula F", "assignment"),
+    ("embed vh --meta META --formula F --assignment A", "instance"),
+    ("embed minmax --meta P", "solution"),
+    ("gen vh -o g.json", "formula"),
+    ("gen minmax -o g.json", "vh"),
+], ids=["embed-formula", "embed-assignment", "embed-instance",
+        "embed-solution", "gen-formula", "gen-vh"])
+def test_missing_input_option_named_exit_2(tmp_path, capsys, argv, option):
+    formula, inst, meta, _ = _vh_gadget(tmp_path)
+    padded = tmp_path / "p.meta"
+    assert main(["gen", "minmax", "--vh", str(inst), "-o",
+                 str(tmp_path / "p.json"), "--meta", str(padded)]) == 0
+    assign = tmp_path / "a.json"
+    assign.write_text(json.dumps([True] * FORMULA["variables"]))
+    capsys.readouterr()
+    files = {"META": meta, "P": padded, "F": formula, "A": assign}
+    assert main([str(files.get(word, word)) for word in argv.split()]) == 2
+    assert capsys.readouterr() == ("", f"error: missing --{option}\n")
+
+
+def test_verify_applies_metric_to_line_blocking_instance(tmp_path, capsys):
+    # a diagonal unit step has length 2 under manhattan and sqrt 2 under
+    # euclidean: within the budget 3/2 only under euclidean
+    inst = cfg_file(tmp_path, [(1, 1)], a=2, b=2)
+    vh = tmp_path / "vh.json"
+    vh.write_text(json.dumps({**json.loads(inst.read_text()),
+                              "max_move": "3/2", "v_lines": [2],
+                              "h_lines": [2]}))
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps({"positions": [{"id": 1, "x": "2", "y": "2"}]}))
+    assert main(["verify", str(vh), "--solution", str(sol)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert (out["metric"], out["vh_blocking"], out["sum_cost"]) == \
+        ("manhattan", False, "2")
+    assert main(["verify", str(vh), "--solution", str(sol),
+                 "--metric", "euclidean"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["metric"], out["vh_blocking"], out["max_cost_squared"]) == \
+        ("euclidean", True, "2")
+    assert "max_cost" not in out and len(out["sum_cost"]) == 2  # sqrt 2

@@ -66,6 +66,16 @@ def test_duplicate_ids_rejected():
                       mode="integer", metric="manhattan")
 
 
+def test_sensors_kept_in_id_order():
+    sensors = [Sensor(i, F(x), F(y), H)
+               for i, x, y in [(4, 1, 2), (0, 3, 1), (7, 2, 3), (2, 2, 2)]]
+    given = Configuration(F(3), F(3), tuple(sensors), "integer", "manhattan")
+    shuffled = Configuration(F(3), F(3), tuple(reversed(sensors)),
+                             "integer", "manhattan")
+    assert given == shuffled
+    assert [s.id for s in given.sensors] == [0, 2, 4, 7]
+
+
 def test_continuous_mode_extent():
     s = Sensor(1, F(1, 3), F(5, 2), F(1))
     Configuration(width=F(4), height=F(4), sensors=(s,),

@@ -320,6 +320,126 @@ def _minmax_gadget_cases():
         yield f"minmax-gadget-{i}", files, steps
 
 
+def _reorder(text, rng=None) -> str:
+    """The instance document text with its sensors listed in reverse
+    order, or shuffled by rng."""
+    obj = json.loads(text)
+    if rng is None:
+        obj["sensors"].reverse()
+    else:
+        rng.shuffle(obj["sensors"])
+    return _dumps(obj)
+
+
+def _sensor_order_cases():
+    """Instances whose sensors are listed out of id order, reversed and
+    shuffled: plain ones of both modes, line-blocking ones and the
+    minnum and vh gadgets.  Each must give the output of its id-ordered
+    listing."""
+    for i in range(4):
+        rng = random.Random(f"sensor-order:{i}")
+        a, b = rng.randint(3, 5), rng.randint(3, 5)
+        n = max(a, b) + rng.randint(0, 3)
+        cells = [(rng.randint(1, a), rng.randint(1, b)) for _ in range(n)]
+        w, h = Fraction(rng.randint(4, 12), 2), Fraction(rng.randint(4, 12), 2)
+        homes = [(_frac(rng, w), _frac(rng, h)) for _ in range(n)]
+        v = [c for c in range(1, a) if rng.random() < 0.5]
+        hl = [r for r in range(1, b) if rng.random() < 0.5]
+        texts = {
+            "int": _config("integer", "manhattan", a, b,
+                           [(x, y, "1/2") for x, y in cells]),
+            "cont": _config("continuous", "manhattan", w, h,
+                            [(x, y, "1") for x, y in homes]),
+            "vh": _config("integer", rng.choice(METRICS), a, b,
+                          [(x, y, "1/2") for x, y in cells
+                           if x < a and y < b],
+                          v_lines=v, h_lines=hl,
+                          max_move="1")}
+        moved = {"int": [(rng.randint(1, a), rng.randint(1, b))
+                         for _ in range(n)],
+                 "cont": [(_frac(rng, w), _frac(rng, h)) for _ in range(n)]}
+        for order in ("reversed", "shuffled"):
+            shuffle = rng if order == "shuffled" else None
+            files = {f"{kind}.json": _reorder(text, shuffle)
+                     for kind, text in texts.items()}
+            steps = []
+            for kind, problems in (("int", ("minnum", "minsum", "minmax")),
+                                   ("cont", ("minsum",))):
+                inst = f"{kind}.json"
+                files[f"{kind}-rand.json"] = _solution(moved[kind])
+                steps += [["verify", inst],
+                          ["verify", inst, "--solution", f"{kind}-rand.json"],
+                          ["verify", inst, "--solution", f"{kind}-rand.json",
+                           "--metric", "euclidean"]]
+                for problem in problems:
+                    sol = f"{kind}-{problem}.json"
+                    steps += [["solve", problem, inst, "-o", sol],
+                              ["verify", inst, "--solution", sol]]
+                steps.append(["oracle", "minsum", inst])
+            steps += [["solve", "minmax", "int.json", "--metric", "euclidean"],
+                      ["oracle", "minnum", "int.json"],
+                      ["verify", "vh.json"],
+                      ["decide", "vh", "vh.json", "-o", "vh-w.json"],
+                      ["oracle", "vh", "vh.json"],
+                      ["gen", "minmax", "--vh", "vh.json", "-o", "vh-p.json"],
+                      ["embed", "minmax", "--meta", "vh-p.json.meta",
+                       "--solution", "vh-w.json", "-o", "vh-pe.json"],
+                      ["extract", "minmax", "--meta", "vh-p.json.meta",
+                       "--solution", "vh-pe.json"]]
+            yield f"sensor-order-{order}-{i}", files, steps
+    for i in range(2):
+        rng = random.Random(f"sensor-order-gadget:{i}")
+        f22 = _sat22(rng, 3)
+        f23 = random_max2sat3occ(rng, 2 * (i + 1))
+        best22, _ = sat_brute(f22)
+        best23, _ = sat_brute(f23)
+        inst, meta = reductions.gen_vh(f22)
+        sol = reductions.embed_vh(inst, meta, f22, best22)
+        half = {s.id: ((s.x + x) / 2, (s.y + y) / 2) if rng.random() < 0.3
+                else (x, y)
+                for s in inst.config.sensors
+                for x, y in [sol.positions[s.id]]}
+        mn, mn_meta = reductions.gen_minnum(f23)
+        for order in ("reversed", "shuffled"):
+            shuffle = rng if order == "shuffled" else None
+            files = {"vh.json": _reorder(serialize.write_instance(inst),
+                                         shuffle),
+                     "vh.json.meta": serialize.write_meta(meta),
+                     "f22.json": _formula_json(f22),
+                     "a22.json": json.dumps(list(best22)),
+                     "half.json": _solution(half[k] for k in sorted(half)),
+                     "mn.json": _reorder(serialize.write_instance(mn),
+                                         shuffle),
+                     "mn.json.meta": serialize.write_meta(mn_meta),
+                     "f23.json": _formula_json(f23),
+                     "a23.json": json.dumps(list(best23))}
+            vh = ["--meta", "vh.json.meta", "--instance", "vh.json",
+                  "--formula", "f22.json"]
+            minnum = ["--meta", "mn.json.meta", "--instance", "mn.json",
+                      "--formula", "f23.json"]
+            steps = [["embed", "vh", *vh, "--assignment", "a22.json",
+                      "-o", "e.json"],
+                     ["extract", "vh", *vh, "--solution", "e.json"],
+                     ["decide", "vh", "vh.json", "-o", "w.json"],
+                     ["extract", "vh", *vh, "--solution", "w.json"],
+                     ["integerize", "--meta", "vh.json.meta", "--instance",
+                      "vh.json", "--solution", "half.json", "-o", "ih.json"],
+                     ["verify", "vh.json", "--solution", "ih.json"],
+                     ["integerize", "--meta", "vh.json.meta", "--instance",
+                      "vh.json", "--solution", "e.json"],
+                     ["gen", "minmax", "--vh", "vh.json", "-o", "p.json"],
+                     ["embed", "minmax", "--meta", "p.json.meta",
+                      "--solution", "e.json", "-o", "pe.json"],
+                     ["extract", "minmax", "--meta", "p.json.meta",
+                      "--solution", "pe.json"],
+                     ["embed", "minnum", *minnum, "--assignment", "a23.json",
+                      "-o", "me.json"],
+                     ["verify", "mn.json", "--solution", "me.json"],
+                     ["extract", "minnum", *minnum, "--solution", "me.json"],
+                     ["solve", "minsum", "mn.json"]]
+            yield f"sensor-order-gadget-{order}-{i}", files, steps
+
+
 def _diff_cases():
     for problem in ("minnum", "minsum", "vh", "minmax"):
         for seed in (0, 7):
@@ -470,7 +590,7 @@ def corpus():
                   _continuous_cases,
                   _vh_cases, _vh_gadget_cases, _minnum_gadget_cases,
                   _minmax_gadget_cases, _diff_cases, _error_cases,
-                  _boundary_cases):
+                  _boundary_cases, _sensor_order_cases):
         yield from group()
 
 

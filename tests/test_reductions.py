@@ -33,6 +33,12 @@ def test_dialect_guards():
         Max2Sat3Occ(2, ((1, 2), (1, -2), (-1, 2)), 9)   # t out of range
     with pytest.raises(DialectError):
         Max2Sat3Occ(3, ((1, 2), (1, -2), (-1, 2)), 1)   # odd n
+    # three mixed occurrences per variable, but gen_minnum keys the
+    # occurrence sensors by (variable, clause): a clause holding one
+    # variable twice would lose a sensor's key
+    for clauses in (((1, -1), (1, 2), (-2, 2)), ((1, 1), (-1, 2), (2, -2))):
+        with pytest.raises(DialectError, match="clause 0 has variable 1"):
+            Max2Sat3Occ(2, clauses, 2)
     with pytest.raises(DialectError):
         Sat3_22(3, ((1, 2, 3),) * 4)                    # 4 positive x1
     with pytest.raises(DialectError):
