@@ -123,7 +123,7 @@ def cmd_verify(args) -> int:
     out["x_gaps"] = _gaps_json(report.x_gaps, config.mode)
     out["y_gaps"] = _gaps_json(report.y_gaps, config.mode)
     if vh is not None:
-        positions = dict(sol.positions) if sol else \
+        positions = sol.positions if sol else \
             {s.id: (s.x, s.y) for s in config.sensors}
         out["vh_blocking"] = minmax.verify_vh(vh, positions)
     if sol is not None:
@@ -251,8 +251,7 @@ def cmd_oracle(args) -> int:
         out = {}
         for axis, inst in zip("xy", minsum.axis_instances(
                 _load(args, "instance", Configuration))):
-            a_cost, b_cost = minsum.oracle_minsum_1d(
-                inst, minsum.oracle_step(inst))
+            a_cost, b_cost = minsum.oracle_minsum_1d(inst)
             out[axis] = {"candidate_dp": rat_str(a_cost),
                          "grid": rat_str(b_cost)}
         _emit(out)

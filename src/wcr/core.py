@@ -247,14 +247,8 @@ def _sqrt_bounds(value: Fraction, eps: Fraction) -> tuple[Fraction, Fraction]:
     scale = 2 * eps.denominator * max(1, eps.numerator)
     scaled = value * scale * scale
     root = math.isqrt(scaled.numerator // scaled.denominator)
-    lo = Fraction(root, scale)
-    hi = Fraction(root + 2, scale)
-    # tighten hi until it is a true upper bound witness
-    while hi * hi < value:
-        hi += Fraction(1, scale)
-    while lo * lo > value:
-        lo -= Fraction(1, scale)
-    return lo, hi
+    # root <= sqrt(scaled) < root + 1: both bounds hold as they stand
+    return Fraction(root, scale), Fraction(root + 2, scale)
 
 
 def exact_sqrt(value: Fraction) -> Fraction | None:

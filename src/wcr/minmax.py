@@ -13,13 +13,13 @@ result is the integer-restricted optimum and labeled as such.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from .core import Configuration, Solution, _sqrt_bounds, distance, \
-    exact_sqrt, interval_gaps, within
+    exact_sqrt, within
 from .errors import Infeasible, ModeError, SearchLimit, SizeLimit, \
     ValidationError
 
@@ -69,27 +69,20 @@ def move_domain(config: Configuration, home: tuple[int, int],
 def lines_blocked(positions, v_lines, h_lines):
     """Required lines blocked by the given (possibly fractional)
     positions: line i is blocked when the unit intervals around the
-    coordinates cover [i - 1/2, i + 1/2], i.e. when no gap of their
-    union over the span of the required lines meets that interval.
+    coordinates cover [i - 1/2, i + 1/2], i.e. when the nearest
+    coordinate at or below i and the nearest at or above it are at most
+    1 apart (the same coordinate when one sits on i).
 
-    Coordinates are counted in units of 1/(2D), D the lcm of their
-    denominators, so the union and the line tests compare ints.  The
-    gaps are sorted and disjoint, so the only one that can meet line
-    i's interval is the first gap ending after it starts: one bisect
-    per line."""
+    Coordinates are scaled to ints by D, the lcm of their denominators,
+    and sorted: one bisect per line."""
     def blocked(coords, lines):
-        if not lines:
-            return set()
         d = lcm(*(c.denominator for c in coords))
-        # c becomes 2Dc, and the unit interval around it [2Dc - D, 2Dc + D]
-        scaled = [2 * c.numerator * (d // c.denominator) for c in coords]
-        gaps = interval_gaps(((x - d, x + d) for x in scaled),
-                             2 * d * min(lines) - d, 2 * d * max(lines) + d)
-        ends = [hi for _, hi in gaps]
+        scaled = sorted(c.numerator * (d // c.denominator) for c in coords)
         out = set()
         for i in lines:
-            k = bisect_right(ends, 2 * d * i - d)
-            if k == len(gaps) or gaps[k][0] >= 2 * d * i + d:
+            k = bisect_left(scaled, d * i)  # scaled[k]: nearest at or above
+            if k < len(scaled) and (scaled[k] == d * i or
+                                    k and scaled[k] - scaled[k - 1] <= d):
                 out.add(i)
         return out
 
@@ -113,9 +106,8 @@ def verify_vh(inst: VHInstance, positions: dict, *,
             return False
         if not within(config.metric, (s.x, s.y), (x, y), inst.max_move):
             return False
-    v, h = lines_blocked(list(positions.values()),
-                         inst.v_lines, inst.h_lines)
-    return v == set(inst.v_lines) and h == set(inst.h_lines)
+    return lines_blocked(positions.values(), inst.v_lines, inst.h_lines) == \
+        (inst.v_lines, inst.h_lines)
 
 
 def decide_vh(inst: VHInstance, budget: int | None = None
@@ -190,7 +182,7 @@ def decide_vh(inst: VHInstance, budget: int | None = None
                            Fraction(committed[s.id][1]))
                     if s.id in committed else (s.x, s.y)
                     for s in config.sensors})
-    assert verify_vh(inst, dict(sol.positions))
+    assert verify_vh(inst, sol.positions)
     return True, sol
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, lcm
+from math import lcm
 
 from .core import Configuration, Solution
 from .errors import (HeterogeneousRanges, Infeasible, ModeError, SizeLimit,
@@ -212,16 +212,15 @@ def oracle_step(inst: Line1DInstance) -> Fraction:
     return Fraction(1, lcm(8, *(v.denominator for v in vals)))
 
 
-def oracle_minsum_1d(inst: Line1DInstance, delta: Fraction
-                     ) -> tuple[Fraction, Fraction]:
+def oracle_minsum_1d(inst: Line1DInstance) -> tuple[Fraction, Fraction]:
     """Two independent optimum estimates (A, B).
 
     A: branch-and-bound over order-preserving assignments into the
     candidate set, coverage verified at the leaves by interval union.
-    B: DP over the uniform grid of step delta (order-preserving full
-    assignments).  Contract: A <= B <= A + n*delta whenever r, L and
-    the input points are multiples of delta.  Raises SizeLimit when B
-    would visit more than ORACLE_GRID_CELLS grid cells.
+    B: DP over the uniform grid of step delta = oracle_step(inst)
+    (order-preserving full assignments).  Contract: A <= B <= A + n*delta
+    whenever r, L and the input points are multiples of delta.  Raises
+    SizeLimit when B would visit more than ORACLE_GRID_CELLS grid cells.
     """
     n = len(inst.points)
     if n > 6:
@@ -235,43 +234,38 @@ def oracle_minsum_1d(inst: Line1DInstance, delta: Fraction
     # State after sensor i = its grid target q; with monotone targets the
     # union's covered prefix is [0, q*delta + r] unless a gap appeared,
     # and gaps are permanent, so a single coordinate suffices.
-    if (L / delta).denominator != 1:
-        raise ValueError("delta must divide the segment length")
-    gq = int(L / delta)
+    delta = oracle_step(inst)
+    gq = int(L / delta)  # delta divides L
     cells = n * (gq + 1) * (int(2 * r / delta) + 1)
     if cells > ORACLE_GRID_CELLS:
         raise SizeLimit(f"grid oracle limited to {ORACLE_GRID_CELLS} cells, "
                         f"step {delta} needs {cells}")
     done_at = L - r  # a target here or beyond completes the cover
     prev: dict = {None: Fraction(0)}  # None = nothing placed yet
-    done_cost = inf
+    covers = []  # costs of the complete covers
     for i in range(n):
         cur: dict = {}
         for state, cost in prev.items():
             if state is not None and state * delta >= done_at:
                 # cover complete: sensors i..n-1 go to max(p_j, target)
-                tail = cost + sum(
+                covers.append(cost + sum(
                     (max(Fraction(0), state * delta - pts[j])
-                     for j in range(i, n)), Fraction(0))
-                if tail < done_cost:
-                    done_cost = tail
+                     for j in range(i, n)), Fraction(0)))
                 continue
             lo = 0 if state is None else state
             hi_abs = r if state is None else state * delta + 2 * r
             q = lo
             while q <= gq and q * delta <= hi_abs:
                 c2 = cost + abs(pts[i] - q * delta)
-                if c2 < cur.get(q, inf):
+                if q not in cur or c2 < cur[q]:
                     cur[q] = c2
                 q += 1
         prev = cur
-    b_cost = done_cost
-    for state, cost in prev.items():
-        if state is not None and state * delta >= done_at and \
-                cost < b_cost:
-            b_cost = cost
-    if b_cost == inf:
+    covers += [cost for state, cost in prev.items()
+               if state * delta >= done_at]
+    if not covers:
         raise Infeasible("grid oracle found no covering assignment")
+    b_cost = min(covers)
 
     # --- A: branch and bound over monotone assignments into C.  With
     # monotone targets, reach = covered prefix endpoint; a new interval

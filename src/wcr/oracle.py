@@ -94,10 +94,10 @@ def _diff_minnum(rng, seed, **bounds):
 def _diff_minsum(rng, seed, **bounds):
     inst = random_minsum_1d_instance(rng, **bounds)
     _, cost = solve_minsum_1d(inst)
-    delta = oracle_step(inst)
-    a_cost, b_cost = oracle_minsum_1d(inst, delta)
+    a_cost, b_cost = oracle_minsum_1d(inst)
     n = len(inst.points)
-    agree = cost == a_cost and a_cost <= b_cost <= a_cost + n * delta
+    agree = cost == a_cost and \
+        a_cost <= b_cost <= a_cost + n * oracle_step(inst)
     payload = {"points": [str(p) for p in inst.points],
                "radius": str(inst.radius), "length": str(inst.length)}
     return DiffReport(config_digest(payload), str(cost),

@@ -370,7 +370,7 @@ def embed_vh(inst: VHInstance, meta: VHMeta, f: Sat3_22,
             else:
                 move(sid, 0, -1)  # up onto its shared H-line
     sol = Solution(positions)
-    assert verify_vh(inst, dict(sol.positions))
+    assert verify_vh(inst, sol.positions)
     return sol
 
 
@@ -378,7 +378,7 @@ def extract_vh(inst: VHInstance, meta: VHMeta, f: Sat3_22, sol: Solution):
     """Assignment read off an integer unit-move solution: a literal is
     made true iff its clause sensor moved one column left."""
     _check_gadget(inst, meta, *gen_vh(f))
-    if not verify_vh(inst, dict(sol.positions)):
+    if not verify_vh(inst, sol.positions):
         raise NotASolution("not an integer unit-move blocking solution")
     by_id = inst.config.sensor_by_id()
     assignment = [None] * meta.n
@@ -470,8 +470,8 @@ def integerize(inst: VHInstance, meta: VHMeta, sol: Solution) -> Solution:
     out = Solution({sid: (x, y) for sid, (x, y) in pos.items()})
     # blocking inputs normalize to blocking outputs on the gadget of
     # the meta; a meta of another instance can break that
-    if verify_vh(inst, dict(sol.positions), require_integer=False) and \
-            not verify_vh(inst, dict(out.positions)):
+    if verify_vh(inst, sol.positions, require_integer=False) and \
+            not verify_vh(inst, out.positions):
         raise NotGadgetInstance("meta does not fit the instance")
     return out
 
@@ -545,7 +545,7 @@ def embed_minmax(mapping: MinMaxMapping, sol: Solution) -> Solution:
     vh = mapping.vh
     if mapping != gen_minmax(vh)[1]:
         raise NotGadgetInstance("meta was not generated by gen minmax")
-    if not verify_vh(vh, dict(sol.positions)):
+    if not verify_vh(vh, sol.positions):
         raise NotASolution("input is not a unit-move line-blocking solution")
     by_id = mapping.padded.sensor_by_id()
     positions = {}
@@ -576,6 +576,6 @@ def extract_minmax(mapping: MinMaxMapping, sol: Solution) -> Solution:
     inner = Solution({sid: (x - mapping.dx, y - mapping.dy)
                       for sid, (x, y) in sol.positions.items()
                       if sid in orig_ids})
-    if not verify_vh(mapping.vh, dict(inner.positions)):
+    if not verify_vh(mapping.vh, inner.positions):
         raise NotASolution("stripped solution fails line verification")
     return inner

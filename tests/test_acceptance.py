@@ -115,7 +115,7 @@ def test_criterion_4_minsum():
     for _ in range(300):
         inst = random_minsum_1d_instance(rng)
         _, exact = solve_minsum_1d(inst)
-        a_cost, b_cost = oracle_minsum_1d(inst, delta)
+        a_cost, b_cost = oracle_minsum_1d(inst)
         if not (exact == a_cost and
                 exact <= b_cost <= exact + len(inst.points) * delta):
             bad_1d += 1

@@ -71,15 +71,9 @@ def test_oracle_contract():
     for _ in range(60):
         inst = random_minsum_1d_instance(rng)
         _, exact = solve_minsum_1d(inst)
-        a_cost, b_cost = oracle_minsum_1d(inst, delta)
+        a_cost, b_cost = oracle_minsum_1d(inst)
         assert a_cost == exact
         assert exact <= b_cost <= exact + len(inst.points) * delta
-
-
-def test_oracle_alignment_guard():
-    inst = Line1DInstance(points=(F(1),), radius=F(1), length=F(3, 2))
-    with pytest.raises(ValueError):
-        oracle_minsum_1d(inst, F(1, 7))
 
 
 def test_2d_separable():
