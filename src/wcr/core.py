@@ -27,32 +27,52 @@ Conventions
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import KeyMismatch, ValidationError
+from .errors import KeyMismatch, SizeLimit, ValidationError
 
 HALF = Fraction(1, 2)
+MAX_DIGITS = 4300  # the digits Python converts between int and str
+_PRINTABLE = 10 ** MAX_DIGITS  # ints below it have at most MAX_DIGITS
 
 
 def rat(value) -> Fraction:
     """Coerce ints, Fractions and exact decimal/"p/q" strings to Fraction.
-    Booleans are rejected although bool is a subclass of int."""
+    Booleans are rejected although bool is a subclass of int, and so is a
+    string whose numerator or denominator would have more than MAX_DIGITS
+    digits: a decimal exponent is checked before 10**exponent is built."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)  # accepts "3", "3/4" and "0.75" exactly
+        _, e, exponent = value.lower().rpartition("e")
+        if e and abs(int(exponent)) > MAX_DIGITS:
+            raise ValidationError(f"exponent past {MAX_DIGITS} digits")
+        q = Fraction(value)  # accepts "3", "3/4" and "0.75" exactly
+        if max(abs(q.numerator), q.denominator) >= _PRINTABLE:
+            raise ValidationError(f"rational past {MAX_DIGITS} digits")
+        return q
     raise ValidationError(f"cannot interpret {value!r} as an exact rational")
 
 
 def rat_str(value: Fraction) -> str:
-    """Canonical string form: "p" for integers, "p/q" otherwise."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Canonical string form: "p" for integers, "p/q" otherwise.  Python's
+    int/str digit limit guards input only: a result past it (a sum of
+    costs over many denominators) is printed in full."""
+    n, d = value.numerator, value.denominator
+    try:
+        return str(n) if d == 1 else f"{n}/{d}"
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return rat_str(value)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 @dataclass(frozen=True, order=True)
@@ -211,23 +231,28 @@ def interval_gaps(intervals: Iterable[tuple[Fraction, Fraction]],
     return gaps
 
 
+INTEGER_SIDE_LIMIT = 10**6  # columns or rows is_blocking lists one by one
+
+
 def is_blocking(config: Configuration,
                 solution: Solution | None = None) -> CoverageReport:
     """Coverage report of the configuration (optionally with sensors moved
-    to the solution's final positions).  Total function: never raises for
-    a valid configuration."""
+    to the solution's final positions).  Raises SizeLimit for an
+    integer-mode side past INTEGER_SIDE_LIMIT, whose gap list could
+    exhaust memory; otherwise never raises for a valid configuration."""
     if solution is None:
         pos = [(s.x, s.y, s.range) for s in config.sensors]
     else:
         solution.validate(config)
         pos = [(*solution.positions[s.id], s.range) for s in config.sensors]
     if config.mode == "integer":
+        a, b = config.width.numerator, config.height.numerator
+        if max(a, b) > INTEGER_SIDE_LIMIT:
+            raise SizeLimit(f"integer-mode side past {INTEGER_SIDE_LIMIT}")
         cols = {x.numerator for x, _, _ in pos}
         rows = {y.numerator for _, y, _ in pos}
-        x_gaps = tuple(i for i in range(1, config.width.numerator + 1)
-                       if i not in cols)
-        y_gaps = tuple(j for j in range(1, config.height.numerator + 1)
-                       if j not in rows)
+        x_gaps = tuple(i for i in range(1, a + 1) if i not in cols)
+        y_gaps = tuple(j for j in range(1, b + 1) if j not in rows)
     else:
         lo_x, hi_x = config.x_extent
         lo_y, hi_y = config.y_extent

@@ -247,29 +247,31 @@ def solve_minmax(config: Configuration, budget: int | None = None
 
 def oracle_minmax(inst: VHInstance) -> bool:
     """Memoized exhaustive check over sensors x unsatisfied-line sets.
-    Reference for decide_vh: the move domains come from a scan of every
-    grid point with a budget test of its own, not from move_domain."""
+    Reference for decide_vh: the move domains come from a scan of each
+    sensor's budget box with a budget test of its own, not from
+    move_domain, and stop as soon as their product passes 10^7."""
     config = inst.config
     a, b = int(config.width), int(config.height)
     budget = inst.max_move
+    reach = int(budget)  # the budget box: |dx|, |dy| <= budget
     domains = []
+    product = 1  # of the domain sizes so far
     for s in config.sensors:
+        sx, sy = int(s.x), int(s.y)
         domain = []
-        for x in range(1, a + 1):
-            for y in range(1, b + 1):
-                dx, dy = x - int(s.x), y - int(s.y)
+        for x in range(max(1, sx - reach), min(a, sx + reach) + 1):
+            for y in range(max(1, sy - reach), min(b, sy + reach) + 1):
+                dx, dy = x - sx, y - sy
                 if config.metric == "manhattan":
                     ok = abs(dx) + abs(dy) <= budget
                 else:
                     ok = dx * dx + dy * dy <= budget * budget
                 if ok:
                     domain.append((x, y))
+                    if product * len(domain) > 10**7:
+                        raise SizeLimit("move-domain product exceeds 10^7")
+        product *= max(1, len(domain))
         domains.append(domain)
-    product = 1
-    for d in domains:
-        product *= max(1, len(d))
-        if product > 10**7:
-            raise SizeLimit("move-domain product exceeds 10^7")
     lines = [("v", v) for v in sorted(inst.v_lines)] + \
             [("h", h) for h in sorted(inst.h_lines)]
     line_index = {l: i for i, l in enumerate(lines)}

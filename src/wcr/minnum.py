@@ -215,8 +215,7 @@ def brute_minnum(config: Configuration) -> int:
     def residual_gaps(removed: frozenset[int]) -> tuple[int, int]:
         rows = {int(s.y) for s in sensors if s.id not in removed}
         cols = {int(s.x) for s in sensors if s.id not in removed}
-        return b - len(rows & set(range(1, b + 1))), \
-            a - len(cols & set(range(1, a + 1)))
+        return b - len(rows), a - len(cols)  # sensors lie on the grid
 
     ids = [s.id for s in sensors]
     for size in range(config.n + 1):

@@ -104,7 +104,7 @@ def _loads(data) -> Any:
         data = data.decode("utf-8")
     try:
         return json.loads(data)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # also too many digits or levels
         raise ParseError(f"invalid JSON: {e}") from None
 
 

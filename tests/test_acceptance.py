@@ -442,6 +442,29 @@ def test_criterion_10_invariance_and_determinism():
         for tr in (transpose, reflect_x, reflect_y):
             if solve_minmax(tr(cfg)).value_squared != val:
                 bad += 1
+    # continuous configurations: the gaps move with the transform, and
+    # the MinSum optimum (same range everywhere) stays
+    rng5 = random.Random(909)
+    for _ in range(40):
+        a, b = (F(rng5.randint(2, 12), rng5.randint(1, 3)) for _ in "ab")
+        r = F(rng5.randint(1, 4), 2)
+        cfg = Configuration(a, b, tuple(
+            Sensor(i, a * F(rng5.randint(0, 12), 12),
+                   b * F(rng5.randint(0, 12), 12), r)
+            for i in range(rng5.randint(1, 8))), mode="continuous")
+        rep = is_blocking(cfg)
+        flip_x = tuple((a - hi, a - lo) for lo, hi in reversed(rep.x_gaps))
+        flip_y = tuple((b - hi, b - lo) for lo, hi in reversed(rep.y_gaps))
+        expected = {transpose: (rep.y_gaps, rep.x_gaps),
+                    reflect_x: (flip_x, rep.y_gaps),
+                    reflect_y: (rep.x_gaps, flip_y)}
+        cost = solve_minsum_manhattan(cfg)[1] if coverage_feasible(cfg) \
+            else None
+        for tr, gaps in expected.items():
+            other = is_blocking(tr(cfg))
+            if (other.x_gaps, other.y_gaps) != gaps or cost is not None and \
+                    solve_minsum_manhattan(tr(cfg))[1] != cost:
+                bad += 1
     # translation: covering targets shift with the segment
     rng3 = random.Random(707)
     for _ in range(50):
@@ -463,5 +486,6 @@ def test_criterion_10_invariance_and_determinism():
         bad += 1
     report(10, bad == 0,
            f"transpose/reflect preserve blocking and the minnum/minsum/"
-           f"minmax optima; translated 1D solutions still cover; "
+           f"minmax optima, and move the gaps of continuous configurations; "
+           f"translated 1D solutions still cover; "
            f"repeated runs byte-identical ({bad} violations)")

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import re
@@ -12,7 +13,7 @@ import wcr
 from brutes import random_max2sat3occ
 from wcr import serialize
 from wcr.cli import build_parser, main
-from wcr.core import Configuration, Sensor
+from wcr.core import INTEGER_SIDE_LIMIT, Configuration, Sensor, is_blocking
 from wcr.reductions import Sat3_22, sat_brute
 
 from fractions import Fraction
@@ -363,7 +364,7 @@ def test_assignment_of_wrong_length_exit_2(tmp_path, capsys):
 
 
 def _tampered(path, **changes):
-    """Rewrite a meta file with some fields replaced."""
+    """Rewrite a JSON document with some fields replaced."""
     meta = json.loads(path.read_text())
     meta.update(changes)
     path.write_text(json.dumps(meta))
@@ -668,3 +669,123 @@ def test_verify_applies_metric_to_line_blocking_instance(tmp_path, capsys):
     assert (out["metric"], out["vh_blocking"], out["max_cost_squared"]) == \
         ("euclidean", True, "2")
     assert "max_cost" not in out and len(out["sum_cost"]) == 2  # sqrt 2
+
+
+def _one_sensor_doc(x="1"):
+    return json.dumps({"mode": "continuous", "metric": "manhattan",
+                       "rect": {"width": "4", "height": "4"},
+                       "sensors": [{"id": 0, "x": x, "y": "1", "range": "1"}]})
+
+
+@pytest.mark.parametrize("text", [
+    _one_sensor_doc().replace('"id": 0', '"id": ' + "7" * 5000),
+    "[" * 100000 + "]" * 100000,
+], ids=["5000-digit-id", "deep-nesting"])
+def test_json_past_python_limits_exit_2(tmp_path, capsys, text):
+    path = tmp_path / "inst.json"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: invalid JSON: ")
+
+
+@pytest.mark.parametrize("x", ["1e-1000000", "1e10000000", "1E+4301",
+                               "1" * 4300 + "." + "1" * 4300],
+                         ids=["1e-1000000", "1e10000000", "1E+4301",
+                              "8600-digit-decimal"])
+def test_rational_past_the_digit_limit_exit_2(tmp_path, capsys, x):
+    # rejected before Fraction builds 10**exponent: "1e10000000" alone
+    # took seconds to parse, and "1e-1000000" could not be printed back
+    path = tmp_path / "inst.json"
+    path.write_text(_one_sensor_doc(x))
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: bad rational at $.sensors[0].x: {x!r}\n")
+
+
+def test_cost_past_the_digit_limit_printed_in_full(tmp_path, capsys):
+    # q_i = N i + 1 are pairwise coprime (a common prime divides i - j,
+    # hence N), so the summed cost of the moves to (q_i + 1) / q_i has
+    # their product, about 11000 digits, as its denominator
+    N = math.factorial(60) * 10**100
+    qs = [N * i + 1 for i in range(1, 61)]
+    sensors = [Sensor(i, F(1), F(1), F(1)) for i in range(61)]
+    path = tmp_path / "inst.json"
+    path.write_text(serialize.write_instance(Configuration(
+        F(2), F(2), tuple(sensors), mode="continuous")))
+    sol = tmp_path / "sol.json"
+    sol.write_text(serialize.write_solution(wcr.Solution(
+        {i: (F(q + 1, q) if i < 60 else F(1), F(1))
+         for i, q in enumerate(qs + [1])})))
+    limit = sys.get_int_max_str_digits()
+    assert main(["verify", str(path), "--solution", str(sol)]) == 0
+    assert sys.get_int_max_str_digits() == limit  # the input guard stays
+    out = json.loads(capsys.readouterr().out)
+    p, q = out["sum_cost"].split("/")
+    assert out["moved"] == 60 and len(q) > limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert F(int(p), int(q)) == sum(F(1, q) for q in qs)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_integer_side_past_the_limit_exit_3(tmp_path, capsys):
+    path = cfg_file(tmp_path, [(1, 1)], a=INTEGER_SIDE_LIMIT + 1, b=1)
+    assert main(["verify", str(path)]) == 3
+    assert capsys.readouterr() == ("", f"resource limit: integer-mode side "
+                                       f"past {INTEGER_SIDE_LIMIT}\n")
+
+
+def test_extract_minnum_past_t_moves_exit_2(tmp_path, capsys):
+    # embed's blocking solution plus one more sensor moved onto a filled
+    # diagonal spot: the first such move that keeps the solution blocking.
+    # With t one below the optimum a satisfied clause keeps both sensors.
+    inst, assign, gadget = _minnum_gadget(tmp_path)
+    formula = tmp_path / "f.json"
+    t = json.loads(formula.read_text())["t"] - 1
+    _tampered(formula, t=t)
+    assert main(["gen", "minnum", "--formula", str(formula),
+                 "-o", str(inst)]) == 0
+    embedded = tmp_path / "e.json"
+    assert main(["embed", "minnum", *gadget, "--assignment", str(assign),
+                 "-o", str(embedded)]) == 0
+    config = serialize.read_instance(inst.read_text())
+    positions = serialize.read_solution(embedded.read_text()).positions
+    home = {s.id: (s.x, s.y) for s in config.sensors}
+    moved = [sid for sid in positions if positions[sid] != home[sid]]
+    sol = next(trial for sid in home if sid not in moved for spot in moved
+               if is_blocking(config, trial := wcr.Solution(
+                   {**positions, sid: positions[spot]})).blocking)
+    path = tmp_path / "sol.json"
+    path.write_text(serialize.write_solution(sol))
+    capsys.readouterr()
+    assert main(["extract", "minnum", *gadget, "--solution", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {t + 1} > t sensors moved\n")
+
+
+@pytest.mark.parametrize("mode, h_lines, message", [
+    ("continuous", [1], "line-blocking instances are integer mode"),
+    ("integer", [4], "horizontal line index out of range"),
+], ids=["continuous", "h-line-out-of-range"])
+def test_line_blocking_instance_checks_exit_2(tmp_path, capsys, mode,
+                                              h_lines, message):
+    obj = json.loads(cfg_file(tmp_path, [(1, 1), (2, 2)]).read_text())
+    obj.update(mode=mode, v_lines=[1], h_lines=h_lines, max_move="1")
+    path = tmp_path / "vh.json"
+    path.write_text(json.dumps(obj))
+    for command in (["decide", "vh"], ["verify"]):
+        assert main([*command, str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("cell", [(4, 1), (1, 4)], ids=["column", "row"])
+def test_gen_minmax_sensor_on_last_line_exit_2(tmp_path, capsys, cell):
+    obj = json.loads(cfg_file(tmp_path, [(1, 1), cell], a=4, b=4).read_text())
+    obj.update(v_lines=[1, 2], h_lines=[1, 2], max_move="1")
+    vh = tmp_path / "vh.json"
+    vh.write_text(json.dumps(obj))
+    assert main(["gen", "minmax", "--vh", str(vh), "-o",
+                 str(tmp_path / "p.json")]) == 2
+    assert capsys.readouterr() == (
+        "", "error: last column/row must be free of sensors\n")

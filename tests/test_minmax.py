@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -266,3 +267,20 @@ def test_vh_instance_validation():
         VHInstance(cfg, frozenset({3}), frozenset(), F(1))
     with pytest.raises(ValidationError):
         VHInstance(cfg, frozenset(), frozenset(), F(-1))
+
+
+def test_oracle_scans_only_the_budget_box():
+    # a scan of every grid point took seconds at side 2000
+    cfg = grid(2000, 2000, [(1, 1), (2, 3)])
+    start = time.perf_counter()
+    assert oracle_minmax(vh(cfg, {1, 2}, {2, 3}, 1))
+    assert not oracle_minmax(vh(cfg, {1, 4}, {2, 3}, 1))
+    assert time.perf_counter() - start < 1
+
+
+def test_oracle_domain_product_limit():
+    # every sensor reaches the whole 300 x 300 grid: the second domain
+    # passes the limit after 112 of its points
+    cfg = grid(300, 300, [(1, 1), (2, 1), (3, 1)])
+    with pytest.raises(SizeLimit, match=r"move-domain product exceeds 10\^7"):
+        oracle_minmax(vh(cfg, {1}, set(), 600))
