@@ -37,13 +37,13 @@ from .errors import KeyMismatch, SizeLimit, ValidationError
 HALF = Fraction(1, 2)
 MAX_DIGITS = 4300  # the digits Python converts between int and str
 _PRINTABLE = 10 ** MAX_DIGITS  # ints below it have at most MAX_DIGITS
+INTEGER_SIDE_LIMIT = 10**6  # columns or rows is_blocking lists one by one
 
 
 def rat(value) -> Fraction:
     """Coerce ints, Fractions and exact decimal/"p/q" strings to Fraction.
-    Booleans are rejected although bool is a subclass of int, and so is a
-    string whose numerator or denominator would have more than MAX_DIGITS
-    digits: a decimal exponent is checked before 10**exponent is built."""
+    Rejects booleans, and strings whose numerator or denominator would
+    pass MAX_DIGITS digits (checking an exponent before 10**exponent)."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
@@ -63,14 +63,13 @@ def rat_str(value: Fraction) -> str:
     """Canonical string form: "p" for integers, "p/q" otherwise.  Python's
     int/str digit limit guards input only: a result past it (a sum of
     costs over many denominators) is printed in full."""
-    n, d = value.numerator, value.denominator
     try:
-        return str(n) if d == 1 else f"{n}/{d}"
+        return str(value)
     except ValueError:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
-            return rat_str(value)
+            return str(value)
         finally:
             sys.set_int_max_str_digits(limit)
 
@@ -231,15 +230,12 @@ def interval_gaps(intervals: Iterable[tuple[Fraction, Fraction]],
     return gaps
 
 
-INTEGER_SIDE_LIMIT = 10**6  # columns or rows is_blocking lists one by one
-
-
 def is_blocking(config: Configuration,
                 solution: Solution | None = None) -> CoverageReport:
     """Coverage report of the configuration (optionally with sensors moved
-    to the solution's final positions).  Raises SizeLimit for an
-    integer-mode side past INTEGER_SIDE_LIMIT, whose gap list could
-    exhaust memory; otherwise never raises for a valid configuration."""
+    to the solution's final positions).  Never raises for a valid
+    configuration but one with an integer-mode side past
+    INTEGER_SIDE_LIMIT, whose gap list could fill memory: SizeLimit."""
     if solution is None:
         pos = [(s.x, s.y, s.range) for s in config.sensors]
     else:

@@ -254,6 +254,7 @@ def oracle_minmax(inst: VHInstance) -> bool:
     a, b = int(config.width), int(config.height)
     budget = inst.max_move
     reach = int(budget)  # the budget box: |dx|, |dy| <= budget
+    manhattan = config.metric == "manhattan"
     domains = []
     product = 1  # of the domain sizes so far
     for s in config.sensors:
@@ -262,11 +263,8 @@ def oracle_minmax(inst: VHInstance) -> bool:
         for x in range(max(1, sx - reach), min(a, sx + reach) + 1):
             for y in range(max(1, sy - reach), min(b, sy + reach) + 1):
                 dx, dy = x - sx, y - sy
-                if config.metric == "manhattan":
-                    ok = abs(dx) + abs(dy) <= budget
-                else:
-                    ok = dx * dx + dy * dy <= budget * budget
-                if ok:
+                if (abs(dx) + abs(dy) <= budget if manhattan else
+                        dx * dx + dy * dy <= budget * budget):
                     domain.append((x, y))
                     if product * len(domain) > 10**7:
                         raise SizeLimit("move-domain product exceeds 10^7")
