@@ -198,7 +198,7 @@ def cmd_gen(args) -> int:
 def _read_assignment(args, n: int):
     obj = serialize._loads(_read(args, "assignment"))
     if not isinstance(obj, list) or not all(
-            isinstance(v, (bool, int)) for v in obj):
+            isinstance(v, int) and v in (0, 1) for v in obj):
         raise ParseError("assignment must be a JSON array of booleans")
     if len(obj) != n:
         raise ParseError(f"assignment has {len(obj)} values for {n} variables")

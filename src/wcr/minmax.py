@@ -16,7 +16,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 from .core import Configuration, Solution, _sqrt_bounds, distance, \
     exact_sqrt, within
@@ -24,6 +24,7 @@ from .errors import Infeasible, ModeError, SearchLimit, SizeLimit, \
     ValidationError
 
 DEFAULT_NODE_BUDGET = 10**8
+SCAN_LIMIT = 10**6  # grid cells a decide_vh or _ladder call may scan
 
 
 @dataclass(frozen=True)
@@ -50,17 +51,25 @@ def full_lines(config: Configuration) -> tuple[frozenset[int], frozenset[int]]:
             frozenset(range(1, int(config.height) + 1)))
 
 
+def _box(config: Configuration, home: tuple[int, int],
+         budget: Fraction) -> tuple[range, range]:
+    """The grid columns and rows within budget of home along each axis:
+    |dx|, |dy| <= floor(budget) under both metrics."""
+    reach = int(budget)
+    return (range(max(1, home[0] - reach),
+                  min(int(config.width), home[0] + reach) + 1),
+            range(max(1, home[1] - reach),
+                  min(int(config.height), home[1] + reach) + 1))
+
+
 def move_domain(config: Configuration, home: tuple[int, int],
                 budget: Fraction) -> tuple:
     """Integer grid destinations within the move budget of the sensor at
     integer point home, ordered by (displacement, x, y).  Under either
     metric with budget 1 this is the 5-point plus (a diagonal step has
     length sqrt(2) > 1)."""
-    a, b = int(config.width), int(config.height)
-    reach = int(budget)  # |dx|, |dy| <= floor(budget) under both metrics
-    out = [(x, y)
-           for x in range(max(1, home[0] - reach), min(a, home[0] + reach) + 1)
-           for y in range(max(1, home[1] - reach), min(b, home[1] + reach) + 1)
+    xs, ys = _box(config, home, budget)
+    out = [(x, y) for x in xs for y in ys
            if within(config.metric, home, (x, y), budget)]
     out.sort(key=lambda q: (distance(config.metric, home, q), q))
     return tuple(out)
@@ -125,9 +134,16 @@ def decide_vh(inst: VHInstance, budget: int | None = None
     destination on it.  A node reads a line's candidates by dropping
     the committed sensors from its list, which keeps the order, and
     picks the MRV line from live candidate counts that commit and undo
-    update.
+    update.  Raises SizeLimit when the budget boxes to scan hold more
+    than SCAN_LIMIT grid cells.
     """
     config = inst.config
+    cells = sum((xs.stop - xs.start) * (ys.stop - ys.start) for xs, ys in (
+        _box(config, (int(s.x), int(s.y)), inst.max_move)
+        for s in config.sensors))
+    if cells > SCAN_LIMIT:
+        raise SizeLimit(f"decide_vh would scan {cells} grid cells, "
+                        f"past {SCAN_LIMIT}")
     limit = DEFAULT_NODE_BUDGET if budget is None else budget
     required = [("v", v) for v in sorted(inst.v_lines)] + \
                [("h", h) for h in sorted(inst.h_lines)]
@@ -198,8 +214,12 @@ class MinMaxResult:
 
 def _ladder(config: Configuration) -> list[Fraction]:
     """Sorted distinct achievable per-sensor displacement keys
-    (distances under Manhattan, squared distances under Euclidean)."""
+    (distances under Manhattan, squared distances under Euclidean).
+    Raises SizeLimit when that takes more than SCAN_LIMIT grid cells."""
     a, b = int(config.width), int(config.height)
+    if config.n * a * b > SCAN_LIMIT:
+        raise SizeLimit(f"the distance ladder would scan {config.n * a * b} "
+                        f"grid cells, past {SCAN_LIMIT}")
     keys = {distance(config.metric, (int(s.x), int(s.y)), (x, y))
             for s in config.sensors
             for x in range(1, a + 1) for y in range(1, b + 1)}
@@ -249,43 +269,41 @@ def oracle_minmax(inst: VHInstance) -> bool:
     """Memoized exhaustive check over sensors x unsatisfied-line sets.
     Reference for decide_vh: the move domains come from a scan of each
     sensor's budget box with a budget test of its own, not from
-    move_domain, and stop as soon as their product passes 10^7."""
+    move_domain.  The domains are counted first, line by line along
+    the shorter side of each box, and SizeLimit is raised before any
+    scan once their product passes 10^7."""
     config = inst.config
-    a, b = int(config.width), int(config.height)
     budget = inst.max_move
-    reach = int(budget)  # the budget box: |dx|, |dy| <= budget
+    # integer moves: |dx| + |dy| <= budget iff <= floor(budget), and
+    # dx^2 + dy^2 <= budget^2 iff <= floor(budget^2)
     manhattan = config.metric == "manhattan"
-    domains = []
+    reach, reach2 = int(budget), int(budget * budget)
+    homes = [(int(s.x), int(s.y)) for s in config.sensors]
+    boxes = [_box(config, home, budget) for home in homes]
     product = 1  # of the domain sizes so far
-    for s in config.sensors:
-        sx, sy = int(s.x), int(s.y)
-        domain = []
-        for x in range(max(1, sx - reach), min(a, sx + reach) + 1):
-            for y in range(max(1, sy - reach), min(b, sy + reach) + 1):
-                dx, dy = x - sx, y - sy
-                if (abs(dx) + abs(dy) <= budget if manhattan else
-                        dx * dx + dy * dy <= budget * budget):
-                    domain.append((x, y))
-                    if product * len(domain) > 10**7:
-                        raise SizeLimit("move-domain product exceeds 10^7")
-        product *= max(1, len(domain))
-        domains.append(domain)
+    for home, box in zip(homes, boxes):
+        # count the cells within budget on each line of the shorter side
+        (c, span), (o, across) = sorted(
+            zip(home, box), key=lambda hb: hb[1].stop - hb[1].start)
+        size = 0
+        for v in span:
+            dv = abs(v - c)
+            w = reach - dv if manhattan else isqrt(reach2 - dv * dv)
+            size += min(across.stop - 1, o + w) - max(across.start, o - w) + 1
+            if product * size > 10**7:
+                raise SizeLimit("move-domain product exceeds 10^7")
+        product *= max(1, size)
+    domains = [[(x, y) for x in xs for y in ys
+                if (abs(x - sx) + abs(y - sy) <= reach if manhattan else
+                    (x - sx) ** 2 + (y - sy) ** 2 <= reach2)]
+               for (sx, sy), (xs, ys) in zip(homes, boxes)]
     lines = [("v", v) for v in sorted(inst.v_lines)] + \
             [("h", h) for h in sorted(inst.h_lines)]
-    line_index = {l: i for i, l in enumerate(lines)}
+    bit = {line: 1 << i for i, line in enumerate(lines)}
     full = (1 << len(lines)) - 1
-
-    masks = []  # masks[i][j] = lines blocked by destination j of sensor i
-    for d in domains:
-        row = []
-        for (x, y) in d:
-            m = 0
-            if ("v", x) in line_index:
-                m |= 1 << line_index[("v", x)]
-            if ("h", y) in line_index:
-                m |= 1 << line_index[("h", y)]
-            row.append(m)
-        masks.append(row)
+    # masks[i][j] = lines blocked by destination j of sensor i
+    masks = [[bit.get(("v", x), 0) | bit.get(("h", y), 0) for x, y in d]
+             for d in domains]
 
     from functools import lru_cache
 

@@ -13,8 +13,17 @@ places every moved sensor on the candidate grid
 
 clamped to [0, L] (translate any rigid sub-chain of touching intervals
 until a sensor stops moving or an endpoint anchors).  The solver is a
-DP over C with a sliding-window minimum; sensors not needed for
-coverage stay where they are.
+suffix DP over sorted sensors and states c = "the last placed target is
+C[c]", with C led by the point -r for "nothing placed yet" (its window
+is the targets <= r; no sensor is placed on it).  A sensor stays put,
+leaving the state as it is (sensors not needed for coverage stay where
+they are), or moves to a target in [C[c], C[c] + 2r], priced by a
+sliding-window minimum.  Each layer records the state its sensor goes
+to (its own state when it stays put: a move onto C[c] adds no cover,
+so it never beats staying), and the targets are read off those
+choices.  Ties go to the smallest target: the window keeps the first
+index of its minimum, and a move beats staying put only when strictly
+cheaper, or as cheap at a target below the sensor.
 
 The DP runs on Python ints: the points, r and L are scaled once by D,
 the least common multiple of their denominators, so every grid point
@@ -25,6 +34,7 @@ result is exact.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -88,77 +98,45 @@ def solve_minsum_1d(inst: Line1DInstance
     d, (r, L, *scaled) = _scaled(inst)
     order = sorted(range(n), key=lambda i: (inst.points[i], i))
     pts = [scaled[i] for i in order]
-    C = [v.numerator * (d // v.denominator)
-         for v in candidate_targets(inst)]
-    m = len(C)
-    done_from = next((c for c in range(m) if C[c] >= L - r), m)
+    C = [-r] + [v.numerator * (d // v.denominator)
+                for v in candidate_targets(inst)]
+    m = len(C)  # state 0, at -r: nothing placed yet
+    done_from = bisect_left(C, L - r)  # terminal: the rest stay put
+    upper = [bisect_right(C, t + 2 * r) for t in C]  # window ends
 
-    # suffix DP: best[c] = min cost of sensors i..n-1 given the last
-    # placed target is C[c] (chain valid so far); best[m] = nothing
-    # placed yet (the next placed target must be <= r).
-    # A state c >= done_from is terminal: remaining sensors stay put.
-    upper = []  # upper[c] = last c' with C[c'] <= C[c] + 2r
-    hi = 0
-    for c in range(m):
-        hi = max(hi, c)
-        while hi + 1 < m and C[hi + 1] <= C[c] + 2 * r:
-            hi += 1
-        upper.append(hi)
-    start_ub = -1
-    while start_ub + 1 < m and C[start_ub + 1] <= r:
-        start_ub += 1
-
-    # no_cover exceeds any real cost (n*L: no move exceeds L) and marks a
-    # state with no covering completion; an int, as D can overflow floats
+    # best[c] = min cost of the sensors to come from state c.  no_cover
+    # exceeds any real cost (n*L: no move exceeds L) and marks a state
+    # with no covering completion; an int, as D can overflow floats
     no_cover = n * L + 1
-    best = [no_cover] * done_from + [0] * (m - done_from) + [no_cover]
-    layers = [best]
-    for p in reversed(pts):
-        nxt = best
-        # place[c'] = cost of moving this sensor to C[c'], then nxt[c']
-        place = [abs(p - t) + v for t, v in zip(C, nxt)]
-        best = [0] * m + [min([nxt[m], *place[:start_ub + 1]])]
-        # sliding-window minimum of place[c'] over c' in [c, upper[c]]
-        window: deque[int] = deque()
-        pushed = -1
+    best = [no_cover] * done_from + [0] * (m - done_from)
+    stay = list(range(m))  # copied per layer: the copies share its ints
+    choices = []  # choices[i][c] = state after sensor i; c = it stays put
+    for p in reversed(pts):  # best turns, in place, into the layer before p
+        place = [abs(p - t) + v for t, v in zip(C, best)]
+        choice = stay[:]
+        window: deque[int] = deque()  # first argmin of place[c:upper[c]]
+        pushed = 1  # no sensor is placed on state 0
         for c in range(done_from):
             while pushed < upper[c]:
-                pushed += 1
-                v = place[pushed]
-                while window and place[window[-1]] >= v:
+                while window and place[window[-1]] > place[pushed]:
                     window.pop()
                 window.append(pushed)
+                pushed += 1
             while window[0] < c:
                 window.popleft()
-            placed = place[window[0]]
-            best[c] = placed if placed < nxt[c] else nxt[c]
-        layers.append(best)
-    layers.reverse()  # layers[i] = DP values before placing sensor i
+            cp = window[0]  # ties: smallest target, staying put first
+            if place[cp] < best[c] or place[cp] == best[c] and C[cp] < p:
+                best[c], choice[c] = place[cp], cp
+        choices.append(choice)
 
-    total = layers[0][m]
+    total = best[0]
     if total >= no_cover:
         raise Infeasible("no covering assignment exists")  # pragma: no cover
-
-    # forward reconstruction; ties broken toward the smallest target,
-    # then toward leaving the sensor where it is
-    targets_sorted: list[int] = []
-    state = m
-    for i, p in enumerate(pts):
-        nxt = layers[i + 1]
-        needed = layers[i][state]
-        if done_from <= state < m:
-            targets_sorted.append(p)
-            continue
-        options = []
-        if nxt[state] <= needed:
-            options.append((p, 0, state))  # stay put
-        lo, hi = (0, start_ub) if state == m else (state, upper[state])
-        for cp in range(lo, hi + 1):
-            if abs(p - C[cp]) + nxt[cp] == needed:
-                options.append((C[cp], 1, cp))
-        assert options, "reconstruction lost the optimum"
-        t, _, state = min(options)  # grid targets are distinct
-        targets_sorted.append(t)
+    targets_sorted, state = [], 0
+    for p, choice in zip(pts, reversed(choices)):
+        cp = choice[state]
+        targets_sorted.append(p if cp == state else C[cp])
+        state = cp
 
     targets = [Fraction(t, d) for _, t in sorted(zip(order, targets_sorted))]
     cost = sum((abs(t - p) for t, p in zip(targets, inst.points)),

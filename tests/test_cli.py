@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from brutes import random_max2sat3occ
 from wcr import serialize
 from wcr.cli import build_parser, main
 from wcr.core import INTEGER_SIDE_LIMIT, Configuration, Sensor, is_blocking
+from wcr.minmax import SCAN_LIMIT
 from wcr.reductions import Sat3_22, sat_brute
 
 from fractions import Fraction
@@ -326,9 +328,11 @@ def test_stdout_byte_identical(tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
-def test_unknown_command_rejected():
-    with pytest.raises(SystemExit):
+def test_unknown_command_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
 
 
 def _vh_gadget(tmp_path):
@@ -352,6 +356,17 @@ def test_invalid_assignment_json_exit_2(tmp_path, capsys):
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error: invalid JSON: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_assignment_of_other_integers_exit_2(tmp_path, capsys):
+    # bool() would read these as all true
+    _, _, _, gadget = _vh_gadget(tmp_path)
+    capsys.readouterr()
+    bad = tmp_path / "a.json"
+    bad.write_text("[2, -7, 5]")
+    assert main(["embed", "vh", *gadget, "--assignment", str(bad)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: assignment must be a JSON array of booleans\n")
 
 
 def test_assignment_of_wrong_length_exit_2(tmp_path, capsys):
@@ -735,6 +750,27 @@ def test_integer_side_past_the_limit_exit_3(tmp_path, capsys):
     assert main(["verify", str(path)]) == 3
     assert capsys.readouterr() == ("", f"resource limit: integer-mode side "
                                        f"past {INTEGER_SIDE_LIMIT}\n")
+
+
+@pytest.mark.parametrize("command, a, b, metric, message", [
+    ("decide", 3000, 3000, "manhattan",
+     f"decide_vh would scan 9000000 grid cells, past {SCAN_LIMIT}"),
+    ("oracle", 10**9, 1, "manhattan", "move-domain product exceeds 10^7"),
+    ("oracle", 10**9, 1, "euclidean", "move-domain product exceeds 10^7"),
+], ids=["decide", "oracle-manhattan", "oracle-euclidean"])
+def test_line_blocking_scan_past_the_limit_exit_3(tmp_path, capsys, command,
+                                                  a, b, metric, message):
+    # the one sensor already blocks both lines, but its budget box is
+    # the whole grid: the scan is refused before it starts
+    obj = json.loads(cfg_file(tmp_path, [(1, 1)], a=a, b=b,
+                              metric=metric).read_text())
+    obj.update(v_lines=[1], h_lines=[1], max_move=str(max(a, b)))
+    path = tmp_path / "vh.json"
+    path.write_text(json.dumps(obj))
+    start = time.perf_counter()
+    assert main([command, "vh", str(path)]) == 3
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == ("", f"resource limit: {message}\n")
 
 
 def test_extract_minnum_past_t_moves_exit_2(tmp_path, capsys):

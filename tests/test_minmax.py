@@ -192,6 +192,27 @@ def test_search_limit():
         decide_vh(inst, budget=1)
 
 
+def test_scan_limit_counts_clipped_boxes(monkeypatch):
+    # budget boxes clipped to the 3 x 3 grid: 4 cells at the corner and
+    # 9 at the centre; the limit admits a count equal to it
+    inst = vh(grid(3, 3, [(1, 1), (2, 2)]), {1}, {1}, 1)
+    monkeypatch.setattr(minmax, "SCAN_LIMIT", 13)
+    assert decide_vh(inst)[0]
+    monkeypatch.setattr(minmax, "SCAN_LIMIT", 12)
+    with pytest.raises(SizeLimit, match="would scan 13 grid cells, past 12"):
+        decide_vh(inst)
+
+
+def test_ladder_past_the_scan_limit():
+    # 1000 sensors x 10^6 cells: refused before the ladder is built
+    cfg = grid(1000, 1000, [(i, i) for i in range(1, 1001)])
+    start = time.perf_counter()
+    with pytest.raises(SizeLimit, match=f"ladder would scan {10**9} grid "
+                                        f"cells, past {minmax.SCAN_LIMIT}"):
+        solve_minmax(cfg)
+    assert time.perf_counter() - start < 1
+
+
 def test_solve_examples():
     res = solve_minmax(grid(2, 2, [(1, 1), (1, 2)]))
     assert res.value == F(1)
