@@ -276,11 +276,15 @@ def cmd_diff(args) -> int:
     return 0 if not bad else 1
 
 
-def _grid_bound(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"must be at least 2: {value}")
-    return value
+def _at_least(k: int):
+    """The argparse type of an int option whose values start at k."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < k:
+            raise argparse.ArgumentTypeError(f"must be at least {k}: {value}")
+        return value
+    parse.__name__ = "int"  # argparse's "invalid int value" for non-ints
+    return parse
 
 
 @functools.cache
@@ -301,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("problem", choices=["minnum", "minsum", "minmax"])
     s.add_argument("instance")
     s.add_argument("-o", "--output")
-    s.add_argument("--budget", type=int,
+    s.add_argument("--budget", type=_at_least(1),
                    help="search node budget")
     s.add_argument("--metric", choices=["manhattan", "euclidean"])
     s.set_defaults(func=cmd_solve)
@@ -310,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("problem", choices=["vh"])
     d.add_argument("instance")
     d.add_argument("-o", "--output")
-    d.add_argument("--budget", type=int)
+    d.add_argument("--budget", type=_at_least(1))
     d.set_defaults(func=cmd_decide)
 
     g = sub.add_parser("gen", help="gadget instance generators")
@@ -356,8 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     f = sub.add_parser("diff", help="seeded solver-vs-oracle suite")
     f.add_argument("problem", choices=["minnum", "minsum", "vh", "minmax"])
     f.add_argument("--seed", type=int, default=0)
-    f.add_argument("--count", type=int, default=100)
-    f.add_argument("--max-grid", type=_grid_bound,
+    f.add_argument("--count", type=_at_least(0), default=100)
+    f.add_argument("--max-grid", type=_at_least(2),
                    help="largest grid side, or segment length for minsum "
                         "(at least 2)")
     f.set_defaults(func=cmd_diff)

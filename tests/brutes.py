@@ -120,15 +120,16 @@ def random_graph(rng: random.Random, max_vertices: int = 10):
             return n, edges
 
 
-def random_sat22_n3(rng: random.Random) -> Sat3_22:
-    """Random 3-SAT(2,2) formula on three variables: four clauses over
-    {x1,x2,x3}, two positive and two negative occurrences each."""
+def random_sat22(rng: random.Random, n: int) -> Sat3_22:
+    """Random 3-SAT(2,2) formula on n variables (a multiple of 3): 4n/3
+    clauses, each variable with two positive and two negative
+    occurrences in three distinct clauses."""
     while True:
-        lits = [s * v for v in (1, 2, 3) for s in (1, 1, -1, -1)]
+        lits = [s * v for v in range(1, n + 1) for s in (1, 1, -1, -1)]
         rng.shuffle(lits)
-        clauses = [tuple(lits[i:i + 3]) for i in range(0, 12, 3)]
+        clauses = [tuple(lits[i:i + 3]) for i in range(0, len(lits), 3)]
         if all(len({abs(l) for l in c}) == 3 for c in clauses):
-            return Sat3_22(3, tuple(clauses))
+            return Sat3_22(n, tuple(clauses))
 
 
 def random_max2sat3occ(rng: random.Random, n: int,

@@ -773,6 +773,40 @@ def test_line_blocking_scan_past_the_limit_exit_3(tmp_path, capsys, command,
     assert capsys.readouterr() == ("", f"resource limit: {message}\n")
 
 
+def test_gen_minmax_past_the_side_limit_exit_3(tmp_path, capsys):
+    # padding adds about two sensors per line that is not required: at
+    # side 10^7 the padded side is refused before any list is built
+    obj = json.loads(cfg_file(tmp_path, [(1, 1)], a=10**7,
+                              b=10**7).read_text())
+    obj.update(v_lines=[1], h_lines=[1], max_move="1")
+    path = tmp_path / "vh.json"
+    path.write_text(json.dumps(obj))
+    start = time.perf_counter()
+    assert main(["gen", "minmax", "--vh", str(path),
+                 "-o", str(tmp_path / "p.json")]) == 3
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == (
+        "", f"resource limit: padded side past {INTEGER_SIDE_LIMIT}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json",
+                                                          "vh.json"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("solve minmax INST --budget -3", "argument --budget: must be at least "
+                                      "1: -3"),
+    ("decide vh INST --budget 0", "argument --budget: must be at least 1: 0"),
+    ("diff minnum --count -2", "argument --count: must be at least 0: -2"),
+], ids=["solve-budget", "decide-budget", "diff-count"])
+def test_numeric_option_below_its_bound_exit_2(tmp_path, capsys, argv,
+                                               message):
+    path = str(cfg_file(tmp_path, [(1, 1)]))
+    with pytest.raises(SystemExit) as exc:
+        main([path if word == "INST" else word for word in argv.split()])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(f"error: {message}\n")
+
+
 def test_extract_minnum_past_t_moves_exit_2(tmp_path, capsys):
     # embed's blocking solution plus one more sensor moved onto a filled
     # diagonal spot: the first such move that keeps the solution blocking.

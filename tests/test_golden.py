@@ -22,9 +22,10 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from brutes import random_max2sat3occ
+from brutes import random_max2sat3occ, random_sat22
 from wcr import reductions, serialize
 from wcr.cli import main
+from wcr.minmax import verify_vh
 from wcr.reductions import Sat3_22, sat_brute
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
@@ -201,15 +202,6 @@ def _vh_cases():
         yield f"vh-{i}", files, steps
 
 
-def _sat22(rng, n) -> Sat3_22:
-    while True:
-        lits = [s * v for v in range(1, n + 1) for s in (1, 1, -1, -1)]
-        rng.shuffle(lits)
-        clauses = [tuple(lits[i:i + 3]) for i in range(0, len(lits), 3)]
-        if all(len({abs(lit) for lit in c}) == 3 for c in clauses):
-            return Sat3_22(n, tuple(clauses))
-
-
 def _formula_json(f) -> str:
     obj = {"dialect": "3sat22" if isinstance(f, Sat3_22) else "max2sat-3occ",
            "variables": f.n, "clauses": [list(c) for c in f.clauses]}
@@ -221,7 +213,7 @@ def _formula_json(f) -> str:
 def _vh_gadget_cases():
     for i in range(6):
         rng = random.Random(f"vh-gadget:{i}")
-        f = _sat22(rng, 3 if i < 4 else 6)
+        f = random_sat22(rng, 3 if i < 4 else 6)
         best, _ = sat_brute(f)
         inst, meta = reductions.gen_vh(f)
         # about a third of the embedded unit moves cut to half
@@ -268,6 +260,64 @@ def _vh_gadget_cases():
                  ["extract", "minmax", "--meta", "p.json.meta",
                   "--solution", "e.json"]]
         yield f"vh-gadget-{i}", files, steps
+
+
+def _blocking_walk(rng, inst, meta, start, snapshots):
+    """Random walk of fractional moves (halves, thirds, quarters and
+    tenths) from the solution start that keeps a move only while the
+    solution still blocks: r sensors of the switch triples step along
+    their column, any sensor drifts along its row.  Returns snapshots
+    states, taken at the first multiples of ten accepted moves that
+    leave both a fractional r row and a fractional column."""
+    by_id = inst.config.sensor_by_id()
+    ids = sorted(by_id)
+    rs = [r for _, _, r, _ in meta.triples]
+    cur, out, accepted = dict(start), [], 0
+    while len(out) < snapshots:
+        sid = rng.choice(rs) if rng.random() < 0.5 else rng.choice(ids)
+        s, q = by_id[sid], rng.choice((2, 3, 4, 10))
+        d = Fraction(rng.randint(-q, q), q)
+        x, y = cur[sid]
+        trial = dict(cur)
+        trial[sid] = (x, s.y + d) if sid in rs and rng.random() < 0.7 \
+            else (s.x + d, y)
+        if not verify_vh(inst, trial, require_integer=False):
+            continue
+        cur, accepted = trial, accepted + 1
+        if accepted % 10 == 0 and \
+                any(cur[r][1].denominator != 1 for r in rs) and \
+                any(x.denominator != 1 for x, _ in cur.values()):
+            out.append(cur)
+    return out
+
+
+def _integerize_cases():
+    """Blocking fractional solutions of 3- and 6-variable gadgets:
+    integerize normalizes them, and its output verifies and is a
+    fixpoint."""
+    for i in range(4):
+        rng = random.Random(f"integerize:{i}")
+        f = random_sat22(rng, 3 if i < 2 else 6)
+        inst, meta = reductions.gen_vh(f)
+        best, _ = sat_brute(f)
+        sol = reductions.embed_vh(inst, meta, f, best)
+        walked = _blocking_walk(rng, inst, meta, sol.positions, 3)
+        text = serialize.write_instance(inst)
+        files = {"g.json": text, "g.json.meta": serialize.write_meta(meta),
+                 "ge.json": text.replace('"manhattan"', '"euclidean"')}
+        steps = []
+        for k, positions in enumerate(walked):
+            files[f"w{k}.json"] = _solution(positions[sid]
+                                            for sid in sorted(positions))
+            steps += [["integerize", "--meta", "g.json.meta", "--instance",
+                       "g.json", "--solution", f"w{k}.json",
+                       "-o", f"i{k}.json"],
+                      ["verify", "g.json", "--solution", f"i{k}.json"],
+                      ["integerize", "--meta", "g.json.meta", "--instance",
+                       "g.json", "--solution", f"i{k}.json"],
+                      ["integerize", "--meta", "g.json.meta", "--instance",
+                       "ge.json", "--solution", f"w{k}.json"]]
+        yield f"integerize-blocking-{i}", files, steps
 
 
 def _minnum_gadget_cases():
@@ -389,7 +439,7 @@ def _sensor_order_cases():
             yield f"sensor-order-{order}-{i}", files, steps
     for i in range(2):
         rng = random.Random(f"sensor-order-gadget:{i}")
-        f22 = _sat22(rng, 3)
+        f22 = random_sat22(rng, 3)
         f23 = random_max2sat3occ(rng, 2 * (i + 1))
         best22, _ = sat_brute(f22)
         best23, _ = sat_brute(f23)
@@ -588,7 +638,8 @@ def _error_cases():
 def corpus():
     for group in (_integer_cases, _minmax_cases, _minnum_large_cases,
                   _continuous_cases,
-                  _vh_cases, _vh_gadget_cases, _minnum_gadget_cases,
+                  _vh_cases, _vh_gadget_cases, _integerize_cases,
+                  _minnum_gadget_cases,
                   _minmax_gadget_cases, _diff_cases, _error_cases,
                   _boundary_cases, _sensor_order_cases):
         yield from group()

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brutes import (random_sat22_n3, reference_decide_vh,
+from brutes import (random_sat22, reference_decide_vh,
                     reference_lines_blocked)
 from wcr import minmax
 from wcr.core import Configuration, Sensor, is_blocking, solution_costs
@@ -164,7 +164,7 @@ def test_decide_matches_reference_search():
 def test_decide_matches_reference_on_gadgets():
     rng = random.Random(41)
     for _ in range(4):
-        inst, _ = gen_vh(random_sat22_n3(rng))
+        inst, _ = gen_vh(random_sat22(rng, 3))
         assert run(decide_vh, inst) == run(reference_decide_vh, inst)
         nodes = nodes_explored(reference_decide_vh, inst)
         assert run(decide_vh, inst, nodes - 1) == ("limit", nodes)

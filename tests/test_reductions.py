@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from brutes import random_max2sat3occ, random_sat22_n3
+from brutes import random_max2sat3occ, random_sat22
 from wcr.core import Solution, is_blocking, solution_costs
 from wcr.errors import (DialectError, InconsistentSolution, NotASolution,
                         NotGadgetInstance, PropertyViolation, SizeLimit,
                         UnsatisfiedClause)
-from wcr.minmax import VHInstance, decide_vh, verify_vh
+from wcr.minmax import VHInstance, decide_vh, full_lines, verify_vh
 from wcr.reductions import (Max2Sat3Occ, Sat3_22, embed_minmax, embed_minnum,
                             embed_vh, eval_clause, extract_minmax,
                             extract_minnum, extract_vh, gen_minmax,
@@ -205,36 +205,42 @@ def test_integerize_local_rewrites():
     qx, qy = by_id[q].x, by_id[q].y
     rx, ry = by_id[r].x, by_id[r].y
 
+    def trial(changes):
+        positions = dict(sol.positions)
+        positions.update(changes)
+        return Solution(positions)
+
     def run(changes):
-        trial = dict(sol.positions)
-        trial.update(changes)
-        out = integerize(inst, meta, Solution(trial))
+        out = integerize(inst, meta, trial(changes))
         assert all(x.denominator == y.denominator == 1
                    for x, y in out.positions.values())
         assert out.positions == integerize(inst, meta, out).positions
+        assert verify_vh(inst, dict(out.positions))
         return out
 
-    # p moves up: contributes nothing, reset
-    out = run({p: (px, py - H)})
-    assert out.positions[p] == (px, py)
-    # p down / q up / r up: promoted to p down by one, q and r reset
-    out = run({p: (px, py + H), q: (qx, qy - H), r: (rx, ry - H)})
-    assert out.positions[p] == (px, F(h + 1))
-    assert out.positions[q] == (qx, qy)
-    assert out.positions[r] == (rx, ry)
-    # q up with p already down: q lands back on its own H-line
-    out = run({p: (px, py + 1), q: (qx, qy - H), r: (rx, ry - 1)})
-    assert out.positions[q] == (qx, F(h + 2))
-    assert out.positions[p] == (px, F(h + 1))
-    # q down: contributes nothing, reset
-    out = run({p: (px, py + 1), q: (qx, qy + H), r: (rx, ry - 1)})
-    assert out.positions[q] == (qx, F(h + 2))
-    # r down: contributes nothing, reset
-    out = run({r: (rx, ry + H)})
-    assert out.positions[r] == (rx, ry)
-    # partial horizontal drift squares up to the home column
-    out = run({p: (px - H, py)})
-    assert out.positions[p] == (px, py)
+    # none of these leaves a blocking solution, so none is normalized:
+    # p half up; p half down with q and r half up; q half up with p
+    # already down; q half down; r half down; p half a column left
+    for changes in ({p: (px, py - H)},
+                    {p: (px, py + H), q: (qx, qy - H), r: (rx, ry - H)},
+                    {p: (px, py + 1), q: (qx, qy - H), r: (rx, ry - 1)},
+                    {p: (px, py + 1), q: (qx, qy + H), r: (rx, ry - 1)},
+                    {r: (rx, ry + H)},
+                    {p: (px - H, py)}):
+        with pytest.raises(NotASolution,
+                           match="not a unit-move blocking solution"):
+            integerize(inst, meta, trial(changes))
+
+    # an r whose step up its column is redundant: a fractional row
+    # returns to row h+3, a partial column drift to its home column
+    _, _, r, h = next(t for t in meta.triples if verify_vh(
+        inst, trial({t[2]: (by_id[t[2]].x, by_id[t[2]].y - H)}).positions,
+        require_integer=False))
+    rx, ry = by_id[r].x, by_id[r].y
+    assert ry == h + 3
+    for changes in ({r: (rx, ry - H)}, {r: (rx - H, ry)},
+                    {r: (rx + H, ry - H)}, {r: (rx, ry - F(1, 3))}):
+        assert run(changes).positions[r] == (rx, ry)
 
 
 def test_integerize_guards():
@@ -242,7 +248,7 @@ def test_integerize_guards():
     by_id = inst.config.sensor_by_id()
     p, q, r, h = meta.triples[0]
     qx, qy = by_id[q].x, by_id[q].y
-    # fractional q-up while p sits on its V-line cannot be normalized
+    # fractional q-up while p sits on its V-line does not block
     trial = dict(sol.positions)
     trial[p] = (by_id[p].x - 1, by_id[p].y)
     trial[q] = (qx, qy - H)
@@ -275,6 +281,45 @@ def test_integerize_random_valid_fractional_inputs():
         assert verify_vh(inst, dict(out.positions))
         hits += 1
     assert hits >= 1
+
+
+def _planted_sat22(rng, n):
+    """A random 3-SAT(2,2) formula on n variables that a random
+    assignment satisfies, so its gadget has a blocking solution: each
+    clause is dealt one literal the assignment makes true, then two of
+    the remaining literals."""
+    value = [rng.random() < 0.5 for _ in range(n)]
+    m = 4 * n // 3
+    while True:
+        lits = [s * v for v in range(1, n + 1) for s in (1, 1, -1, -1)]
+        rng.shuffle(lits)
+        true, false = [], []
+        for lit in lits:
+            (true if (lit > 0) == value[abs(lit) - 1] else false).append(lit)
+        rest = true[m:] + false
+        rng.shuffle(rest)
+        clauses = [(true[j], *rest[2 * j:2 * j + 2]) for j in range(m)]
+        if all(len({abs(lit) for lit in c}) == 3 for c in clauses):
+            return Sat3_22(n, tuple(clauses))
+
+
+def test_gadget_answer_keys():
+    # keys of satisfiable formulas catch a wrong "no" of the search
+    rng = random.Random(2207)
+    for n in (6, 12, 24):
+        f = _planted_sat22(rng, n)
+        inst, meta = gen_vh(f)
+        feasible, witness = decide_vh(inst)
+        assert feasible
+        assignment = extract_vh(inst, meta, f, witness)
+        assert all(eval_clause(c, assignment) for c in f.clauses)
+        assert integerize(inst, meta, witness).positions == witness.positions
+    # the padded gadget blocks every line at budget 1 but not at budget 0
+    for n in (3, 6, 9, 12):
+        padded, _ = gen_minmax(gen_vh(_planted_sat22(rng, n))[0])
+        v_lines, h_lines = full_lines(padded)
+        assert decide_vh(VHInstance(padded, v_lines, h_lines, F(1)))[0]
+        assert not decide_vh(VHInstance(padded, v_lines, h_lines, F(0)))[0]
 
 
 # -- padding into a full MinMax instance ---------------------------------------
@@ -333,7 +378,7 @@ def test_minmax_extract_rejects_non_blocking():
 def test_random_formulas_roundtrip():
     rng = random.Random(99)
     for _ in range(5):
-        f = random_sat22_n3(rng)
+        f = random_sat22(rng, 3)
         inst, meta = gen_vh(f)
         alpha, count = sat_brute(f)
         if count < len(f.clauses):
