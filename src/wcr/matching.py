@@ -1,9 +1,12 @@
 """Maximum matching in general graphs and minimum edge cover.
 
-A hand-rolled blossom (odd-cycle contraction) algorithm, O(V^3).  The
-free-sensor graph contains odd cycles through its hub vertex, so
-bipartite matching would not be enough.  Everything is deterministic:
-the same edge ordering always yields the same matching.
+A hand-rolled blossom (odd-cycle contraction) algorithm, O(V^3).  For
+the free-sensor graph's matching size bipartite matching would do: hub
+y's only edge goes to hub x, so nu = 1 + nu(rows x columns).  The
+blossom is kept for the free set it picks, which is pinned output; the
+same search without contraction picks another on some graphs where the
+blossom contracts.  Everything is deterministic: the same edge ordering
+always yields the same matching.
 """
 
 from __future__ import annotations

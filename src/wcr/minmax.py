@@ -212,7 +212,7 @@ class MinMaxResult:
     solution: Solution
 
 
-def _ladder(config: Configuration) -> list[Fraction]:
+def _ladder(config: Configuration) -> list[int]:
     """Sorted distinct achievable per-sensor displacement keys
     (distances under Manhattan, squared distances under Euclidean).
     Raises SizeLimit when that takes more than SCAN_LIMIT grid cells."""
@@ -220,10 +220,9 @@ def _ladder(config: Configuration) -> list[Fraction]:
     if config.n * a * b > SCAN_LIMIT:
         raise SizeLimit(f"the distance ladder would scan {config.n * a * b} "
                         f"grid cells, past {SCAN_LIMIT}")
-    keys = {distance(config.metric, (int(s.x), int(s.y)), (x, y))
-            for s in config.sensors
-            for x in range(1, a + 1) for y in range(1, b + 1)}
-    return sorted(map(Fraction, keys))
+    return sorted({distance(config.metric, (int(s.x), int(s.y)), (x, y))
+                   for s in config.sensors
+                   for x in range(1, a + 1) for y in range(1, b + 1)})
 
 
 def solve_minmax(config: Configuration, budget: int | None = None
@@ -237,11 +236,11 @@ def solve_minmax(config: Configuration, budget: int | None = None
         raise Infeasible("fewer sensors than the longer side")
     v, h = full_lines(config)
 
-    def feasible_at(key: Fraction):
+    def feasible_at(key: int):
         # key is a distance (manhattan) or a squared distance (euclidean);
         # integer moves have integer squared distances, so any d with
         # key <= d^2 < key + 1 admits exactly the moves of key or less
-        d = key if config.metric == "manhattan" else exact_sqrt(key)
+        d = Fraction(key) if config.metric == "manhattan" else exact_sqrt(key)
         if d is None:
             d = _sqrt_bounds(key, Fraction(1, 2 * key + 2))[1]
         return decide_vh(VHInstance(config, v, h, d), budget)
@@ -260,9 +259,8 @@ def solve_minmax(config: Configuration, budget: int | None = None
     assert best is not None, "full-move relocation must be feasible"
     key, sol = best
     if config.metric == "manhattan":
-        return MinMaxResult(value=key, value_squared=key * key, solution=sol)
-    return MinMaxResult(value=exact_sqrt(key), value_squared=key,
-                        solution=sol)
+        return MinMaxResult(Fraction(key), Fraction(key * key), sol)
+    return MinMaxResult(exact_sqrt(key), Fraction(key), sol)
 
 
 def oracle_minmax(inst: VHInstance) -> bool:

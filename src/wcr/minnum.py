@@ -142,47 +142,44 @@ def solve_minnum(config: Configuration) -> MinNumPlan:
 
     M = max_free_set(config)
     k = len(M)
-    movers = sorted((s for s in config.sensors if s.id in M),
-                    key=lambda s: (s.y, s.x, s.id))
-    moves: list[tuple[int, str, tuple[Fraction, Fraction]]] = []
+    # movers and slides are picked in (row, column, id) order, on ints
+    cells = sorted((int(s.y), int(s.x), s.id) for s in config.sensors)
+    movers = [cell for cell in cells if cell[2] in M]
+    moves: list[tuple[int, str, tuple[int, int]]] = []
 
     # jumping moves: pair sorted column gaps with sorted row gaps
     jumps = min(k, c)
     for idx in range(jumps):
-        s = movers[idx]
-        moves.append((s.id, "jump",
-                      (Fraction(col_gaps[idx]), Fraction(row_gaps[idx]))))
+        moves.append((movers[idx][2], "jump", (col_gaps[idx], row_gaps[idx])))
     row_gaps = row_gaps[jumps:]
     col_gaps = col_gaps[jumps:]
 
     # leftover free sensors fill row gaps vertically, column unchanged
     fills = min(k - jumps, len(row_gaps))
     for idx in range(fills):
-        s = movers[jumps + idx]
-        moves.append((s.id, "slide-row", (s.x, Fraction(row_gaps[idx]))))
+        _, x, sid = movers[jumps + idx]
+        moves.append((sid, "slide-row", (x, row_gaps[idx])))
     row_gaps = row_gaps[fills:]
 
     # remaining gaps are repaired by sliding non-free sensors off lines
     # that still hold another sensor, so no slide creates a fresh gap; gap
     # lines hold no unmoved sensor, so their counts are never read
-    pos = {s.id: (s.x, s.y) for s in config.sensors}
+    at = {sid: (x, y) for y, x, sid in cells}
     for sid, _, target in moves:
-        pos[sid] = target
-    rows = Counter(int(y) for _, y in pos.values())
-    cols = Counter(int(x) for x, _ in pos.values())
+        at[sid] = target
+    rows = Counter(y for _, y in at.values())
+    cols = Counter(x for x, _ in at.values())
     moved_ids = set(M)
 
     def slide(gap: int, vertical: bool) -> None:
         counts = rows if vertical else cols
-        candidates = [(s.y, s.x, s.id) for s in config.sensors
-                      if s.id not in moved_ids
-                      and counts[int(s.y if vertical else s.x)] > 1]
-        assert candidates, "no slide candidate: pigeonhole guarantee broken"
-        y, x, sid = min(candidates)
-        counts[int(y if vertical else x)] -= 1
-        target = (x, Fraction(gap)) if vertical else (Fraction(gap), y)
-        moves.append((sid, "slide-row" if vertical else "slide-col", target))
-        pos[sid] = target
+        cell = next((cell for cell in cells if cell[2] not in moved_ids
+                     and counts[cell[0 if vertical else 1]] > 1), None)
+        assert cell, "no slide candidate: pigeonhole guarantee broken"
+        y, x, sid = cell
+        counts[y if vertical else x] -= 1
+        moves.append((sid, "slide-row", (x, gap)) if vertical else
+                     (sid, "slide-col", (gap, y)))
         moved_ids.add(sid)
 
     for gap in row_gaps:
@@ -190,7 +187,10 @@ def solve_minnum(config: Configuration) -> MinNumPlan:
     for gap in col_gaps:
         slide(gap, vertical=False)
 
-    sol = Solution(dict(pos))
+    moves = [(sid, kind, (Fraction(x), Fraction(y)))
+             for sid, kind, (x, y) in moves]
+    sol = Solution({s.id: (s.x, s.y) for s in config.sensors}
+                   | {sid: target for sid, _, target in moves})
     assert is_blocking(config, sol).blocking, \
         "planner produced a non-blocking solution"
     expected = r if k >= c else r + c - k

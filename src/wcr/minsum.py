@@ -44,6 +44,9 @@ from .core import Configuration, Solution
 from .errors import (HeterogeneousRanges, Infeasible, ModeError, SizeLimit,
                      ValidationError)
 
+MINSUM_STATE_LIMIT = 2 * 10**7  # n * |C|, the states of the MinSum DP
+ORACLE_GRID_CELLS = 2 * 10**5  # sensors x grid states x window of the DP B
+
 
 @dataclass(frozen=True)
 class Line1DInstance:
@@ -63,15 +66,16 @@ class Line1DInstance:
         return len(self.points) * 2 * self.radius >= self.length
 
 
-def _scaled(inst: Line1DInstance) -> tuple[int, list[int]]:
-    """D and [r, L, *points], each as an integer count of 1/D."""
-    vals = (inst.radius, inst.length, *inst.points)
+def _scaled(inst: Line1DInstance, *extra) -> tuple[int, list[int]]:
+    """D and [r, L, *points, *extra], each as an integer count of 1/D."""
+    vals = (inst.radius, inst.length, *inst.points, *extra)
     d = lcm(*(v.denominator for v in vals))
     return d, [v.numerator * (d // v.denominator) for v in vals]
 
 
-def candidate_targets(inst: Line1DInstance) -> list[Fraction]:
-    d, (r, L, *pts) = _scaled(inst)
+def candidate_targets(inst: Line1DInstance) -> list[int]:
+    """The sorted grid C in integer counts of 1/D (see _scaled)."""
+    _, (r, L, *pts) = _scaled(inst)
     n = len(pts)
     raw = set()
     for k in range(-n, n + 1):
@@ -79,8 +83,7 @@ def candidate_targets(inst: Line1DInstance) -> list[Fraction]:
         raw.add(r + shift)
         raw.add(L - r - shift)
         raw.update(p + shift for p in pts)
-    grid = sorted({min(max(v, 0), L) for v in raw})
-    return [Fraction(g, d) for g in grid]
+    return sorted({min(max(v, 0), L) for v in raw})
 
 
 def solve_minsum_1d(inst: Line1DInstance
@@ -91,15 +94,21 @@ def solve_minsum_1d(inst: Line1DInstance
     every grid point but the clamped ends 0 and L is a half-integer,
     and those ends are never optimal (r and L - r cover as much at a
     strictly smaller move), so the targets stay on lattice points.
+
+    Raises SizeLimit before building C when n * |C| may pass the limit:
+    C has n + 2 bases, each at min(2n+1, L/2r+1) points of [0, L] at most.
     """
     if not inst.feasible:
         raise Infeasible("sum of diameters shorter than the segment")
     n = len(inst.points)
     d, (r, L, *scaled) = _scaled(inst)
-    order = sorted(range(n), key=lambda i: (inst.points[i], i))
+    states = n * ((n + 2) * min(2 * n + 1, L // (2 * r) + 1) + 2)
+    if states > MINSUM_STATE_LIMIT:
+        raise SizeLimit(f"the MinSum DP may keep {states} states, "
+                        f"past {MINSUM_STATE_LIMIT}")
+    order = sorted(range(n), key=lambda i: (scaled[i], i))
     pts = [scaled[i] for i in order]
-    C = [-r] + [v.numerator * (d // v.denominator)
-                for v in candidate_targets(inst)]
+    C = [-r] + candidate_targets(inst)
     m = len(C)  # state 0, at -r: nothing placed yet
     done_from = bisect_left(C, L - r)  # terminal: the rest stay put
     upper = [bisect_right(C, t + 2 * r) for t in C]  # window ends
@@ -138,11 +147,9 @@ def solve_minsum_1d(inst: Line1DInstance
         targets_sorted.append(p if cp == state else C[cp])
         state = cp
 
+    assert sum(abs(t - p) for t, p in zip(targets_sorted, pts)) == total
     targets = [Fraction(t, d) for _, t in sorted(zip(order, targets_sorted))]
-    cost = sum((abs(t - p) for t, p in zip(targets, inst.points)),
-               Fraction(0))
-    assert cost == Fraction(total, d)
-    return tuple(targets), cost
+    return tuple(targets), Fraction(total, d)
 
 
 def axis_instances(config: Configuration
@@ -177,9 +184,6 @@ def solve_minsum_manhattan(config: Configuration
                      for s, x, y in zip(config.sensors, tx, ty)}), cx + cy
 
 
-ORACLE_GRID_CELLS = 2 * 10**5  # sensors x grid states x window of the DP B
-
-
 def oracle_step(inst: Line1DInstance) -> Fraction:
     """Grid step for oracle_minsum_1d: 1/8 when it divides the segment
     length, else the coarsest step 1/(8k) that divides the length, the
@@ -199,48 +203,44 @@ def oracle_minsum_1d(inst: Line1DInstance) -> tuple[Fraction, Fraction]:
     (order-preserving full assignments).  Contract: A <= B <= A + n*delta
     whenever r, L and the input points are multiples of delta.  Raises
     SizeLimit when B would visit more than ORACLE_GRID_CELLS grid cells.
+
+    Both run on ints: r, L, the points, delta and C are scaled by S, the
+    lcm of the denominators of delta and of the instance.
     """
     n = len(inst.points)
     if n > 6:
         raise SizeLimit("1D oracle limited to 6 sensors")
     if not inst.feasible:
         raise Infeasible("sum of diameters shorter than the segment")
-    r, L = inst.radius, inst.length
-    pts = sorted(inst.points)
+    delta = oracle_step(inst)
+    s, (r, L, *pts, step) = _scaled(inst, delta)
+    pts.sort()
 
     # --- B: order-preserving full assignments on the uniform grid.
-    # State after sensor i = its grid target q; with monotone targets the
-    # union's covered prefix is [0, q*delta + r] unless a gap appeared,
-    # and gaps are permanent, so a single coordinate suffices.
-    delta = oracle_step(inst)
-    gq = int(L / delta)  # delta divides L
-    cells = n * (gq + 1) * (int(2 * r / delta) + 1)
+    # State after sensor i = its target t, a multiple of step (None if
+    # none yet); with monotone targets the covered prefix is [0, t + r]
+    # unless a gap appeared, and gaps are permanent.
+    cells = n * (L // step + 1) * (2 * r // step + 1)  # step divides L
     if cells > ORACLE_GRID_CELLS:
         raise SizeLimit(f"grid oracle limited to {ORACLE_GRID_CELLS} cells, "
                         f"step {delta} needs {cells}")
     done_at = L - r  # a target here or beyond completes the cover
-    prev: dict = {None: Fraction(0)}  # None = nothing placed yet
+    prev: dict = {None: 0}
     covers = []  # costs of the complete covers
-    for i in range(n):
+    for i, p in enumerate(pts):
         cur: dict = {}
-        for state, cost in prev.items():
-            if state is not None and state * delta >= done_at:
+        for t, cost in prev.items():
+            if t is not None and t >= done_at:
                 # cover complete: sensors i..n-1 go to max(p_j, target)
-                covers.append(cost + sum(
-                    (max(Fraction(0), state * delta - pts[j])
-                     for j in range(i, n)), Fraction(0)))
+                covers.append(cost + sum(max(0, t - q) for q in pts[i:]))
                 continue
-            lo = 0 if state is None else state
-            hi_abs = r if state is None else state * delta + 2 * r
-            q = lo
-            while q <= gq and q * delta <= hi_abs:
-                c2 = cost + abs(pts[i] - q * delta)
-                if q not in cur or c2 < cur[q]:
+            lo, hi = (0, r) if t is None else (t, t + 2 * r)
+            for q in range(lo, min(hi, L) + 1, step):
+                c2 = cost + abs(p - q)
+                if c2 < cur.get(q, c2 + 1):
                     cur[q] = c2
-                q += 1
         prev = cur
-    covers += [cost for state, cost in prev.items()
-               if state * delta >= done_at]
+    covers += [cost for t, cost in prev.items() if t >= done_at]
     if not covers:
         raise Infeasible("grid oracle found no covering assignment")
     b_cost = min(covers)
@@ -248,25 +248,24 @@ def oracle_minsum_1d(inst: Line1DInstance) -> tuple[Fraction, Fraction]:
     # --- A: branch and bound over monotone assignments into C.  With
     # monotone targets, reach = covered prefix endpoint; a new interval
     # starting past reach leaves a permanent gap.  B is a valid upper
-    # bound (true optimum <= B), so pruning on cost > best is safe.
-    C = candidate_targets(inst)
-    best = [b_cost]
+    # bound (true optimum <= B), so pruning on cost > bound is safe; dfs
+    # returns the least cover cost below its node, or bound if none is less.
+    scale = s // _scaled(inst)[0]  # C counts in units of 1/D
+    C = [c * scale for c in candidate_targets(inst)]
 
-    def dfs(i: int, cost: Fraction, min_c: int, reach: Fraction):
-        if best[0] < cost:
-            return
+    def dfs(i: int, cost: int, min_c: int, reach: int, bound: int) -> int:
+        if bound < cost:
+            return bound
         if reach >= L:
-            if cost < best[0]:
-                best[0] = cost
-            return
+            return cost
         if i == n:
-            return
+            return bound
         for c in range(min_c, len(C)):
             t = C[c]
             if t - r > reach:
                 break  # permanent gap; larger t only worse
-            dfs(i + 1, cost + abs(pts[i] - t), c, max(reach, t + r))
+            bound = dfs(i + 1, cost + abs(pts[i] - t), c, max(reach, t + r),
+                        bound)
+        return bound
 
-    dfs(0, Fraction(0), 0, Fraction(0))
-    a_cost = best[0]
-    return a_cost, b_cost
+    return Fraction(dfs(0, 0, 0, 0, b_cost), s), Fraction(b_cost, s)

@@ -8,10 +8,11 @@ from itertools import combinations
 
 from wcr.core import HALF, CostReport, CoverageReport, Solution, \
     _sqrt_bounds, distance, exact_sqrt, interval_gaps, rat_str
-from wcr.errors import Infeasible, KeyMismatch, SearchLimit, ValidationError
+from wcr.errors import Infeasible, KeyMismatch, SearchLimit, SizeLimit, \
+    ValidationError
 from wcr.minmax import DEFAULT_NODE_BUDGET, VHInstance, move_domain, verify_vh
 from wcr.minnum import TYPE0, TYPE1, TYPE2, TYPE3, TYPE4
-from wcr.minsum import Line1DInstance
+from wcr.minsum import ORACLE_GRID_CELLS, Line1DInstance, oracle_step
 from wcr.reductions import Max2Sat3Occ, Sat3_22
 
 
@@ -283,6 +284,73 @@ def reference_minsum_1d(inst: Line1DInstance, *, keep=lambda v: True
                Fraction(0))
     assert cost == total
     return tuple(targets), cost
+
+
+def reference_oracle_minsum_1d(inst: Line1DInstance
+                               ) -> tuple[Fraction, Fraction]:
+    """The all-Fraction oracle_minsum_1d as first written, on
+    reference_candidate_targets: the integer oracle must return the same
+    (A, B) and raise the same errors."""
+    n = len(inst.points)
+    if n > 6:
+        raise SizeLimit("1D oracle limited to 6 sensors")
+    if not inst.feasible:
+        raise Infeasible("sum of diameters shorter than the segment")
+    r, L = inst.radius, inst.length
+    pts = sorted(inst.points)
+
+    delta = oracle_step(inst)
+    gq = int(L / delta)
+    cells = n * (gq + 1) * (int(2 * r / delta) + 1)
+    if cells > ORACLE_GRID_CELLS:
+        raise SizeLimit(f"grid oracle limited to {ORACLE_GRID_CELLS} cells, "
+                        f"step {delta} needs {cells}")
+    done_at = L - r
+    prev: dict = {None: Fraction(0)}
+    covers = []
+    for i in range(n):
+        cur: dict = {}
+        for state, cost in prev.items():
+            if state is not None and state * delta >= done_at:
+                covers.append(cost + sum(
+                    (max(Fraction(0), state * delta - pts[j])
+                     for j in range(i, n)), Fraction(0)))
+                continue
+            lo = 0 if state is None else state
+            hi_abs = r if state is None else state * delta + 2 * r
+            q = lo
+            while q <= gq and q * delta <= hi_abs:
+                c2 = cost + abs(pts[i] - q * delta)
+                if q not in cur or c2 < cur[q]:
+                    cur[q] = c2
+                q += 1
+        prev = cur
+    covers += [cost for state, cost in prev.items()
+               if state * delta >= done_at]
+    if not covers:
+        raise Infeasible("grid oracle found no covering assignment")
+    b_cost = min(covers)
+
+    C = reference_candidate_targets(inst)
+    best = [b_cost]
+
+    def dfs(i: int, cost: Fraction, min_c: int, reach: Fraction):
+        if best[0] < cost:
+            return
+        if reach >= L:
+            if cost < best[0]:
+                best[0] = cost
+            return
+        if i == n:
+            return
+        for c in range(min_c, len(C)):
+            t = C[c]
+            if t - r > reach:
+                break
+            dfs(i + 1, cost + abs(pts[i] - t), c, max(reach, t + r))
+
+    dfs(0, Fraction(0), 0, Fraction(0))
+    return best[0], b_cost
 
 
 # --- Line blocking: the original decide_vh, which rescans every sensor's

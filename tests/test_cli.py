@@ -16,6 +16,7 @@ from wcr import serialize
 from wcr.cli import build_parser, main
 from wcr.core import INTEGER_SIDE_LIMIT, Configuration, Sensor, is_blocking
 from wcr.minmax import SCAN_LIMIT
+from wcr.minsum import MINSUM_STATE_LIMIT
 from wcr.reductions import Sat3_22, sat_brute
 
 from fractions import Fraction
@@ -750,6 +751,18 @@ def test_integer_side_past_the_limit_exit_3(tmp_path, capsys):
     assert main(["verify", str(path)]) == 3
     assert capsys.readouterr() == ("", f"resource limit: integer-mode side "
                                        f"past {INTEGER_SIDE_LIMIT}\n")
+
+
+def test_minsum_past_the_state_limit_exit_3(tmp_path, capsys):
+    # 2000 sensors on a side of 2000: refused before the grid is built
+    path = cfg_file(tmp_path, [(i, i) for i in range(1, 2001)], a=2000,
+                    b=2000)
+    start = time.perf_counter()
+    assert main(["solve", "minsum", str(path)]) == 3
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == (
+        "", f"resource limit: the MinSum DP may keep 8012008000 states, "
+            f"past {MINSUM_STATE_LIMIT}\n")
 
 
 @pytest.mark.parametrize("command, a, b, metric, message", [

@@ -4,6 +4,7 @@ a second run prints the same stdout."""
 
 import io
 import json
+import random
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -11,6 +12,8 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+from brutes import random_max2sat3occ, random_sat22
+from wcr import reductions, serialize
 from wcr.cli import main
 
 HUGE = "9" * 5000  # a JSON integer past the digits Python reads in one int
@@ -89,6 +92,79 @@ def test_cli_exit_codes_and_determinism(command, texts):
         for path, text in zip(paths.values(), texts):
             path.write_text(text)
         argv = [str(paths.get(word, word)) for word in command]
+        code, out = _run(argv)
+        assert code in (0, 1, 2, 3)
+        assert _run(argv) == (code, out)
+
+
+def _gadget_documents() -> dict:
+    """Seeded formulas of 3 (vh) and 2 (minnum) variables and, by name,
+    the documents gen, embed and integerize read: each gadget, its meta,
+    a satisfying assignment and the embedded solution, and the minmax
+    padding of the vh gadget with its embedded solution."""
+    sat22 = random_sat22(random.Random(7), 3)
+    max2sat = random_max2sat3occ(random.Random(7), 2)
+    vh, vh_meta = reductions.gen_vh(sat22)
+    vh_assignment = reductions.sat_brute(sat22)[0]
+    vh_sol = reductions.embed_vh(vh, vh_meta, sat22, vh_assignment)
+    plain, minnum_meta = reductions.gen_minnum(max2sat)
+    minnum_assignment = reductions.sat_brute(max2sat)[0]
+    _, mapping = reductions.gen_minmax(vh)
+    return {name: json.loads(text) for name, text in {
+        "F3": json.dumps({"dialect": "3sat22", "variables": sat22.n,
+                          "clauses": sat22.clauses}),
+        "V": serialize.write_instance(vh),
+        "VM": serialize.write_meta(vh_meta),
+        "A3": json.dumps(vh_assignment),
+        "VS": serialize.write_solution(vh_sol),
+        "F2": json.dumps({"dialect": "max2sat-3occ", "variables": max2sat.n,
+                          "t": max2sat.t, "clauses": max2sat.clauses}),
+        "G": serialize.write_instance(plain),
+        "GM": serialize.write_meta(minnum_meta),
+        "A2": json.dumps(minnum_assignment),
+        "GS": serialize.write_solution(reductions.embed_minnum(
+            plain, minnum_meta, max2sat, minnum_assignment)),
+        "MM": serialize.write_meta(mapping),
+        "MS": serialize.write_solution(reductions.embed_minmax(mapping,
+                                                               vh_sol)),
+    }.items()}
+
+
+GADGET_DOCS = _gadget_documents()
+GADGET_COMMANDS = [
+    "gen vh --formula F3 -o O", "gen minnum --formula F2 -o O",
+    "gen minmax --vh V -o O",
+    "embed vh --meta VM --instance V --formula F3 --assignment A3",
+    "extract vh --meta VM --instance V --formula F3 --solution VS",
+    "embed minnum --meta GM --instance G --formula F2 --assignment A2",
+    "extract minnum --meta GM --instance G --formula F2 --solution GS",
+    "embed minmax --meta MM --solution VS",
+    "extract minmax --meta MM --solution MS",
+    "integerize --meta VM --instance V --solution VS",
+    "oracle vh V", "oracle minnum G"]
+
+
+@st.composite
+def gadget_calls(draw):
+    """A gadget command and its documents, at most one of them mutated:
+    a mutation in each would leave few calls that get past the reader."""
+    command = draw(st.sampled_from(GADGET_COMMANDS)).split()
+    texts = {word: json.dumps(GADGET_DOCS[word])
+             for word in command if word in GADGET_DOCS}
+    word = draw(st.sampled_from(sorted(texts)))
+    texts[word] = draw(mutated(GADGET_DOCS[word]))
+    return command, texts
+
+
+@settings(max_examples=100, deadline=None)
+@given(gadget_calls())
+def test_gadget_commands_exit_codes_and_determinism(call):
+    command, texts = call
+    with tempfile.TemporaryDirectory() as tmp:
+        for word, text in texts.items():
+            Path(tmp, word).write_text(text)
+        argv = [str(Path(tmp, word)) if word.isupper() else word
+                for word in command]
         code, out = _run(argv)
         assert code in (0, 1, 2, 3)
         assert _run(argv) == (code, out)

@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from brutes import reference_minsum_1d
+from brutes import reference_minsum_1d, reference_oracle_minsum_1d
+from wcr import minsum
 from wcr.core import Configuration, Sensor, is_blocking, solution_costs
 from wcr.errors import (HeterogeneousRanges, Infeasible, ModeError,
-                        ValidationError)
+                        SizeLimit, ValidationError, WcrError)
 from wcr.minsum import (Line1DInstance, candidate_targets, oracle_minsum_1d,
                         solve_minsum_1d, solve_minsum_manhattan)
 from wcr.oracle import random_integer_config, random_minsum_1d_instance
@@ -46,9 +47,9 @@ def test_infeasible():
 
 def test_candidate_grid_contains_optimum_anchors():
     inst = Line1DInstance(points=(F(1, 2), F(7, 2)), radius=F(1), length=F(4))
-    cands = candidate_targets(inst)
-    assert F(1) in cands and F(3) in cands
-    assert all(0 <= v <= 4 for v in cands)
+    cands = candidate_targets(inst)  # in units of 1/D, D = 2
+    assert 2 in cands and 6 in cands
+    assert all(0 <= v <= 8 for v in cands)
 
 
 @settings(deadline=None, max_examples=60)
@@ -74,6 +75,67 @@ def test_oracle_contract():
         a_cost, b_cost = oracle_minsum_1d(inst)
         assert a_cost == exact
         assert exact <= b_cost <= exact + len(inst.points) * delta
+
+
+def _outcome(fn, inst):
+    try:
+        return fn(inst)
+    except WcrError as e:
+        return type(e), str(e)
+
+
+def test_oracle_matches_reference_oracle():
+    # the integer oracle against the all-Fraction one it replaced:
+    # both estimates, and the errors with their messages
+    rng = random.Random(23)
+    kinds = set()
+    for _ in range(60):
+        den, n = rng.choice([1, 2, 3, 8, 12]), rng.randint(0, 7)
+        length = F(rng.randint(1, 24), den)
+        inst = Line1DInstance(
+            points=tuple(F(rng.randint(0, int(length * den)), den)
+                         for _ in range(n)),
+            radius=F(rng.randint(1, 4), rng.choice([1, 2, 3])), length=length)
+        new = _outcome(oracle_minsum_1d, inst)
+        assert new == _outcome(reference_oracle_minsum_1d, inst)
+        kinds.add(new[0] if isinstance(new[0], type) else "estimates")
+    assert kinds == {"estimates", Infeasible, SizeLimit}
+
+
+def tight_instance(n: int) -> Line1DInstance:
+    """n sensors of radius 1 on a segment of length n, at p/997."""
+    rng = random.Random(n)
+    return Line1DInstance(
+        points=tuple(F(rng.randint(0, 997 * n), 997) for _ in range(n)),
+        radius=F(1), length=F(n))
+
+
+def test_state_bound_is_an_upper_bound_on_the_dp(monkeypatch):
+    # a limit one below n * |C| must refuse: the bound is never smaller
+    rng = random.Random(41)
+    for _ in range(100):
+        inst = random_line_instance(rng, rng.randint(2, 12),
+                                    rng.choice([1, 3, 997]),
+                                    rng.choice([F(1), H, F(3, 7)]))
+        n, grid = len(inst.points), len(candidate_targets(inst))
+        monkeypatch.setattr(minsum, "MINSUM_STATE_LIMIT", n * grid - 1)
+        with pytest.raises(SizeLimit, match="MinSum DP may keep"):
+            solve_minsum_1d(inst)
+
+
+def test_tight_instance_of_320_sensors_is_under_the_limit(monkeypatch):
+    # the check passes and the grid is asked for: the solve starts
+    def reached(inst):
+        raise RuntimeError("grid requested")
+
+    monkeypatch.setattr(minsum, "candidate_targets", reached)
+    with pytest.raises(RuntimeError, match="grid requested"):
+        solve_minsum_1d(tight_instance(320))
+    # its bound, 320 * (322 * 161 + 2), would pass a limit one below it
+    monkeypatch.setattr(minsum, "MINSUM_STATE_LIMIT", 16590079)
+    with pytest.raises(SizeLimit, match="may keep 16590080 states, past "
+                                        "16590079"):
+        solve_minsum_1d(tight_instance(320))
 
 
 def test_2d_separable():
