@@ -35,7 +35,7 @@ result is exact.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -86,6 +86,22 @@ def candidate_targets(inst: Line1DInstance) -> list[int]:
     return sorted({min(max(v, 0), L) for v in raw})
 
 
+def check_minsum_1d(inst: Line1DInstance) -> None:
+    """Infeasible, or SizeLimit if n * |C| may pass the limit: C's bases
+    of one residue mod 2r put min(count * (2n+1), L/2r + 1) points on
+    [0, L] at most, and clamping adds 0 and L."""
+    if not inst.feasible:
+        raise Infeasible("sum of diameters shorter than the segment")
+    n = len(inst.points)
+    _, (r, L, *pts) = _scaled(inst)
+    bases = Counter(b % (2 * r) for b in (r, L - r, *pts))
+    states = n * (2 + sum(min(k * (2 * n + 1), L // (2 * r) + 1)
+                          for k in bases.values()))
+    if states > MINSUM_STATE_LIMIT:
+        raise SizeLimit(f"the MinSum DP may keep {states} states, "
+                        f"past {MINSUM_STATE_LIMIT}")
+
+
 def solve_minsum_1d(inst: Line1DInstance
                     ) -> tuple[tuple[Fraction, ...], Fraction]:
     """Optimal targets (aligned to input order) and their total cost.
@@ -94,18 +110,10 @@ def solve_minsum_1d(inst: Line1DInstance
     every grid point but the clamped ends 0 and L is a half-integer,
     and those ends are never optimal (r and L - r cover as much at a
     strictly smaller move), so the targets stay on lattice points.
-
-    Raises SizeLimit before building C when n * |C| may pass the limit:
-    C has n + 2 bases, each at min(2n+1, L/2r+1) points of [0, L] at most.
     """
-    if not inst.feasible:
-        raise Infeasible("sum of diameters shorter than the segment")
+    check_minsum_1d(inst)
     n = len(inst.points)
     d, (r, L, *scaled) = _scaled(inst)
-    states = n * ((n + 2) * min(2 * n + 1, L // (2 * r) + 1) + 2)
-    if states > MINSUM_STATE_LIMIT:
-        raise SizeLimit(f"the MinSum DP may keep {states} states, "
-                        f"past {MINSUM_STATE_LIMIT}")
     order = sorted(range(n), key=lambda i: (scaled[i], i))
     pts = [scaled[i] for i in order]
     C = [-r] + candidate_targets(inst)
@@ -177,8 +185,9 @@ def solve_minsum_manhattan(config: Configuration
     xin, yin = axis_instances(config)
     if config.metric != "manhattan":
         raise ModeError("MinSum solver is Manhattan-only")
-    tx, cx = solve_minsum_1d(xin)
-    ty, cy = solve_minsum_1d(yin)
+    for axis in (xin, yin):  # both axes before either DP runs
+        check_minsum_1d(axis)
+    (tx, cx), (ty, cy) = solve_minsum_1d(xin), solve_minsum_1d(yin)
     x0, y0 = config.x_extent[0], config.y_extent[0]
     return Solution({s.id: (x + x0, y + y0)
                      for s, x, y in zip(config.sensors, tx, ty)}), cx + cy
@@ -210,8 +219,7 @@ def oracle_minsum_1d(inst: Line1DInstance) -> tuple[Fraction, Fraction]:
     n = len(inst.points)
     if n > 6:
         raise SizeLimit("1D oracle limited to 6 sensors")
-    if not inst.feasible:
-        raise Infeasible("sum of diameters shorter than the segment")
+    check_minsum_1d(inst)  # Infeasible; 6 sensors stay under the limit
     delta = oracle_step(inst)
     s, (r, L, *pts, step) = _scaled(inst, delta)
     pts.sort()

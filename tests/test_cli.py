@@ -753,16 +753,38 @@ def test_integer_side_past_the_limit_exit_3(tmp_path, capsys):
                                        f"past {INTEGER_SIDE_LIMIT}\n")
 
 
-def test_minsum_past_the_state_limit_exit_3(tmp_path, capsys):
-    # 2000 sensors on a side of 2000: refused before the grid is built
-    path = cfg_file(tmp_path, [(i, i) for i in range(1, 2001)], a=2000,
-                    b=2000)
+@pytest.mark.parametrize("n, height, states", [(2000, 2000, 2562564000),
+                                                (320, 640, 30508480)])
+def test_minsum_past_the_state_limit_exit_3(tmp_path, capsys, n, height,
+                                             states):
+    # range-1 sensors at p/997 on n x height.  2000: the x axis's 1279
+    # residues mod 2 each reach all 1000+ lattice points of [0, 2000],
+    # so n * |C| > 2.5 * 10^9.  320: the y axis keeps n * |C| = 30413440
+    # states, the x axis is under the limit (a 14 s DP), and both are
+    # checked before either is solved
+    rng = random.Random(n)
+    centers = [(F(rng.randint(0, 997 * n), 997),
+                F(rng.randint(0, 997 * height), 997)) for _ in range(n)]
+    path = continuous_file(tmp_path, n, height, centers, 1)
     start = time.perf_counter()
     assert main(["solve", "minsum", str(path)]) == 3
     assert time.perf_counter() - start < 1
     assert capsys.readouterr() == (
-        "", f"resource limit: the MinSum DP may keep 8012008000 states, "
+        "", f"resource limit: the MinSum DP may keep {states} states, "
             f"past {MINSUM_STATE_LIMIT}\n")
+
+
+def test_minsum_integer_grid_of_300_sensors_solves(tmp_path, capsys):
+    # integer mode puts every base on one lattice: n * |C| is about
+    # n * (side + 3), far under the limit
+    rng = random.Random(300)
+    cells = [(rng.randint(1, 300), rng.randint(1, 300)) for _ in range(300)]
+    path = cfg_file(tmp_path, cells, a=300, b=300)
+    out_path = tmp_path / "sol.json"
+    assert main(["solve", "minsum", str(path), "-o", str(out_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["sum_cost"] == "3591"
+    assert main(["verify", str(path), "--solution", str(out_path)]) == 0
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("command, a, b, metric, message", [

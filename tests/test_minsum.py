@@ -9,8 +9,9 @@ from wcr import minsum
 from wcr.core import Configuration, Sensor, is_blocking, solution_costs
 from wcr.errors import (HeterogeneousRanges, Infeasible, ModeError,
                         SizeLimit, ValidationError, WcrError)
-from wcr.minsum import (Line1DInstance, candidate_targets, oracle_minsum_1d,
-                        solve_minsum_1d, solve_minsum_manhattan)
+from wcr.minsum import (Line1DInstance, candidate_targets, check_minsum_1d,
+                        oracle_minsum_1d, solve_minsum_1d,
+                        solve_minsum_manhattan)
 from wcr.oracle import random_integer_config, random_minsum_1d_instance
 
 F = Fraction
@@ -110,17 +111,37 @@ def tight_instance(n: int) -> Line1DInstance:
         radius=F(1), length=F(n))
 
 
+def integer_axis(rng: random.Random, n: int) -> Line1DInstance:
+    """An integer-mode axis: n sensors at cell centres of a side <= n."""
+    side = rng.randint(1, n)
+    return Line1DInstance(
+        points=tuple(F(2 * rng.randint(1, side) - 1, 2) for _ in range(n)),
+        radius=H, length=F(side))
+
+
 def test_state_bound_is_an_upper_bound_on_the_dp(monkeypatch):
     # a limit one below n * |C| must refuse: the bound is never smaller
     rng = random.Random(41)
-    for _ in range(100):
-        inst = random_line_instance(rng, rng.randint(2, 12),
-                                    rng.choice([1, 3, 997]),
-                                    rng.choice([F(1), H, F(3, 7)]))
-        n, grid = len(inst.points), len(candidate_targets(inst))
+    for i in range(200):
+        n = rng.randint(2, 12)
+        inst = integer_axis(rng, n) if i % 2 else random_line_instance(
+            rng, n, rng.choice([1, 3, 997]), rng.choice([F(1), H, F(3, 7)]))
+        grid = len(candidate_targets(inst))
         monkeypatch.setattr(minsum, "MINSUM_STATE_LIMIT", n * grid - 1)
         with pytest.raises(SizeLimit, match="MinSum DP may keep"):
             solve_minsum_1d(inst)
+
+
+def test_integer_axis_bound_is_one_lattice(monkeypatch):
+    # every base of an integer-mode axis is odd in units of 1/2, so all
+    # share one lattice of L + 1 points: the bound is n * (L + 3)
+    monkeypatch.setattr(minsum, "MINSUM_STATE_LIMIT", 0)
+    rng = random.Random(42)
+    for n in (1, 2, 7, 300):
+        inst = integer_axis(rng, n)
+        states = n * (int(inst.length) + 3)
+        with pytest.raises(SizeLimit, match=f"may keep {states} states"):
+            check_minsum_1d(inst)
 
 
 def test_tight_instance_of_320_sensors_is_under_the_limit(monkeypatch):
@@ -131,10 +152,10 @@ def test_tight_instance_of_320_sensors_is_under_the_limit(monkeypatch):
     monkeypatch.setattr(minsum, "candidate_targets", reached)
     with pytest.raises(RuntimeError, match="grid requested"):
         solve_minsum_1d(tight_instance(320))
-    # its bound, 320 * (322 * 161 + 2), would pass a limit one below it
-    monkeypatch.setattr(minsum, "MINSUM_STATE_LIMIT", 16590079)
-    with pytest.raises(SizeLimit, match="may keep 16590080 states, past "
-                                        "16590079"):
+    # its bound (n * |C| = 320 * 48002 = 15360640) would pass one below it
+    monkeypatch.setattr(minsum, "MINSUM_STATE_LIMIT", 15456639)
+    with pytest.raises(SizeLimit, match="may keep 15456640 states, past "
+                                        "15456639"):
         solve_minsum_1d(tight_instance(320))
 
 
