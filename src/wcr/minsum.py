@@ -25,6 +25,16 @@ choices.  Ties go to the smallest target: the window keeps the first
 index of its minimum, and a move beats staying put only when strictly
 cheaper, or as cheap at a target below the sensor.
 
+Each layer i (sensors 0..i-1 placed) fills only its band, the states
+c that are reachable, C[c] <= (2i - 1)r (the first target is <= r and
+each move adds <= 2r), and can still finish, C[c] + r + 2r(n - i) >= L.
+A band state's window reads only states reachable at the next layer;
+states below a band keep their no-cover value, which is exact, and
+states above it are never read, so every finite value and first-index
+argmin is the one the full grid gives.  Each layer stores its choices
+for its band only, as a slice of one shared list, with the band's
+first state as offset.
+
 The DP runs on Python ints: the points, r and L are scaled once by D,
 the least common multiple of their denominators, so every grid point
 and every partial cost is an exact integer count of 1/D.  Only the
@@ -74,16 +84,22 @@ def _scaled(inst: Line1DInstance, *extra) -> tuple[int, list[int]]:
 
 
 def candidate_targets(inst: Line1DInstance) -> list[int]:
-    """The sorted grid C in integer counts of 1/D (see _scaled)."""
+    """The sorted grid C in integer counts of 1/D (see _scaled): each
+    base b in {r, L - r, the points} gives the shifts b + 2rk, |k| <= n,
+    that fall inside (0, L), and 0 or L stands for those clamped onto
+    an end."""
     _, (r, L, *pts) = _scaled(inst)
-    n = len(pts)
-    raw = set()
-    for k in range(-n, n + 1):
-        shift = 2 * r * k
-        raw.add(r + shift)
-        raw.add(L - r - shift)
-        raw.update(p + shift for p in pts)
-    return sorted({min(max(v, 0), L) for v in raw})
+    n, step = len(pts), 2 * r
+    grid = set()
+    for b in {r, L - r, *pts}:
+        first = max(-n, -b // step + 1)  # b + step * first > 0
+        last = min(n, (L - b - 1) // step)  # b + step * last < L
+        grid.update(range(b + step * first, b + step * last + 1, step))
+        if b - step * n <= 0:
+            grid.add(0)
+        if b + step * n >= L:
+            grid.add(L)
+    return sorted(grid)
 
 
 def check_minsum_1d(inst: Line1DInstance) -> None:
@@ -126,14 +142,23 @@ def solve_minsum_1d(inst: Line1DInstance
     # with no covering completion; an int, as D can overflow floats
     no_cover = n * L + 1
     best = [no_cover] * done_from + [0] * (m - done_from)
-    stay = list(range(m))  # copied per layer: the copies share its ints
-    choices = []  # choices[i][c] = state after sensor i; c = it stays put
-    for p in reversed(pts):  # best turns, in place, into the layer before p
-        place = [abs(p - t) + v for t, v in zip(C, best)]
-        choice = stay[:]
+    place = [0] * m  # |p - C[c]| + best[c], set on each layer's windows
+    stay = list(range(m))  # every choice is an int of stay, shared
+    choices = []  # (lo, choice): choice[c - lo] = state after the sensor
+    for i in range(n - 1, -1, -1):  # best turns, in place, into layer i
+        p = pts[i]
+        # the band of layer i: C[c] <= (2i - 1)r is reachable by sensors
+        # 0..i-1, C[c] + r + 2r(n - i) >= L can be finished by the rest
+        lo = bisect_left(C, L - r - 2 * r * (n - i))
+        hi = bisect_right(C, (2 * i - 1) * r)
+        end = min(hi, done_from)
+        top = upper[end - 1]  # the band's windows read place[lo:top]
+        place[lo:top] = [abs(p - t) + v
+                         for t, v in zip(C[lo:top], best[lo:top])]
+        choice = stay[lo:hi]  # c - lo = it stays put
         window: deque[int] = deque()  # first argmin of place[c:upper[c]]
-        pushed = 1  # no sensor is placed on state 0
-        for c in range(done_from):
+        pushed = max(lo, 1)  # no sensor is placed on state 0
+        for c in range(lo, end):
             while pushed < upper[c]:
                 while window and place[window[-1]] > place[pushed]:
                     window.pop()
@@ -143,15 +168,15 @@ def solve_minsum_1d(inst: Line1DInstance
                 window.popleft()
             cp = window[0]  # ties: smallest target, staying put first
             if place[cp] < best[c] or place[cp] == best[c] and C[cp] < p:
-                best[c], choice[c] = place[cp], cp
-        choices.append(choice)
+                best[c], choice[c - lo] = place[cp], stay[cp]
+        choices.append((lo, choice))
 
     total = best[0]
     if total >= no_cover:
         raise Infeasible("no covering assignment exists")  # pragma: no cover
     targets_sorted, state = [], 0
-    for p, choice in zip(pts, reversed(choices)):
-        cp = choice[state]
+    for p, (lo, choice) in zip(pts, reversed(choices)):
+        cp = choice[state - lo]
         targets_sorted.append(p if cp == state else C[cp])
         state = cp
 
@@ -207,7 +232,8 @@ def oracle_minsum_1d(inst: Line1DInstance) -> tuple[Fraction, Fraction]:
     """Two independent optimum estimates (A, B).
 
     A: branch-and-bound over order-preserving assignments into the
-    candidate set, coverage verified at the leaves by interval union.
+    candidate set C, enumerated here on its own, coverage verified at
+    the leaves by interval union.
     B: DP over the uniform grid of step delta = oracle_step(inst)
     (order-preserving full assignments).  Contract: A <= B <= A + n*delta
     whenever r, L and the input points are multiples of delta.  Raises
@@ -258,8 +284,10 @@ def oracle_minsum_1d(inst: Line1DInstance) -> tuple[Fraction, Fraction]:
     # starting past reach leaves a permanent gap.  B is a valid upper
     # bound (true optimum <= B), so pruning on cost > bound is safe; dfs
     # returns the least cover cost below its node, or bound if none is less.
-    scale = s // _scaled(inst)[0]  # C counts in units of 1/D
-    C = [c * scale for c in candidate_targets(inst)]
+    # C is enumerated here, not taken from the solver's candidate_targets:
+    # every base shifted by 2rk, |k| <= n, clamped to [0, L].
+    C = sorted({min(max(b + 2 * r * k, 0), L)
+                for b in (r, L - r, *pts) for k in range(-n, n + 1)})
 
     def dfs(i: int, cost: int, min_c: int, reach: int, bound: int) -> int:
         if bound < cost:

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from brutes import reference_minsum_1d, reference_oracle_minsum_1d
+from brutes import (reference_candidate_targets, reference_minsum_1d,
+                    reference_oracle_minsum_1d)
 from wcr import minsum
 from wcr.core import Configuration, Sensor, is_blocking, solution_costs
 from wcr.errors import (HeterogeneousRanges, Infeasible, ModeError,
@@ -248,12 +250,72 @@ def test_matches_reference_dp_large(n, den, radius):
     assert solve_minsum_1d(inst) == reference_minsum_1d(inst)
 
 
+def reference_grid(inst: Line1DInstance) -> list[Fraction]:
+    """The reference grid in counts of 1/D, D the lcm of the instance's
+    denominators (the unit of candidate_targets)."""
+    d = lcm(*(v.denominator for v in (inst.radius, inst.length,
+                                      *inst.points)))
+    return [v * d for v in reference_candidate_targets(inst)]
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.randoms(use_true_random=False), st.integers(1, 8),
+       st.sampled_from([1, 3, 997]), st.sampled_from([F(1), H, F(3, 7)]))
+def test_candidate_grid_matches_reference(rng, n, den, radius):
+    assume(2 * radius * n * den >= 1)
+    inst = random_line_instance(rng, n, den, radius)
+    assert candidate_targets(inst) == reference_grid(inst)
+
+
+@pytest.mark.parametrize("inst", [
+    Line1DInstance(points=(), radius=F(1), length=F(4)),
+    Line1DInstance(points=(), radius=F(5, 2), length=F(2)),
+    Line1DInstance(points=(F(1, 3),), radius=F(3, 7), length=F(1, 3)),
+    Line1DInstance(points=(F(0),), radius=H, length=F(7))])
+def test_candidate_grid_edge_cases(inst):
+    # no sensor, a radius past the length, one sensor
+    assert candidate_targets(inst) == reference_grid(inst)
+
+
+def slack_instance(rng: random.Random, n: int, den: int, radius: Fraction,
+                   slack: str) -> Line1DInstance:
+    """n sensors at p/den on a segment whose slack 2rn - L is zero,
+    below 2r or above L/2."""
+    length = 2 * radius * n * {
+        "zero": 1,
+        "below 2r": 1 - F(rng.randint(1, 99), 100 * n),
+        "above L/2": F(rng.randint(10, 60), 100)}[slack]
+    return Line1DInstance(
+        points=tuple(F(rng.randint(0, int(length * den)), den)
+                     for _ in range(n)),
+        radius=radius, length=length)
+
+
+@pytest.mark.parametrize("slack", ["zero", "below 2r", "above L/2"])
+@pytest.mark.parametrize("n,den,radius", [
+    (1, 1, F(1)), (2, 3, H), (7, 997, F(3, 7)), (16, 7, F(1)),
+    (30, 997, H)])
+def test_band_edges_match_reference_dp(slack, n, den, radius):
+    # the band's ends are exact: zero slack puts the optimum on the top
+    # and the bottom state of every layer's band
+    for seed in range(3):
+        inst = slack_instance(random.Random(seed * 1000 + n), n, den,
+                              radius, slack)
+        assert solve_minsum_1d(inst) == reference_minsum_1d(inst)
+
+
+def test_tight_instance_matches_reference_dp():
+    inst = tight_instance(40)
+    assert solve_minsum_1d(inst) == reference_minsum_1d(inst)
+
+
 def test_common_denominator_beyond_float_range():
     dens = [10**110 + k for k in (3, 7, 13)]
     inst = Line1DInstance(points=tuple(F(q // k, q) for k, q in
                                        zip((2, 3, 4), dens)),
                           radius=F(1), length=F(4))
     assert solve_minsum_1d(inst) == reference_minsum_1d(inst)
+    assert candidate_targets(inst) == reference_grid(inst)
 
 
 def test_integer_mode_matches_reference_dp():
