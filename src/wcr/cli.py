@@ -63,6 +63,15 @@ def _emit_solution(sol: Solution, path: str | None) -> None:
         _emit({"written": path})
 
 
+def _emit_with(out: dict, key: str, sol: Solution, path: str | None) -> None:
+    """Encode sol once; write it to path when path is given, and write
+    out with sol under key, last, to stdout."""
+    text = serialize.dumps(serialize.solution_to_obj(sol))
+    if path:
+        _write(path, text)
+    _write(None, serialize.dumps_with(out, key, text))
+
+
 # Each kind of document a command reads: the serialize reader that
 # parses it and its name in errors, by the class the reader returns.
 _KINDS = {
@@ -163,10 +172,7 @@ def cmd_solve(args) -> int:
         out["max_move_squared"] = rat_str(result.value_squared)
         if result.value is not None:
             out["max_move"] = rat_str(result.value)
-    out["solution"] = serialize.solution_to_obj(sol)
-    if args.output:
-        _emit(out["solution"], args.output)
-    _emit(out)
+    _emit_with(out, "solution", sol, args.output)
     return 0
 
 
@@ -174,11 +180,10 @@ def cmd_decide(args) -> int:
     inst = _load(args, "instance", minmax.VHInstance)
     feasible, witness = minmax.decide_vh(inst, args.budget)
     out = {"feasible": feasible}
-    if witness is not None:
-        out["witness"] = serialize.solution_to_obj(witness)
-        if args.output:
-            _emit(out["witness"], args.output)
-    _emit(out)
+    if witness is None:
+        _emit(out)
+    else:
+        _emit_with(out, "witness", witness, args.output)
     return 0 if feasible else 1
 
 

@@ -43,7 +43,17 @@ INTEGER_SIDE_LIMIT = 10**6  # columns or rows is_blocking lists one by one
 def rat(value) -> Fraction:
     """Coerce ints, Fractions and exact decimal/"p/q" strings to Fraction.
     Rejects booleans, and strings whose numerator or denominator would
-    pass MAX_DIGITS digits (checking an exponent before 10**exponent)."""
+    pass MAX_DIGITS digits (checking an exponent before 10**exponent).
+
+    ASCII digit strings "p" and "p/q" of at most MAX_DIGITS digits a part
+    are converted directly; every other string goes through Fraction."""
+    if value.__class__ is str:
+        p, slash, q = value.partition("/")
+        if p.isascii() and p.isdigit() and len(p) <= MAX_DIGITS:
+            if not slash:
+                return Fraction(int(p))
+            if q.isascii() and q.isdigit() and len(q) <= MAX_DIGITS:
+                return Fraction(int(p), int(q))
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):

@@ -102,18 +102,30 @@ def lines_blocked(positions, v_lines, h_lines):
 def verify_vh(inst: VHInstance, positions: dict, *,
               require_integer: bool = True) -> bool:
     """positions: id -> (x, y).  True iff every required line is blocked,
-    every move is within budget, and positions stay on the grid."""
+    every move is within budget, and positions stay on the grid.
+
+    Homes, positions, the covered rectangle [1/2, a + 1/2] x
+    [1/2, b + 1/2] and the budget are compared as ints scaled by D, the
+    lcm of their denominators."""
     config = inst.config
     if set(positions) != {s.id for s in config.sensors}:
         return False
-    (lo_x, hi_x), (lo_y, hi_y) = config.x_extent, config.y_extent
-    for s in config.sensors:
-        x, y = positions[s.id]
-        if not (lo_x <= x <= hi_x and lo_y <= y <= hi_y):
-            return False
-        if require_integer and (x.denominator != 1 or y.denominator != 1):
-            return False
-        if not within(config.metric, (s.x, s.y), (x, y), inst.max_move):
+    moves = [(s.x, s.y, *positions[s.id]) for s in config.sensors]
+    if require_integer and any(x.denominator != 1 or y.denominator != 1
+                               for _, _, x, y in moves):
+        return False
+    budget = inst.max_move
+    D = lcm(budget.denominator, *{c.denominator for move in moves
+                                  for c in move})
+    reach = budget.numerator * (D // budget.denominator)
+    if config.metric != "manhattan":
+        reach *= reach  # distance() gives squared euclidean lengths
+    hi_x = (2 * config.width.numerator + 1) * D  # 2 (a + 1/2) D
+    hi_y = (2 * config.height.numerator + 1) * D
+    for move in moves:
+        hx, hy, x, y = [c.numerator * (D // c.denominator) for c in move]
+        if not (D <= 2 * x <= hi_x and D <= 2 * y <= hi_y) or \
+                distance(config.metric, (hx, hy), (x, y)) > reach:
             return False
     return lines_blocked(positions.values(), inst.v_lines, inst.h_lines) == \
         (inst.v_lines, inst.h_lines)

@@ -2,10 +2,14 @@
 
 Rationals are written as "p/q" (or a bare integer string) and parsed
 exactly, each distinct string once per document; decimal strings like
-"0.5" are accepted on input.  The location of a bad array item is only
-formatted once its parse has failed.  Output is canonical: sensors in
-the id order a Configuration keeps, fixed key order, so identical values
-serialize to identical bytes.
+"0.5" are accepted on input.  A sensor or position whose id is an int
+and whose strings are already parsed is read in one step; any other
+item is parsed field by field, which raises the first error in field
+order.  The location of a bad array item is only formatted once its
+parse has failed.  Output is canonical: sensors in the id order a
+Configuration keeps, fixed key order, so identical values serialize to
+identical bytes; dumps_with nests an encoded document in another
+without encoding it again.
 """
 
 from __future__ import annotations
@@ -108,6 +112,29 @@ def _loads(data) -> Any:
         raise ParseError(f"invalid JSON: {e}") from None
 
 
+def _sensor(s, i: int, rats: dict) -> Sensor:
+    """$.sensors[i], parsed field by field: the first error in the order
+    id, x, y, range."""
+    if not isinstance(s, dict):
+        raise ParseError(f"$.sensors[{i}] must be an object")
+    return Sensor(id=_int_field(s, "id", "$.sensors", i),
+                  x=_rat_field(s, "x", "$.sensors", rats, i),
+                  y=_rat_field(s, "y", "$.sensors", rats, i),
+                  range=_rat_field(s, "range", "$.sensors", rats, i))
+
+
+def _position(e, i: int, rats: dict, positions: dict):
+    """$.positions[i] as (id, (x, y)), parsed field by field: the first
+    error in the order id, duplicate id, x, y."""
+    if not isinstance(e, dict):
+        raise ParseError(f"$.positions[{i}] must be an object")
+    sid = _int_field(e, "id", "$.positions", i)
+    if sid in positions:
+        raise ParseError(f"$.positions[{i}]: duplicate id {sid}")
+    return sid, (_rat_field(e, "x", "$.positions", rats, i),
+                 _rat_field(e, "y", "$.positions", rats, i))
+
+
 def config_from_obj(obj: dict) -> Configuration:
     if not isinstance(obj, dict):
         raise ParseError("instance must be a JSON object")
@@ -120,13 +147,15 @@ def config_from_obj(obj: dict) -> Configuration:
     rats = {}
     sensors = []
     for i, s in enumerate(sensors_obj):
-        if not isinstance(s, dict):
-            raise ParseError(f"$.sensors[{i}] must be an object")
-        sensors.append(Sensor(
-            id=_int_field(s, "id", "$.sensors", i),
-            x=_rat_field(s, "x", "$.sensors", rats, i),
-            y=_rat_field(s, "y", "$.sensors", rats, i),
-            range=_rat_field(s, "range", "$.sensors", rats, i)))
+        try:  # an int id and strings already in rats: nothing to check
+            sid = s["id"]
+            if sid.__class__ is int:
+                sensors.append(Sensor(sid, rats[s["x"]], rats[s["y"]],
+                                      rats[s["range"]]))
+                continue
+        except (KeyError, TypeError):
+            pass
+        sensors.append(_sensor(s, i, rats))
     return Configuration(
         width=_rat_field(rect, "width", "$.rect", rats),
         height=_rat_field(rect, "height", "$.rect", rats),
@@ -139,6 +168,16 @@ def dumps(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def dumps_with(obj: dict, key: str, text: str) -> str:
+    """dumps({**obj, key: value}) for a key not in obj, given text =
+    dumps(value), without encoding value again: the encoder writes value
+    as text with each line after the first indented two more spaces, and
+    never writes a raw newline inside a string."""
+    tail = "null\n}\n"  # how dumps({**obj, key: None}) ends
+    return dumps({**obj, key: None}).removesuffix(tail) + \
+        text[:-1].replace("\n", "\n  ") + "\n}\n"
+
+
 def read_solution(data) -> Solution:
     obj = _loads(data)
     if not isinstance(obj, dict):
@@ -149,13 +188,15 @@ def read_solution(data) -> Solution:
     rats = {}
     positions = {}
     for i, e in enumerate(entries):
-        if not isinstance(e, dict):
-            raise ParseError(f"$.positions[{i}] must be an object")
-        sid = _int_field(e, "id", "$.positions", i)
-        if sid in positions:
-            raise ParseError(f"$.positions[{i}]: duplicate id {sid}")
-        positions[sid] = (_rat_field(e, "x", "$.positions", rats, i),
-                          _rat_field(e, "y", "$.positions", rats, i))
+        try:  # as in config_from_obj, plus a new id
+            sid = e["id"]
+            if sid.__class__ is int and sid not in positions:
+                positions[sid] = (rats[e["x"]], rats[e["y"]])
+                continue
+        except (KeyError, TypeError):
+            pass
+        sid, xy = _position(e, i, rats, positions)
+        positions[sid] = xy
     return Solution(positions)
 
 

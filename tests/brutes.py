@@ -6,8 +6,9 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
-from wcr.core import HALF, CostReport, CoverageReport, Solution, \
-    _sqrt_bounds, distance, exact_sqrt, interval_gaps, rat_str
+from wcr.core import HALF, MAX_DIGITS, CostReport, CoverageReport, \
+    Solution, _sqrt_bounds, distance, exact_sqrt, interval_gaps, rat_str, \
+    within
 from wcr.errors import Infeasible, KeyMismatch, SearchLimit, SizeLimit, \
     ValidationError
 from wcr.minmax import DEFAULT_NODE_BUDGET, VHInstance, move_domain, verify_vh
@@ -354,9 +355,10 @@ def reference_oracle_minsum_1d(inst: Line1DInstance
 
 
 # --- Line blocking: the original decide_vh, which rescans every sensor's
-# move domain for every unsatisfied line at every node, and the
-# lines_blocked that tests every line against every gap.  The indexed
-# solver must explore the same nodes and return the same witness.
+# move domain for every unsatisfied line at every node, the
+# lines_blocked that tests every line against every gap, and the
+# verify_vh that compares Fractions.  The indexed solver must explore
+# the same nodes and return the same witness.
 
 def reference_lines_blocked(positions, v_lines, h_lines):
     """Required lines blocked by the given (possibly fractional)
@@ -373,6 +375,27 @@ def reference_lines_blocked(positions, v_lines, h_lines):
 
     return (blocked([x for x, _ in positions], v_lines),
             blocked([y for _, y in positions], h_lines))
+
+
+def reference_verify_vh(inst: VHInstance, positions: dict, *,
+                        require_integer: bool = True) -> bool:
+    """The verify_vh that compares Fraction points with the extents and
+    tests each move with within."""
+    config = inst.config
+    if set(positions) != {s.id for s in config.sensors}:
+        return False
+    (lo_x, hi_x), (lo_y, hi_y) = config.x_extent, config.y_extent
+    for s in config.sensors:
+        x, y = positions[s.id]
+        if not (lo_x <= x <= hi_x and lo_y <= y <= hi_y):
+            return False
+        if require_integer and (x.denominator != 1 or y.denominator != 1):
+            return False
+        if not within(config.metric, (s.x, s.y), (x, y), inst.max_move):
+            return False
+    return reference_lines_blocked(positions.values(), inst.v_lines,
+                                   inst.h_lines) == (inst.v_lines,
+                                                     inst.h_lines)
 
 
 def reference_decide_vh(inst: VHInstance, budget: int | None = None
@@ -450,9 +473,26 @@ def reference_decide_vh(inst: VHInstance, budget: int | None = None
 
 # ---------------------------------------------------------------------------
 # The boundary checks and costs as first written, on Fractions only:
-# Configuration.__post_init__, Solution.validate, is_blocking and
+# rat, Configuration.__post_init__, Solution.validate, is_blocking and
 # solution_costs (which validated the solution itself).  The scaled-int
 # versions in wcr.core must agree on every report, error type and message.
+
+def reference_rat(value) -> Fraction:
+    """The rat that sends every string through Fraction."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str):
+        _, e, exponent = value.lower().rpartition("e")
+        if e and abs(int(exponent)) > MAX_DIGITS:
+            raise ValidationError(f"exponent past {MAX_DIGITS} digits")
+        q = Fraction(value)
+        if max(abs(q.numerator), q.denominator) >= 10 ** MAX_DIGITS:
+            raise ValidationError(f"rational past {MAX_DIGITS} digits")
+        return q
+    raise ValidationError(f"cannot interpret {value!r} as an exact rational")
+
 
 def reference_validate_config(self) -> None:
     """Configuration.__post_init__ as first written (self: the config)."""

@@ -14,14 +14,16 @@ import random
 import re
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from brutes import (reference_is_blocking, reference_solution_costs,
-                    reference_validate_config, reference_validate_solution)
+from brutes import (reference_is_blocking, reference_rat,
+                    reference_solution_costs, reference_validate_config,
+                    reference_validate_solution)
 from wcr import serialize
 from wcr.cli import main
-from wcr.core import (Configuration, Sensor, Solution, is_blocking,
-                      solution_costs)
+from wcr.core import (MAX_DIGITS, Configuration, Sensor, Solution,
+                      is_blocking, rat, solution_costs)
 from wcr.errors import ParseError, WcrError
 
 F = Fraction
@@ -234,6 +236,43 @@ def test_boundary_matches_reference(case):
     assert_same_boundary(*case)
 
 
+# -- rat ---------------------------------------------------------------------
+
+def _rat_outcome(fn, text):
+    """fn(text), or the type of the error it raised."""
+    try:
+        return fn(text)
+    except Exception as e:
+        return type(e)
+
+
+_DIGITS = "9" * MAX_DIGITS
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text("0123456789/+-_ .eE\u0661\u0662\u00b2", max_size=12) |
+       st.from_regex(r"\A[0-9]{1,30}(/[0-9]{1,30})?\Z"))
+@example("")
+@example("007/0030")
+@example("3/0")
+@example("+3")
+@example(" 3")
+@example("1_0/3")
+@example("0.5")
+@example("1e5")
+@example("\u0661\u0662")  # Arabic-Indic digits: 12 through Fraction
+@example("\u00b2")  # a superscript two: isdigit() but not a decimal
+@example(_DIGITS)
+@example("1" + _DIGITS)
+@example(f"{_DIGITS}/{_DIGITS}")
+@example(f"1/1{_DIGITS}")
+@example(f"1{_DIGITS}/3")
+@example("0" + _DIGITS)
+def test_rat_matches_reference(text):
+    got, want = _rat_outcome(rat, text), _rat_outcome(reference_rat, text)
+    assert got == want and type(got) is type(want), text
+
+
 # -- serialize -----------------------------------------------------------------
 
 def _sensor(**fields):
@@ -337,3 +376,44 @@ def test_string_one_and_true_on_two_sensors_exit_2(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err == f"error: bad rational at $.sensors{where}: " \
                                f"True\n"
+
+
+def _without(item, key):
+    return {k: v for k, v in item.items() if k != key}
+
+
+# The second item repeats the first one's strings, so each is parsed
+# before the fault is reached.  Ids 0 and true differ: a true id taken
+# for an int would be used, not named.
+_WARM = _config_doc(_sensor(), _sensor(id=1, x="2", y="2"))
+WARM_ERRORS = [
+    (_config_doc(_sensor(), _sensor(id=True)), None,
+     "expected integer at $.sensors[1].id: True"),
+    (_config_doc(_sensor(), _without(_sensor(id=1), "range")), None,
+     "missing field $.sensors[1].range"),
+    (_config_doc(_sensor(), _sensor(id=1, x=1.0)), None,
+     "bad rational at $.sensors[1].x: 1.0"),
+    (_config_doc(_sensor(), _sensor()), None, "duplicate sensor id"),
+    (_WARM, _solution_doc(_position(), _position(id=True)),
+     "expected integer at $.positions[1].id: True"),
+    (_WARM, _solution_doc(_position(), _without(_position(id=1), "y")),
+     "missing field $.positions[1].y"),
+    (_WARM, _solution_doc(_position(), _position(id=1, x=1.0)),
+     "bad rational at $.positions[1].x: 1.0"),
+    (_WARM, _solution_doc(_position(), _position()),
+     "$.positions[1]: duplicate id 0"),
+]
+
+
+@pytest.mark.parametrize("instance, solution, message", WARM_ERRORS, ids=[
+    f"{kind}-{fault}" for kind in ("sensor", "position")
+    for fault in ("true-id", "missing-field", "float-x", "duplicate-id")])
+def test_faults_after_repeated_strings_exit_2(tmp_path, capsys, instance,
+                                              solution, message):
+    (tmp_path / "inst.json").write_text(instance)
+    argv = ["verify", str(tmp_path / "inst.json")]
+    if solution is not None:
+        (tmp_path / "sol.json").write_text(solution)
+        argv += ["--solution", str(tmp_path / "sol.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from brutes import (random_sat22, reference_decide_vh,
-                    reference_lines_blocked)
+                    reference_lines_blocked, reference_verify_vh)
 from wcr import minmax
 from wcr.core import Configuration, Sensor, is_blocking, solution_costs
 from wcr.errors import SearchLimit, SizeLimit, ValidationError
@@ -182,6 +182,60 @@ def test_verify_rejections():
     frac = {1: (F(1), F(1)), 2: (F(2), F(3, 2))}
     assert not verify_vh(inst, frac)
     assert not verify_vh(inst, frac, require_integer=False)         # budget
+
+
+def _verify_case(rng):
+    """A line-blocking instance under either metric with a budget of
+    denominator d, and positions for its sensors: at home, on or just
+    off the grid, at multiples of 1/2d (the rectangle's edges and just
+    past them), or moved the budget or the budget plus 1/d along one
+    axis; sometimes with one id missing or one extra."""
+    a, b, d = rng.randint(1, 5), rng.randint(1, 5), rng.choice([1, 2, 3])
+    cfg = Configuration(
+        width=F(a), height=F(b), mode="integer",
+        metric=rng.choice(["manhattan", "euclidean"]),
+        sensors=tuple(Sensor(i, F(rng.randint(1, a)), F(rng.randint(1, b)),
+                             H) for i in range(rng.randint(1, 6))))
+    budget = F(rng.randint(0, 3 * d), d)
+    inst = VHInstance(cfg, frozenset(rng.sample(range(1, a + 1),
+                                                rng.randint(0, min(a, 2)))),
+                      frozenset(rng.sample(range(1, b + 1),
+                                           rng.randint(0, min(b, 2)))),
+                      budget)
+    positions = {}
+    for s in cfg.sensors:
+        kind = rng.randrange(4)
+        if kind == 0:
+            p = (s.x, s.y)
+        elif kind == 1:
+            p = (F(rng.randint(0, a + 1)), F(rng.randint(0, b + 1)))
+        elif kind == 2:
+            p = (F(rng.randint(0, 2 * d * (a + 1)), 2 * d),
+                 F(rng.randint(0, 2 * d * (b + 1)), 2 * d))
+        else:
+            step = budget + rng.choice([0, F(1, d)])
+            p = rng.choice([(s.x + step, s.y), (s.x - step, s.y),
+                            (s.x, s.y + step), (s.x, s.y - step)])
+        positions[s.id] = p
+    if rng.random() < 0.1:
+        del positions[0]
+    elif rng.random() < 0.1:
+        positions[len(cfg.sensors)] = (F(1), F(1))
+    return inst, positions
+
+
+def test_verify_vh_matches_reference_on_seeded_cases():
+    rng = random.Random(1414)
+    seen = set()
+    for _ in range(3000):
+        inst, positions = _verify_case(rng)
+        for require_integer in (True, False):
+            got = verify_vh(inst, positions, require_integer=require_integer)
+            assert got == reference_verify_vh(
+                inst, positions, require_integer=require_integer), \
+                (inst, positions, require_integer)
+            seen.add((require_integer, got))
+    assert len(seen) == 4  # both answers, with and without the grid check
 
 
 def test_search_limit():
