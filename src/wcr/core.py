@@ -19,6 +19,8 @@ Conventions
 * Continuous mode: the covered rectangle is [0, a] x [0, b] and sensor
   centers lie inside it.
 * Coverage is closed: touching an interval endpoint counts as covered.
+* A Sensor is a NamedTuple (id, x, y, range): immutable, ordered and
+  hashed as that tuple, and equal to a plain tuple of the same fields.
 * A Configuration keeps its sensors in id order, so configurations of
   the same sensors compare equal whatever order they were given in;
   validation walks the given order.
@@ -30,7 +32,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import KeyMismatch, SizeLimit, ValidationError
 
@@ -84,8 +86,7 @@ def rat_str(value: Fraction) -> str:
             sys.set_int_max_str_digits(limit)
 
 
-@dataclass(frozen=True, order=True)
-class Sensor:
+class Sensor(NamedTuple):
     id: int
     x: Fraction
     y: Fraction
@@ -354,40 +355,3 @@ def _costs(config: Configuration, sol: Solution) -> CostReport:
             else _sqrt_bounds(max_sq, _EUCLID_EPS)
     return CostReport(moved=moved, sum_low=sum_lo, sum_high=sum_hi,
                       max_low=max_lo, max_high=max_hi, max_squared=max_sq)
-
-
-# ---------------------------------------------------------------------------
-# symmetry transforms (used by solvers and the invariance test suite)
-
-def transpose(config: Configuration) -> Configuration:
-    return Configuration(
-        width=config.height, height=config.width,
-        sensors=tuple(Sensor(s.id, s.y, s.x, s.range) for s in config.sensors),
-        mode=config.mode, metric=config.metric)
-
-
-def transpose_solution(sol: Solution) -> Solution:
-    return Solution({sid: (y, x) for sid, (x, y) in sol.positions.items()})
-
-
-def _mirror(value: Fraction, config: Configuration, side: Fraction) -> Fraction:
-    if config.mode == "integer":
-        return side + 1 - value
-    return side - value
-
-
-def reflect_x(config: Configuration) -> Configuration:
-    """Mirror across the vertical axis of the rectangle."""
-    return Configuration(
-        width=config.width, height=config.height,
-        sensors=tuple(Sensor(s.id, _mirror(s.x, config, config.width), s.y,
-                             s.range) for s in config.sensors),
-        mode=config.mode, metric=config.metric)
-
-
-def reflect_y(config: Configuration) -> Configuration:
-    return Configuration(
-        width=config.width, height=config.height,
-        sensors=tuple(Sensor(s.id, s.x, _mirror(s.y, config, config.height),
-                             s.range) for s in config.sensors),
-        mode=config.mode, metric=config.metric)

@@ -6,7 +6,9 @@ y's only edge goes to hub x, so nu = 1 + nu(rows x columns).  The
 blossom is kept for the free set it picks, which is pinned output; the
 same search without contraction picks another on some graphs where the
 blossom contracts.  Everything is deterministic: the same edge ordering
-always yields the same matching.
+always yields the same matching.  Parallel edges collapse to one
+representative per vertex pair; minimum_edge_cover computes the
+representatives once and hands them to the matching.
 """
 
 from __future__ import annotations
@@ -122,7 +124,11 @@ def _match_array(n: int, adj: list[list[int]]) -> list[int]:
 
 def maximum_matching(g: Graph) -> set[int]:
     """Edge indices forming a maximum-cardinality matching."""
-    rep = _representatives(g)
+    return _matching(g, _representatives(g))
+
+
+def _matching(g: Graph, rep: dict[tuple[int, int], int]) -> set[int]:
+    """maximum_matching, given the representatives rep of g's edges."""
     adj: list[list[int]] = [[] for _ in range(g.vertex_count)]
     for u, v in rep:
         adj[u].append(v)
@@ -150,7 +156,7 @@ def minimum_edge_cover(g: Graph) -> set[int]:
             raise IsolatedVertex(v)
         edges.sort(key=lambda i: _edge_key(i, g.edges[i][2]))
 
-    cover = maximum_matching(g)
+    cover = _matching(g, rep)
     matched = [False] * g.vertex_count
     for i in cover:
         u, v, _ = g.edges[i]

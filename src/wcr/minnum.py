@@ -14,6 +14,16 @@ row and its column and type 1 otherwise; a free sensor is type 2, plus
 one for each of its two lines that holds only free sensors.  (A free
 sensor's non-free line-mate has a line-mate, so it is type 1: a line
 with a type-1 sensor is exactly a line that is not all-free.)
+
+A solve reads each sensor's cell once, as the int triple (row, column,
+id), and builds one line table from those cells: per-line counts, the
+free sensors and the all-free lines.  The free graph, the free set, the
+movers and the slides all read that table.  When column gaps outnumber
+row gaps the planner runs on the transpose: it swaps each cell's row and
+column and the two gap lists, plans, and swaps only the finished moves
+back.  The free graph is built in that swapped orientation too, because
+the blossom's pick of free set depends on the vertex order and is pinned
+output.
 """
 
 from __future__ import annotations
@@ -23,8 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Configuration, Solution, is_blocking, transpose, \
-    transpose_solution
+from .core import Configuration, Solution, is_blocking
 from .errors import Infeasible, ModeError, SizeLimit
 from .matching import Graph, minimum_edge_cover
 
@@ -36,18 +45,20 @@ def _require_integer(config: Configuration) -> None:
         raise ModeError("integer mode required")
 
 
-def _line_table(config: Configuration):
+def _cells(config: Configuration) -> list[tuple[int, int, int]]:
+    """(row, column, id) of every sensor, in id order, read once as ints."""
+    _require_integer(config)
+    return [(s.y.numerator, s.x.numerator, s.id) for s in config.sensors]
+
+
+def _line_table(cells):
     """(sensors per row, sensors per column, ids of the free sensors,
     rows holding only free sensors, columns holding only free sensors)."""
-    _require_integer(config)
-    rows = Counter(int(s.y) for s in config.sensors)
-    cols = Counter(int(s.x) for s in config.sensors)
-    free = {s.id for s in config.sensors
-            if rows[int(s.y)] > 1 and cols[int(s.x)] > 1}
-    free_rows = rows.keys() - {int(s.y) for s in config.sensors
-                               if s.id not in free}
-    free_cols = cols.keys() - {int(s.x) for s in config.sensors
-                               if s.id not in free}
+    rows = Counter(y for y, _, _ in cells)
+    cols = Counter(x for _, x, _ in cells)
+    free = {sid for y, x, sid in cells if rows[y] > 1 and cols[x] > 1}
+    free_rows = rows.keys() - {y for y, _, sid in cells if sid not in free}
+    free_cols = cols.keys() - {x for _, x, sid in cells if sid not in free}
     return rows, cols, free, free_rows, free_cols
 
 
@@ -55,15 +66,34 @@ def classify(config: Configuration) -> dict[int, int]:
     """Type of every sensor per the 0-4 taxonomy (partition): a non-free
     sensor is type 0 when alone in its row and its column, else type 1;
     a free sensor is TYPE2 + (row all-free) + (column all-free)."""
-    rows, cols, free, free_rows, free_cols = _line_table(config)
+    cells = _cells(config)
+    rows, cols, free, free_rows, free_cols = _line_table(cells)
     types = {}
-    for s in config.sensors:
-        x, y = int(s.x), int(s.y)
-        if s.id in free:
-            types[s.id] = TYPE2 + (y in free_rows) + (x in free_cols)
+    for y, x, sid in cells:
+        if sid in free:
+            types[sid] = TYPE2 + (y in free_rows) + (x in free_cols)
         else:
-            types[s.id] = TYPE0 if rows[y] == cols[x] == 1 else TYPE1
+            types[sid] = TYPE0 if rows[y] == cols[x] == 1 else TYPE1
     return types
+
+
+def _free_graph(cells, free_rows, free_cols):
+    legend = [("row", i) for i in sorted(free_rows)] + \
+        [("col", j) for j in sorted(free_cols)]
+    index = {v: k for k, v in enumerate(legend)}
+    legend += [("x",), ("y",)]
+    hub_x, hub_y = len(legend) - 2, len(legend) - 1
+
+    edges = []
+    for y, x, sid in cells:  # by id
+        row_v = index.get(("row", y))
+        col_v = index.get(("col", x))
+        if row_v is not None and col_v is not None:
+            edges.append((row_v, col_v, sid))
+        elif row_v is not None or col_v is not None:
+            edges.append((col_v if row_v is None else row_v, hub_x, sid))
+    edges.append((hub_x, hub_y, None))
+    return Graph(vertex_count=len(legend), edges=tuple(edges)), legend
 
 
 def build_free_graph(config: Configuration):
@@ -77,33 +107,23 @@ def build_free_graph(config: Configuration):
     present (label None).  Returns (Graph, legend) where legend[i] is
     ("row", idx) | ("col", idx) | ("x",) | ("y",).
     """
-    _, _, _, free_rows, free_cols = _line_table(config)
-    legend = [("row", i) for i in sorted(free_rows)] + \
-        [("col", j) for j in sorted(free_cols)]
-    index = {v: k for k, v in enumerate(legend)}
-    legend += [("x",), ("y",)]
-    hub_x, hub_y = len(legend) - 2, len(legend) - 1
+    cells = _cells(config)
+    return _free_graph(cells, *_line_table(cells)[3:])
 
-    edges = []
-    for s in config.sensors:  # by id
-        row_v = index.get(("row", int(s.y)))
-        col_v = index.get(("col", int(s.x)))
-        if row_v is not None and col_v is not None:
-            edges.append((row_v, col_v, s.id))
-        elif row_v is not None or col_v is not None:
-            edges.append((col_v if row_v is None else row_v, hub_x, s.id))
-    edges.append((hub_x, hub_y, None))
-    return Graph(vertex_count=len(legend), edges=tuple(edges)), legend
+
+def _max_free_set(cells, table) -> frozenset[int]:
+    _, _, free, free_rows, free_cols = table
+    if not free:
+        return frozenset()
+    g, _ = _free_graph(cells, free_rows, free_cols)
+    cover = minimum_edge_cover(g)
+    return frozenset(free - {g.edges[i][2] for i in cover})
 
 
 def max_free_set(config: Configuration) -> frozenset[int]:
     """Largest simultaneously-removable set of free sensors."""
-    free = _line_table(config)[2]
-    if not free:
-        return frozenset()
-    g, _ = build_free_graph(config)
-    cover = minimum_edge_cover(g)
-    return frozenset(free - {g.edges[i][2] for i in cover})
+    cells = _cells(config)
+    return _max_free_set(cells, _line_table(cells))
 
 
 @dataclass(frozen=True)
@@ -118,33 +138,33 @@ class MinNumPlan:
         return len(self.moves)
 
 
+_SWAPPED = {"jump": "jump", "slide-row": "slide-col", "slide-col": "slide-row"}
+
+
 def solve_minnum(config: Configuration) -> MinNumPlan:
     """Relocate the fewest sensors to make the configuration blocking.
 
     Moves exactly r sensors when |M| >= c and r + c - |M| otherwise
     (axes oriented so the row-gap count r >= the column-gap count c).
     """
-    _require_integer(config)
+    cells = _cells(config)
     if config.n < max(config.width, config.height):
         raise Infeasible("fewer sensors than the longer side")
 
     report = is_blocking(config)
     row_gaps, col_gaps = list(report.y_gaps), list(report.x_gaps)
+    swapped = len(row_gaps) < len(col_gaps)
+    if swapped:  # plan on the transpose: rows and columns trade places
+        cells = [(x, y, sid) for y, x, sid in cells]
+        row_gaps, col_gaps = col_gaps, row_gaps
     r, c = len(row_gaps), len(col_gaps)
-    if r < c:
-        plan = solve_minnum(transpose(config))
-        return MinNumPlan(
-            free_set=plan.free_set, k=plan.k,
-            moves=tuple((sid, {"slide-row": "slide-col",
-                               "slide-col": "slide-row"}.get(kind, kind),
-                         (ty, tx)) for sid, kind, (tx, ty) in plan.moves),
-            solution=transpose_solution(plan.solution))
 
-    M = max_free_set(config)
+    table = _line_table(cells)
+    M = _max_free_set(cells, table)  # the blossom's pick in this orientation
     k = len(M)
-    # movers and slides are picked in (row, column, id) order, on ints
-    cells = sorted((int(s.y), int(s.x), s.id) for s in config.sensors)
-    movers = [cell for cell in cells if cell[2] in M]
+    # movers and slides are picked in (row, column, id) order
+    order = sorted(cells)
+    movers = [cell for cell in order if cell[2] in M]
     moves: list[tuple[int, str, tuple[int, int]]] = []
 
     # jumping moves: pair sorted column gaps with sorted row gaps
@@ -163,17 +183,19 @@ def solve_minnum(config: Configuration) -> MinNumPlan:
 
     # remaining gaps are repaired by sliding non-free sensors off lines
     # that still hold another sensor, so no slide creates a fresh gap; gap
-    # lines hold no unmoved sensor, so their counts are never read
-    at = {sid: (x, y) for y, x, sid in cells}
-    for sid, _, target in moves:
-        at[sid] = target
-    rows = Counter(y for _, y in at.values())
-    cols = Counter(x for x, _ in at.values())
+    # lines hold no unmoved sensor, so their counts are never read.  The
+    # table's line counts are updated in place to the moved positions.
+    rows, cols = table[0], table[1]
+    for (y, x, _), (_, _, (tx, ty)) in zip(movers, moves):
+        rows[y] -= 1
+        cols[x] -= 1
+        rows[ty] += 1
+        cols[tx] += 1
     moved_ids = set(M)
 
     def slide(gap: int, vertical: bool) -> None:
         counts = rows if vertical else cols
-        cell = next((cell for cell in cells if cell[2] not in moved_ids
+        cell = next((cell for cell in order if cell[2] not in moved_ids
                      and counts[cell[0 if vertical else 1]] > 1), None)
         assert cell, "no slide candidate: pigeonhole guarantee broken"
         y, x, sid = cell
@@ -187,6 +209,8 @@ def solve_minnum(config: Configuration) -> MinNumPlan:
     for gap in col_gaps:
         slide(gap, vertical=False)
 
+    if swapped:
+        moves = [(sid, _SWAPPED[kind], (y, x)) for sid, kind, (x, y) in moves]
     moves = [(sid, kind, (Fraction(x), Fraction(y)))
              for sid, kind, (x, y) in moves]
     sol = Solution({s.id: (s.x, s.y) for s in config.sensors}

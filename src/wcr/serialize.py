@@ -2,11 +2,11 @@
 
 Rationals are written as "p/q" (or a bare integer string) and parsed
 exactly, each distinct string once per document; decimal strings like
-"0.5" are accepted on input.  A sensor or position whose id is an int
-and whose strings are already parsed is read in one step; any other
-item is parsed field by field, which raises the first error in field
-order.  The location of a bad array item is only formatted once its
-parse has failed.  Output is canonical: sensors in the id order a
+"0.5" are accepted on input.  A sensor or position is read in one step;
+an item on which that step fails (an id that is not exactly an int, a
+missing field, a bad rational) is parsed again field by field, which
+raises the first error in field order.  The location of a bad array
+item is only formatted once its parse has failed.  Output is canonical: sensors in the id order a
 Configuration keeps, fixed key order, so identical values serialize to
 identical bytes; dumps_with nests an encoded document in another
 without encoding it again.
@@ -44,12 +44,18 @@ def _rational(value, rats: dict) -> Fraction:
     return parsed
 
 
+_BAD_RATIONAL = (ValueError, ZeroDivisionError, ValidationError)
+# what an item read in one step can raise: a missing key, a non-object
+# item or a bad rational; the field-by-field parse then names the fault
+_FAULTS = (KeyError, TypeError) + _BAD_RATIONAL
+
+
 def _rat_field(obj: dict, key: str, where: str, rats: dict,
                i: int | None = None) -> Fraction:
     value = _get(obj, key, where, i)
     try:
         return _rational(value, rats)
-    except (ValueError, ZeroDivisionError, ValidationError):
+    except _BAD_RATIONAL:
         raise ParseError(
             f"bad rational at {_at(where, i)}.{key}: {value!r}") from None
 
@@ -147,13 +153,14 @@ def config_from_obj(obj: dict) -> Configuration:
     rats = {}
     sensors = []
     for i, s in enumerate(sensors_obj):
-        try:  # an int id and strings already in rats: nothing to check
+        try:  # an int id and good rationals: read in one step
             sid = s["id"]
             if sid.__class__ is int:
-                sensors.append(Sensor(sid, rats[s["x"]], rats[s["y"]],
-                                      rats[s["range"]]))
+                sensors.append(Sensor(sid, _rational(s["x"], rats),
+                                      _rational(s["y"], rats),
+                                      _rational(s["range"], rats)))
                 continue
-        except (KeyError, TypeError):
+        except _FAULTS:
             pass
         sensors.append(_sensor(s, i, rats))
     return Configuration(
@@ -191,9 +198,10 @@ def read_solution(data) -> Solution:
         try:  # as in config_from_obj, plus a new id
             sid = e["id"]
             if sid.__class__ is int and sid not in positions:
-                positions[sid] = (rats[e["x"]], rats[e["y"]])
+                positions[sid] = (_rational(e["x"], rats),
+                                  _rational(e["y"], rats))
                 continue
-        except (KeyError, TypeError):
+        except _FAULTS:
             pass
         sid, xy = _position(e, i, rats, positions)
         positions[sid] = xy

@@ -2,17 +2,19 @@
 the test modules.  Everything here is deliberately naive."""
 
 import random
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from itertools import combinations
 
-from wcr.core import HALF, MAX_DIGITS, CostReport, CoverageReport, \
-    Solution, _sqrt_bounds, distance, exact_sqrt, interval_gaps, rat_str, \
-    within
+from wcr.core import HALF, MAX_DIGITS, Configuration, CostReport, \
+    CoverageReport, Sensor, Solution, _sqrt_bounds, distance, exact_sqrt, \
+    interval_gaps, is_blocking, rat_str, within
 from wcr.errors import Infeasible, KeyMismatch, SearchLimit, SizeLimit, \
     ValidationError
+from wcr.matching import Graph, minimum_edge_cover
 from wcr.minmax import DEFAULT_NODE_BUDGET, VHInstance, move_domain, verify_vh
-from wcr.minnum import TYPE0, TYPE1, TYPE2, TYPE3, TYPE4
+from wcr.minnum import TYPE0, TYPE1, TYPE2, TYPE3, TYPE4, MinNumPlan, \
+    _require_integer
 from wcr.minsum import ORACLE_GRID_CELLS, Line1DInstance, oracle_step
 from wcr.reductions import Max2Sat3Occ, Sat3_22
 
@@ -613,3 +615,180 @@ def reference_solution_costs(config, sol) -> CostReport:
             else _sqrt_bounds(max_key, _EUCLID_EPS)
     return CostReport(moved=moved, sum_low=sum_lo, sum_high=sum_hi,
                       max_low=max_lo, max_high=max_hi, max_squared=max_sq)
+
+
+# ---------------------------------------------------------------------------
+# symmetry transforms of the invariance tests
+
+def transpose(config: Configuration) -> Configuration:
+    return Configuration(
+        width=config.height, height=config.width,
+        sensors=tuple(Sensor(s.id, s.y, s.x, s.range) for s in config.sensors),
+        mode=config.mode, metric=config.metric)
+
+
+def transpose_solution(sol: Solution) -> Solution:
+    return Solution({sid: (y, x) for sid, (x, y) in sol.positions.items()})
+
+
+def _mirror(value: Fraction, config: Configuration, side: Fraction) -> Fraction:
+    if config.mode == "integer":
+        return side + 1 - value
+    return side - value
+
+
+def reflect_x(config: Configuration) -> Configuration:
+    """Mirror across the vertical axis of the rectangle."""
+    return Configuration(
+        width=config.width, height=config.height,
+        sensors=tuple(Sensor(s.id, _mirror(s.x, config, config.width), s.y,
+                             s.range) for s in config.sensors),
+        mode=config.mode, metric=config.metric)
+
+
+def reflect_y(config: Configuration) -> Configuration:
+    return Configuration(
+        width=config.width, height=config.height,
+        sensors=tuple(Sensor(s.id, s.x, _mirror(s.y, config, config.height),
+                             s.range) for s in config.sensors),
+        mode=config.mode, metric=config.metric)
+
+
+# ---------------------------------------------------------------------------
+# the MinNum planner on Fraction sensors, re-solving on the transposed
+# configuration when column gaps outnumber row gaps; `wcr.minnum` must
+# give the same plans, free sets and free graphs
+
+def reference_line_table(config):
+    """(sensors per row, sensors per column, ids of the free sensors,
+    rows holding only free sensors, columns holding only free sensors)."""
+    _require_integer(config)
+    rows = Counter(int(s.y) for s in config.sensors)
+    cols = Counter(int(s.x) for s in config.sensors)
+    free = {s.id for s in config.sensors
+            if rows[int(s.y)] > 1 and cols[int(s.x)] > 1}
+    free_rows = rows.keys() - {int(s.y) for s in config.sensors
+                               if s.id not in free}
+    free_cols = cols.keys() - {int(s.x) for s in config.sensors
+                               if s.id not in free}
+    return rows, cols, free, free_rows, free_cols
+
+
+def reference_build_free_graph(config):
+    """Auxiliary graph whose minimum edge cover (minus the hub edge)
+    labels a minimum blocking set for the all-free rows and columns.
+
+    Vertices: one per row/column containing only free sensors, plus two
+    hubs x, y.  A free sensor on an all-free row and an all-free column
+    (type 4) is an edge row-column; one on exactly one all-free line
+    (type 3) is an edge from that line to hub x; hub edge x-y always
+    present (label None).  Returns (Graph, legend) where legend[i] is
+    ("row", idx) | ("col", idx) | ("x",) | ("y",).
+    """
+    _, _, _, free_rows, free_cols = reference_line_table(config)
+    legend = [("row", i) for i in sorted(free_rows)] + \
+        [("col", j) for j in sorted(free_cols)]
+    index = {v: k for k, v in enumerate(legend)}
+    legend += [("x",), ("y",)]
+    hub_x, hub_y = len(legend) - 2, len(legend) - 1
+
+    edges = []
+    for s in config.sensors:  # by id
+        row_v = index.get(("row", int(s.y)))
+        col_v = index.get(("col", int(s.x)))
+        if row_v is not None and col_v is not None:
+            edges.append((row_v, col_v, s.id))
+        elif row_v is not None or col_v is not None:
+            edges.append((col_v if row_v is None else row_v, hub_x, s.id))
+    edges.append((hub_x, hub_y, None))
+    return Graph(vertex_count=len(legend), edges=tuple(edges)), legend
+
+
+def reference_max_free_set(config) -> frozenset[int]:
+    """Largest simultaneously-removable set of free sensors."""
+    free = reference_line_table(config)[2]
+    if not free:
+        return frozenset()
+    g, _ = reference_build_free_graph(config)
+    cover = minimum_edge_cover(g)
+    return frozenset(free - {g.edges[i][2] for i in cover})
+
+
+def reference_solve_minnum(config) -> MinNumPlan:
+    """Relocate the fewest sensors to make the configuration blocking.
+
+    Moves exactly r sensors when |M| >= c and r + c - |M| otherwise
+    (axes oriented so the row-gap count r >= the column-gap count c).
+    """
+    _require_integer(config)
+    if config.n < max(config.width, config.height):
+        raise Infeasible("fewer sensors than the longer side")
+
+    report = is_blocking(config)
+    row_gaps, col_gaps = list(report.y_gaps), list(report.x_gaps)
+    r, c = len(row_gaps), len(col_gaps)
+    if r < c:
+        plan = reference_solve_minnum(transpose(config))
+        return MinNumPlan(
+            free_set=plan.free_set, k=plan.k,
+            moves=tuple((sid, {"slide-row": "slide-col",
+                               "slide-col": "slide-row"}.get(kind, kind),
+                         (ty, tx)) for sid, kind, (tx, ty) in plan.moves),
+            solution=transpose_solution(plan.solution))
+
+    M = reference_max_free_set(config)
+    k = len(M)
+    # movers and slides are picked in (row, column, id) order, on ints
+    cells = sorted((int(s.y), int(s.x), s.id) for s in config.sensors)
+    movers = [cell for cell in cells if cell[2] in M]
+    moves: list[tuple[int, str, tuple[int, int]]] = []
+
+    # jumping moves: pair sorted column gaps with sorted row gaps
+    jumps = min(k, c)
+    for idx in range(jumps):
+        moves.append((movers[idx][2], "jump", (col_gaps[idx], row_gaps[idx])))
+    row_gaps = row_gaps[jumps:]
+    col_gaps = col_gaps[jumps:]
+
+    # leftover free sensors fill row gaps vertically, column unchanged
+    fills = min(k - jumps, len(row_gaps))
+    for idx in range(fills):
+        _, x, sid = movers[jumps + idx]
+        moves.append((sid, "slide-row", (x, row_gaps[idx])))
+    row_gaps = row_gaps[fills:]
+
+    # remaining gaps are repaired by sliding non-free sensors off lines
+    # that still hold another sensor, so no slide creates a fresh gap; gap
+    # lines hold no unmoved sensor, so their counts are never read
+    at = {sid: (x, y) for y, x, sid in cells}
+    for sid, _, target in moves:
+        at[sid] = target
+    rows = Counter(y for _, y in at.values())
+    cols = Counter(x for x, _ in at.values())
+    moved_ids = set(M)
+
+    def slide(gap: int, vertical: bool) -> None:
+        counts = rows if vertical else cols
+        cell = next((cell for cell in cells if cell[2] not in moved_ids
+                     and counts[cell[0 if vertical else 1]] > 1), None)
+        assert cell, "no slide candidate: pigeonhole guarantee broken"
+        y, x, sid = cell
+        counts[y if vertical else x] -= 1
+        moves.append((sid, "slide-row", (x, gap)) if vertical else
+                     (sid, "slide-col", (gap, y)))
+        moved_ids.add(sid)
+
+    for gap in row_gaps:
+        slide(gap, vertical=True)
+    for gap in col_gaps:
+        slide(gap, vertical=False)
+
+    moves = [(sid, kind, (Fraction(x), Fraction(y)))
+             for sid, kind, (x, y) in moves]
+    sol = Solution({s.id: (s.x, s.y) for s in config.sensors}
+                   | {sid: target for sid, _, target in moves})
+    assert is_blocking(config, sol).blocking, \
+        "planner produced a non-blocking solution"
+    expected = r if k >= c else r + c - k
+    assert len(moves) == expected, "move count deviates from the formula"
+    return MinNumPlan(free_set=M, k=k, moves=tuple(moves), solution=sol)

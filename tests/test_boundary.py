@@ -410,6 +410,11 @@ WARM_ERRORS = [
     for fault in ("true-id", "missing-field", "float-x", "duplicate-id")])
 def test_faults_after_repeated_strings_exit_2(tmp_path, capsys, instance,
                                               solution, message):
+    _verify_exits_2(tmp_path, capsys, instance, solution, message)
+
+
+def _verify_exits_2(tmp_path, capsys, instance, solution, message):
+    """wcr verify of the documents exits 2 and prints only message."""
     (tmp_path / "inst.json").write_text(instance)
     argv = ["verify", str(tmp_path / "inst.json")]
     if solution is not None:
@@ -417,3 +422,42 @@ def test_faults_after_repeated_strings_exit_2(tmp_path, capsys, instance,
         argv += ["--solution", str(tmp_path / "sol.json")]
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+# Each fault sits in the first item to bring its strings, so it is met
+# on the one-step read before the field-by-field parse names it.
+_NEW = {"x": "2", "y": "2"}
+COLD_ERRORS = [
+    (_config_doc(_sensor(), _sensor(id=1, x="2/0", y="2")), None,
+     "bad rational at $.sensors[1].x: '2/0'"),
+    (_config_doc(_sensor(), _sensor(id=1, x="2", y=2.5)), None,
+     "bad rational at $.sensors[1].y: 2.5"),
+    (_config_doc(_sensor(), _sensor(id=True, **_NEW)), None,
+     "expected integer at $.sensors[1].id: True"),
+    (_config_doc(_sensor(), _without(_sensor(id=1, **_NEW), "range")), None,
+     "missing field $.sensors[1].range"),
+    (_config_doc(_sensor(), ["2", "2"]), None,
+     "$.sensors[1] must be an object"),
+    (_config_doc(_sensor(), _sensor(**_NEW)), None, "duplicate sensor id"),
+    (_WARM, _solution_doc(_position(), _position(id=1, x="2/0", y="3")),
+     "bad rational at $.positions[1].x: '2/0'"),
+    (_WARM, _solution_doc(_position(), _position(id=1, x="3", y=2.5)),
+     "bad rational at $.positions[1].y: 2.5"),
+    (_WARM, _solution_doc(_position(), _position(id=True, x="3", y="3")),
+     "expected integer at $.positions[1].id: True"),
+    (_WARM, _solution_doc(_position(), {"id": 1, "x": "3"}),
+     "missing field $.positions[1].y"),
+    (_WARM, _solution_doc(_position(), ["3", "3"]),
+     "$.positions[1] must be an object"),
+    (_WARM, _solution_doc(_position(), _position(x="3", y="3")),
+     "$.positions[1]: duplicate id 0"),
+]
+
+
+@pytest.mark.parametrize("instance, solution, message", COLD_ERRORS, ids=[
+    f"{kind}-{fault}" for kind in ("sensor", "position")
+    for fault in ("bad-string-x", "float-y", "true-id", "missing-field",
+                  "not-an-object", "duplicate-id")])
+def test_faults_on_first_strings_exit_2(tmp_path, capsys, instance,
+                                        solution, message):
+    _verify_exits_2(tmp_path, capsys, instance, solution, message)

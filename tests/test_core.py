@@ -3,11 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from brutes import reflect_x, reflect_y, transpose, transpose_solution
 from wcr import serialize
 from wcr.core import (Configuration, Sensor, Solution, distance,
-                      interval_gaps, is_blocking, rat, rat_str, reflect_x,
-                      reflect_y, solution_costs, transpose,
-                      transpose_solution)
+                      interval_gaps, is_blocking, rat, rat_str,
+                      solution_costs)
 from wcr.errors import ParseError, ValidationError
 
 F = Fraction

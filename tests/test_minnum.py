@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brutes import brute_max_free_set_size, reference_classify
-from wcr.core import Configuration, Sensor, is_blocking, solution_costs, \
-    transpose
+from brutes import (brute_max_free_set_size, reference_build_free_graph,
+                    reference_classify, reference_max_free_set,
+                    reference_solve_minnum, transpose)
+from wcr.core import Configuration, Sensor, is_blocking, solution_costs
 from wcr.errors import SizeLimit
 from wcr.minnum import (TYPE0, TYPE1, TYPE2, TYPE3, TYPE4, brute_minnum,
                         build_free_graph, classify, max_free_set,
@@ -135,6 +136,49 @@ def test_solve_matches_brute():
     for _ in range(150):
         cfg = random_minnum_instance(rng, max_grid=5, max_n=9)
         assert solve_minnum(cfg).moved == brute_minnum(cfg)
+
+
+INTS = [F(i) for i in range(41)]
+
+
+def seeded_grid(rng, a, b, n, shape):
+    """n sensors with distinct ids drawn from 0..3n on an a x b grid:
+    uniform, blocking before any move, or all on one cell."""
+    if shape == "uniform":
+        cells = [(rng.randint(1, a), rng.randint(1, b)) for _ in range(n)]
+    elif shape == "blocking":  # a sensor on every line, the rest uniform
+        cells = [(i % a + 1, i % b + 1) for i in range(max(a, b))] + \
+            [(rng.randint(1, a), rng.randint(1, b))
+             for _ in range(n - max(a, b))]
+    else:
+        cells = [(rng.randint(1, a), rng.randint(1, b))] * n
+    ids = rng.sample(range(3 * n + 1), n)
+    return Configuration(
+        width=F(a), height=F(b), mode="integer", metric="manhattan",
+        sensors=tuple(Sensor(sid, INTS[x], INTS[y], H)
+                      for sid, (x, y) in zip(ids, cells)))
+
+
+def test_planner_matches_reference_on_seeded_grids():
+    """The whole plan, the free set and the free graph against the
+    Fraction planner that re-solves the transposed configuration."""
+    rng = random.Random(15)
+    shapes = ["uniform"] * 8 + ["blocking", "one-cell"]
+    swapped = 0
+    grids = 3000
+    for i in range(grids):
+        a, b = rng.randint(1, 40), rng.randint(1, 40)
+        n = rng.randint(max(a, b), 4 * max(a, b))
+        cfg = seeded_grid(rng, a, b, n, shapes[i % len(shapes)])
+        report = is_blocking(cfg)
+        swapped += len(report.y_gaps) < len(report.x_gaps)
+        assert solve_minnum(cfg) == reference_solve_minnum(cfg)
+        if i % 7 == 0:  # the public wrappers, in the given orientation
+            assert build_free_graph(cfg) == reference_build_free_graph(cfg)
+            assert max_free_set(cfg) == reference_max_free_set(cfg)
+        if shapes[i % len(shapes)] == "blocking":
+            assert report.blocking
+    assert swapped >= grids // 3
 
 
 def test_transpose_symmetry():
