@@ -20,8 +20,7 @@ import sys
 from dataclasses import asdict, replace
 
 from . import minmax, minnum, minsum, oracle, reductions, serialize
-from .core import Configuration, Solution, _costs, is_blocking, rat_str, \
-    solution_costs
+from .core import Configuration, Solution, _costs, is_blocking, rat_str
 from .errors import Infeasible, ParseError, SearchLimit, SizeLimit, \
     ValidationError, WcrError
 
@@ -133,7 +132,7 @@ def cmd_verify(args) -> int:
     out["y_gaps"] = _gaps_json(report.y_gaps, config.mode)
     if vh is not None:
         positions = sol.positions if sol else \
-            {s.id: (s.x, s.y) for s in config.sensors}
+            {sid: (x, y) for sid, x, y, _ in config.sensors}
         out["vh_blocking"] = minmax.verify_vh(vh, positions)
     if sol is not None:
         costs = _costs(config, sol)  # is_blocking validated sol
@@ -164,7 +163,9 @@ def cmd_solve(args) -> int:
     elif args.problem == "minsum":
         sol, cost = minsum.solve_minsum_manhattan(config)
         out["sum_cost"] = rat_str(cost)
-        out["moved"] = solution_costs(config, sol).moved
+        positions = sol.positions  # the sensors whose position changed
+        out["moved"] = sum(positions[sid] != (x, y)
+                           for sid, x, y, _ in config.sensors)
     else:
         result = minmax.solve_minmax(config, args.budget)
         sol = result.solution

@@ -1,10 +1,13 @@
 """Geometric model: configurations, coverage verification, movement costs.
 
 All coordinates and distances are exact rationals (fractions.Fraction);
-no floating point is used anywhere on solver paths.  The checks and
-costs at the boundary run on ints: integer-mode checks read numerators
-once the denominators are 1, and solution_costs scales every coordinate
-by one lcm of their denominators, converting only the reported figures.
+no floating point is used anywhere on solver paths.  The checks,
+coverage and costs at the boundary run on ints: integer-mode checks read
+numerators once the denominators are 1; continuous-mode checks compare
+numerators cross-multiplied by denominators; the continuous coverage
+sweep scales each axis by one lcm of its denominators and converts only
+the gap ends back; and solution_costs scales every coordinate by one lcm
+of their denominators, converting only the reported figures.
 
 Conventions
 -----------
@@ -108,37 +111,35 @@ class Configuration:
             raise ValidationError(f"unknown metric {self.metric!r}")
         if self.width <= 0 or self.height <= 0:
             raise ValidationError("rectangle dimensions must be positive")
-        ids = [s.id for s in self.sensors]
+        sensors = self.sensors
+        ids = [sid for sid, _, _, _ in sensors]
         if len(ids) != len(set(ids)):
             raise ValidationError("duplicate sensor id")
-        if any(s.id < 0 for s in self.sensors):
+        if any(sid < 0 for sid in ids):
             raise ValidationError("sensor ids must be non-negative")
         # denominators are positive: signs and grid checks read numerators
-        if any(s.range.numerator <= 0 for s in self.sensors):
+        if any(r.numerator <= 0 for _, _, _, r in sensors):
             raise ValidationError("sensor range must be positive")
         if self.mode == "integer":
             if self.width.denominator != 1 or self.height.denominator != 1:
                 raise ValidationError("integer mode requires integer dimensions")
             a, b = self.width.numerator, self.height.numerator
-            for s in self.sensors:
-                if s.range.numerator != 1 or s.range.denominator != 2:
+            for sid, x, y, r in sensors:
+                if r.numerator != 1 or r.denominator != 2:
                     raise ValidationError(
-                        f"integer mode requires range 1/2, sensor {s.id} has "
-                        f"{rat_str(s.range)}")
-                if s.x.denominator != 1 or s.y.denominator != 1:
+                        f"integer mode requires range 1/2, sensor {sid} has "
+                        f"{rat_str(r)}")
+                if x.denominator != 1 or y.denominator != 1:
                     raise ValidationError(
-                        f"sensor {s.id} not on the integer grid")
-                if not (1 <= s.x.numerator <= a and 1 <= s.y.numerator <= b):
-                    raise ValidationError(f"sensor {s.id} outside the grid")
+                        f"sensor {sid} not on the integer grid")
+                if not (1 <= x.numerator <= a and 1 <= y.numerator <= b):
+                    raise ValidationError(f"sensor {sid} outside the grid")
         else:
-            lo_x, hi_x = self.x_extent
-            lo_y, hi_y = self.y_extent
-            for s in self.sensors:
-                if not (lo_x <= s.x <= hi_x and lo_y <= s.y <= hi_y):
-                    raise ValidationError(
-                        f"sensor {s.id} outside the covered rectangle")
-        object.__setattr__(self, "sensors",
-                           tuple(sorted(self.sensors, key=lambda s: s.id)))
+            _require_in_box(((sid, x, y) for sid, x, y, _ in sensors),
+                            self.width, self.height,
+                            "sensor {} outside the covered rectangle")
+        # the ids differ, so the tuples sort by id alone
+        object.__setattr__(self, "sensors", tuple(sorted(sensors)))
 
     @property
     def n(self) -> int:
@@ -168,24 +169,45 @@ class Solution:
     positions: Mapping[int, tuple[Fraction, Fraction]]
 
     def validate(self, config: Configuration) -> None:
-        if set(self.positions) != {s.id for s in config.sensors}:
+        positions = self.positions
+        if set(positions) != {sid for sid, _, _, _ in config.sensors}:
             raise KeyMismatch("solution ids differ from configuration ids")
+        if config.mode == "continuous":
+            _require_in_box(
+                ((sid, x, y) for sid, (x, y) in positions.items()),
+                config.width, config.height,
+                "final position of sensor {} outside the rectangle")
+            return
         lo_x, hi_x = config.x_extent
         lo_y, hi_y = config.y_extent
-        grid = config.mode == "integer"
         a, b = config.width.numerator, config.height.numerator
-        for sid, (x, y) in self.positions.items():
+        for sid, (x, y) in positions.items():
             on_grid = x.denominator == 1 and y.denominator == 1
-            if grid and on_grid:  # [1/2, a + 1/2] holds the ints 1..a
+            if on_grid:  # [1/2, a + 1/2] holds the ints 1..a
                 inside = 1 <= x.numerator <= a and 1 <= y.numerator <= b
             else:
                 inside = lo_x <= x <= hi_x and lo_y <= y <= hi_y
             if not inside:
                 raise ValidationError(
                     f"final position of sensor {sid} outside the rectangle")
-            if grid and not on_grid:
+            if not on_grid:
                 raise ValidationError(
                     f"final position of sensor {sid} not on the integer grid")
+
+
+def _require_in_box(points, width: Fraction, height: Fraction,
+                    message: str) -> None:
+    """ValidationError(message.format(id)) for the first (id, x, y) of
+    points outside [0, width] x [0, height], compared as numerators
+    cross-multiplied by the (positive) denominators."""
+    wn, wd = width.as_integer_ratio()
+    hn, hd = height.as_integer_ratio()
+    for sid, x, y in points:
+        xn, xd = x.as_integer_ratio()
+        yn, yd = y.as_integer_ratio()
+        if not (0 <= xn and xn * wd <= wn * xd and
+                0 <= yn and yn * hd <= hn * yd):
+            raise ValidationError(message.format(sid))
 
 
 @dataclass(frozen=True)
@@ -222,14 +244,14 @@ class CostReport:
         return self.max_low
 
 
-def interval_gaps(intervals: Iterable[tuple[Fraction, Fraction]],
-                  lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
+def int_gaps(spans: Iterable[tuple[int, int]], lo: int, hi: int
+             ) -> list[tuple[int, int]]:
     """Maximal open sub-intervals of [lo, hi] not covered by the union of
-    the given closed intervals (endpoint-sorted sweep)."""
-    spans = sorted((a, b) for a, b in intervals if b >= lo and a <= hi)
+    the given closed int intervals (endpoint-sorted sweep)."""
     gaps = []
     cursor = lo
-    for a, b in spans:
+    for a, b in sorted(span for span in spans if span[1] >= lo and
+                       span[0] <= hi):
         if a > cursor:
             gaps.append((cursor, min(a, hi)))
         if b > cursor:
@@ -241,6 +263,23 @@ def interval_gaps(intervals: Iterable[tuple[Fraction, Fraction]],
     return gaps
 
 
+def _axis_gaps(centres: list, side: Fraction) -> tuple:
+    """The gaps that the closed intervals [c - r, c + r] of the (c, r)
+    pairs leave on [0, side], swept on ints scaled by one lcm D of the
+    denominators; only the gap ends become Fractions again."""
+    D = math.lcm(side.denominator,
+                 *{v.denominator for pair in centres for v in pair})
+    spans = []
+    for c, r in centres:
+        cn, cd = c.as_integer_ratio()
+        rn, rd = r.as_integer_ratio()
+        c, r = cn * (D // cd), rn * (D // rd)
+        spans.append((c - r, c + r))
+    hi = side.numerator * (D // side.denominator)
+    return tuple((Fraction(a, D), Fraction(b, D))
+                 for a, b in int_gaps(spans, 0, hi))
+
+
 def is_blocking(config: Configuration,
                 solution: Solution | None = None) -> CoverageReport:
     """Coverage report of the configuration (optionally with sensors moved
@@ -248,10 +287,11 @@ def is_blocking(config: Configuration,
     configuration but one with an integer-mode side past
     INTEGER_SIDE_LIMIT, whose gap list could fill memory: SizeLimit."""
     if solution is None:
-        pos = [(s.x, s.y, s.range) for s in config.sensors]
+        pos = [(x, y, r) for _, x, y, r in config.sensors]
     else:
         solution.validate(config)
-        pos = [(*solution.positions[s.id], s.range) for s in config.sensors]
+        positions = solution.positions
+        pos = [(*positions[sid], r) for sid, _, _, r in config.sensors]
     if config.mode == "integer":
         a, b = config.width.numerator, config.height.numerator
         if max(a, b) > INTEGER_SIDE_LIMIT:
@@ -261,12 +301,8 @@ def is_blocking(config: Configuration,
         x_gaps = tuple(i for i in range(1, a + 1) if i not in cols)
         y_gaps = tuple(j for j in range(1, b + 1) if j not in rows)
     else:
-        lo_x, hi_x = config.x_extent
-        lo_y, hi_y = config.y_extent
-        x_gaps = tuple(interval_gaps(((x - r, x + r) for x, _, r in pos),
-                                     lo_x, hi_x))
-        y_gaps = tuple(interval_gaps(((y - r, y + r) for _, y, r in pos),
-                                     lo_y, hi_y))
+        x_gaps = _axis_gaps([(x, r) for x, _, r in pos], config.width)
+        y_gaps = _axis_gaps([(y, r) for _, y, r in pos], config.height)
     return CoverageReport(blocking=not x_gaps and not y_gaps,
                           x_gaps=x_gaps, y_gaps=y_gaps)
 
@@ -321,7 +357,8 @@ def _costs(config: Configuration, sol: Solution) -> CostReport:
     """solution_costs of a solution that Solution.validate accepted, taken
     on ints: every coordinate is scaled by one lcm D of their
     denominators, and only the reported figures are Fractions."""
-    moves = [(s.x, s.y, *sol.positions[s.id]) for s in config.sensors]
+    positions = sol.positions
+    moves = [(x, y, *positions[sid]) for sid, x, y, _ in config.sensors]
     D = math.lcm(*{c.denominator for move in moves for c in move})
     metric = config.metric
     moved = total = top = 0  # total: exact terms; top: largest key

@@ -108,9 +108,9 @@ def verify_vh(inst: VHInstance, positions: dict, *,
     [1/2, b + 1/2] and the budget are compared as ints scaled by D, the
     lcm of their denominators."""
     config = inst.config
-    if set(positions) != {s.id for s in config.sensors}:
+    if set(positions) != {sid for sid, _, _, _ in config.sensors}:
         return False
-    moves = [(s.x, s.y, *positions[s.id]) for s in config.sensors]
+    moves = [(x, y, *positions[sid]) for sid, x, y, _ in config.sensors]
     if require_integer and any(x.denominator != 1 or y.denominator != 1
                                for _, _, x, y in moves):
         return False

@@ -48,7 +48,8 @@ def _require_integer(config: Configuration) -> None:
 def _cells(config: Configuration) -> list[tuple[int, int, int]]:
     """(row, column, id) of every sensor, in id order, read once as ints."""
     _require_integer(config)
-    return [(s.y.numerator, s.x.numerator, s.id) for s in config.sensors]
+    return [(y.numerator, x.numerator, sid)
+            for sid, x, y, _ in config.sensors]
 
 
 def _line_table(cells):
@@ -213,7 +214,7 @@ def solve_minnum(config: Configuration) -> MinNumPlan:
         moves = [(sid, _SWAPPED[kind], (y, x)) for sid, kind, (x, y) in moves]
     moves = [(sid, kind, (Fraction(x), Fraction(y)))
              for sid, kind, (x, y) in moves]
-    sol = Solution({s.id: (s.x, s.y) for s in config.sensors}
+    sol = Solution({sid: (x, y) for sid, x, y, _ in config.sensors}
                    | {sid: target for sid, _, target in moves})
     assert is_blocking(config, sol).blocking, \
         "planner produced a non-blocking solution"

@@ -2,7 +2,13 @@
 
 The 2D problem separates into two independent 1D problems (sum of
 |dx| and sum of |dy| are minimized independently; any pair of optimal
-axis solutions combines into an optimal 2D solution).
+axis solutions combines into an optimal 2D solution).  axis_instances
+makes the two: each axis takes the sensors' coordinates in id order,
+shifted by the low end of its extent.  An integer-mode extent starts at
+1/2; a continuous one starts at 0, and its coordinates and targets pass
+through as the same Fractions, with no arithmetic.  Line1DInstance
+checks 0 <= p <= L on numerators cross-multiplied by denominators.
+solve_minsum_manhattan checks both axes before either DP runs.
 
 The 1D problem: points p_1..p_n on a segment [0, L], all radius r,
 minimize total movement so the union of [t_i - r, t_i + r] covers
@@ -67,8 +73,11 @@ class Line1DInstance:
     def __post_init__(self):
         if self.radius <= 0 or self.length <= 0:
             raise ValidationError("radius and length must be positive")
+        # 0 <= p <= L on numerators cross-multiplied by the denominators
+        ln, ld = self.length.as_integer_ratio()
         for p in self.points:
-            if not (0 <= p <= self.length):
+            pn, pd = p.as_integer_ratio()
+            if not (0 <= pn and pn * ld <= ln * pd):
                 raise ValidationError(f"point {p} outside [0, {self.length}]")
 
     @property
@@ -188,9 +197,11 @@ def solve_minsum_1d(inst: Line1DInstance
 def axis_instances(config: Configuration
                    ) -> tuple[Line1DInstance, Line1DInstance]:
     """The x and the y 1D instance of config: sensors in id order, each
-    axis shifted by the low end of its extent, the range they all share
-    (exact MinSum needs one)."""
-    ranges = {s.range for s in config.sensors}
+    axis shifted by the low end of its extent (a continuous extent
+    starts at 0 and keeps the coordinates as they are), the range they
+    all share (exact MinSum needs one)."""
+    sensors = config.sensors
+    ranges = {r for _, _, _, r in sensors}
     if len(ranges) > 1:
         raise HeterogeneousRanges(
             "heterogeneous MinSum is intractable; see the brute-force oracle")
@@ -198,10 +209,15 @@ def axis_instances(config: Configuration
         raise Infeasible("no sensors to cover the rectangle")
     r = ranges.pop()
     (lo_x, hi_x), (lo_y, hi_y) = config.x_extent, config.y_extent
-    return (Line1DInstance(points=tuple(s.x - lo_x for s in config.sensors),
-                           radius=r, length=hi_x - lo_x),
-            Line1DInstance(points=tuple(s.y - lo_y for s in config.sensors),
-                           radius=r, length=hi_y - lo_y))
+    xs = _shift([x for _, x, _, _ in sensors], -lo_x)
+    ys = _shift([y for _, _, y, _ in sensors], -lo_y)
+    return (Line1DInstance(points=xs, radius=r, length=hi_x - lo_x),
+            Line1DInstance(points=ys, radius=r, length=hi_y - lo_y))
+
+
+def _shift(coords, by: Fraction) -> tuple[Fraction, ...]:
+    """coords moved by by; the same Fractions when by is 0."""
+    return tuple(coords) if not by else tuple(c + by for c in coords)
 
 
 def solve_minsum_manhattan(config: Configuration
@@ -213,9 +229,9 @@ def solve_minsum_manhattan(config: Configuration
     for axis in (xin, yin):  # both axes before either DP runs
         check_minsum_1d(axis)
     (tx, cx), (ty, cy) = solve_minsum_1d(xin), solve_minsum_1d(yin)
-    x0, y0 = config.x_extent[0], config.y_extent[0]
-    return Solution({s.id: (x + x0, y + y0)
-                     for s, x, y in zip(config.sensors, tx, ty)}), cx + cy
+    tx, ty = _shift(tx, config.x_extent[0]), _shift(ty, config.y_extent[0])
+    return Solution({sid: (x, y) for (sid, _, _, _), x, y
+                     in zip(config.sensors, tx, ty)}), cx + cy
 
 
 def oracle_step(inst: Line1DInstance) -> Fraction:

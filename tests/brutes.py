@@ -8,7 +8,7 @@ from itertools import combinations
 
 from wcr.core import HALF, MAX_DIGITS, Configuration, CostReport, \
     CoverageReport, Sensor, Solution, _sqrt_bounds, distance, exact_sqrt, \
-    interval_gaps, is_blocking, rat_str, within
+    is_blocking, rat_str, within
 from wcr.errors import Infeasible, KeyMismatch, SearchLimit, SizeLimit, \
     ValidationError
 from wcr.matching import Graph, minimum_edge_cover
@@ -40,6 +40,26 @@ def coverage_feasible(config) -> bool:
     any blocking configuration needs."""
     return sum(2 * s.range for s in config.sensors) >= max(config.width,
                                                              config.height)
+
+
+def interval_gaps(intervals, lo: Fraction, hi: Fraction
+                  ) -> list[tuple[Fraction, Fraction]]:
+    """Maximal open sub-intervals of [lo, hi] not covered by the union of
+    the given closed Fraction intervals (endpoint-sorted sweep): the
+    sweep is_blocking ran before it scaled each axis to ints."""
+    spans = sorted((a, b) for a, b in intervals if b >= lo and a <= hi)
+    gaps = []
+    cursor = lo
+    for a, b in spans:
+        if a > cursor:
+            gaps.append((cursor, min(a, hi)))
+        if b > cursor:
+            cursor = b
+        if cursor >= hi:
+            break
+    if cursor < hi:
+        gaps.append((cursor, hi))
+    return gaps
 
 
 def occupancy(config, removed=frozenset()):
@@ -475,9 +495,10 @@ def reference_decide_vh(inst: VHInstance, budget: int | None = None
 
 # ---------------------------------------------------------------------------
 # The boundary checks and costs as first written, on Fractions only:
-# rat, Configuration.__post_init__, Solution.validate, is_blocking and
-# solution_costs (which validated the solution itself).  The scaled-int
-# versions in wcr.core must agree on every report, error type and message.
+# rat, Configuration.__post_init__, Solution.validate, is_blocking,
+# solution_costs (which validated the solution itself) and the point
+# check of Line1DInstance.  The scaled-int versions in wcr must agree on
+# every report, error type and message.
 
 def reference_rat(value) -> Fraction:
     """The rat that sends every string through Fraction."""
@@ -547,6 +568,15 @@ def reference_validate_solution(self, config) -> None:
                 x.denominator != 1 or y.denominator != 1):
             raise ValidationError(
                 f"final position of sensor {sid} not on the integer grid")
+
+
+def reference_check_line(points, radius, length) -> None:
+    """Line1DInstance.__post_init__ as first written, on Fractions."""
+    if radius <= 0 or length <= 0:
+        raise ValidationError("radius and length must be positive")
+    for p in points:
+        if not (0 <= p <= length):
+            raise ValidationError(f"point {p} outside [0, {length}]")
 
 
 def _reference_positions(config, solution):

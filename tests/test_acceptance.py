@@ -10,10 +10,11 @@ from itertools import combinations
 import pytest
 
 from brutes import (brute_max_free_set_size, brute_max_matching_size,
-                    coverage_feasible, random_graph, random_max2sat3occ,
-                    random_sat22, reflect_x, reflect_y, transpose)
-from wcr.core import (Configuration, Sensor, Solution, interval_gaps,
-                      is_blocking, solution_costs)
+                    coverage_feasible, interval_gaps, random_graph,
+                    random_max2sat3occ, random_sat22, reflect_x, reflect_y,
+                    transpose)
+from wcr.core import (Configuration, Sensor, Solution, is_blocking,
+                      solution_costs)
 from wcr.errors import InconsistentSolution, NotASolution
 from wcr.matching import Graph, maximum_matching, minimum_edge_cover
 from wcr.minmax import VHInstance, decide_vh, oracle_minmax, solve_minmax, \

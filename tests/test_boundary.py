@@ -1,30 +1,34 @@
 """The boundary layer on scaled ints against its all-Fraction reference.
 
-`Configuration.__post_init__`, `Solution.validate`, `is_blocking` and
-`solution_costs` check and measure on numerators scaled by one lcm; the
-versions in `brutes` are the originals on Fractions.  Both must give the
-same reports, error types and messages.  `serialize` parses each distinct
-rational string once per document and formats an error location only
-when an item is bad; the messages must stay the ones of the checked
-parse.
+`Configuration.__post_init__`, `Solution.validate`, `is_blocking`,
+`solution_costs` and the point check of `Line1DInstance` check and
+measure on numerators scaled by one lcm or cross-multiplied by
+denominators; the versions in `brutes` are the originals on Fractions.
+Both must give the same reports, error types and messages.  `serialize`
+parses each distinct rational string once per document and formats an
+error location only when an item is bad; the messages must stay the
+ones of the checked parse.
 """
 
 import json
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from brutes import (reference_is_blocking, reference_rat,
-                    reference_solution_costs, reference_validate_config,
-                    reference_validate_solution)
+from brutes import (reference_check_line, reference_is_blocking,
+                    reference_rat, reference_solution_costs,
+                    reference_validate_config, reference_validate_solution)
 from wcr import serialize
 from wcr.cli import main
 from wcr.core import (MAX_DIGITS, Configuration, Sensor, Solution,
                       is_blocking, rat, solution_costs)
 from wcr.errors import ParseError, WcrError
+from wcr.minsum import Line1DInstance
+from wcr.oracle import random_integer_config
 
 F = Fraction
 HUGE = (10**110 + 1, 3 * 10**109 + 7)  # coprime denominators near 1e110
@@ -188,6 +192,143 @@ def test_configuration_checks_match_reference():
         outcomes.add("valid" if isinstance(want, Configuration)
                      else re.sub(r"-?\d+", "#", want[1]))
     assert len(outcomes) == 12  # all eleven messages, and valid ones
+
+
+def _axis(rng, radii, side, den):
+    """One coordinate per radius on [0, side]: mostly a chain whose
+    closed intervals touch exactly, starting on 0, and otherwise on 0,
+    on the side, a step of 1/den outside, or at some p/den."""
+    coords, reach = [], F(0)
+    for r in radii:
+        roll = rng.random()
+        if roll < 0.5:
+            c = min(reach + r, side)  # starts where the last one ended
+        elif roll < 0.65:
+            c = F(0)
+        elif roll < 0.8:
+            c = side
+        elif roll < 0.87:
+            c = rng.choice((-F(1, den), side + F(1, den)))
+        else:
+            c = F(rng.randint(0, int(side * den)), den)
+        coords.append(c)
+        reach = max(reach, c + r)
+    return coords
+
+
+def _continuous_case(rng):
+    """Fields of a continuous configuration, with mixed ranges, and a
+    solution: coordinates on the ends, just outside them, and on chains
+    of exactly touching intervals, some with HUGE denominators."""
+    den = rng.choice(DENOMINATORS)
+    width = F(rng.randint(1, 12), rng.choice((1, 2, 3)))
+    height = F(rng.randint(1, 12), rng.choice((1, 3, 997)))
+    kinds = [F(rng.randint(1, 5), rng.choice((1, 2, 3, 997)))
+             for _ in range(rng.randint(1, 3))]
+    n = rng.randint(0, 8)
+    radii = [rng.choice(kinds) for _ in range(n)]
+    ids = rng.sample(range(2 * n + 1), n)
+    homes = zip(_axis(rng, radii, width, den), _axis(rng, radii, height, den))
+    sensors = tuple(Sensor(i, x, y, r) for i, (x, y), r in
+                    zip(ids, homes, radii))
+    if rng.random() < 0.2:
+        positions = {i: (x, y) for i, x, y, _ in sensors}
+    else:
+        den = rng.choice(DENOMINATORS)
+        positions = dict(zip(ids, zip(_axis(rng, radii, width, den),
+                                      _axis(rng, radii, height, den))))
+    if sensors and rng.random() < 0.03:
+        del positions[ids[0]]
+    fields = (width, height, sensors, "continuous", rng.choice(METRICS))
+    return fields, Solution(positions)
+
+
+def _touches(centres, radii) -> bool:
+    """Whether one closed interval [c - r, c + r] starts exactly where
+    another ends."""
+    ends = {c + r for c, r in zip(centres, radii)}
+    return any(c - r in ends for c, r in zip(centres, radii))
+
+
+def test_continuous_boundary_matches_reference_on_seeded_cases():
+    rng = random.Random(1707)
+    seen = Counter()
+    for _ in range(2400):
+        fields, sol = _continuous_case(rng)
+        config = _config_outcome(*fields)
+        assert config == _reference_config_outcome(*fields)
+        if isinstance(config, tuple):
+            seen["bad config"] += 1
+            continue
+        assert _outcome(is_blocking, config) == \
+            _outcome(reference_is_blocking, config)
+        assert_same_boundary(config, sol)
+        report = _outcome(is_blocking, config, sol)
+        if isinstance(report, tuple):
+            seen["bad solution"] += 1
+            continue
+        finals = [sol.positions[s.id] for s in config.sensors]
+        radii = [s.range for s in config.sensors]
+        touching = any(_touches([p[axis] for p in finals], radii)
+                       for axis in (0, 1))
+        seen["blocking" if report.blocking else "gaps",
+             "touching" if touching else "apart"] += 1
+    # every path is taken often, and exactly touching intervals both
+    # close a cover and sit next to gaps
+    assert min(seen.values()) > 50 and len(seen) == 6, seen
+
+
+def test_line_instance_checks_match_reference():
+    # points just inside and just outside both ends, on denominators up
+    # to HUGE, and non-positive radii and lengths
+    rng = random.Random(4242)
+    outcomes = set()
+    for _ in range(1500):
+        length = F(rng.randint(-1, 9), rng.choice(DENOMINATORS))
+        radius = F(rng.randint(-1, 3), rng.choice((1, 2, 997)))
+        points = []
+        for _ in range(rng.randint(0, 4)):
+            den = rng.choice(DENOMINATORS)
+            step = F(rng.choice((-1, 0, 0, 1)), den)
+            points.append(rng.choice((F(0), length)) + step
+                          if rng.random() < 0.6 else
+                          F(rng.randint(-den, int(length * den) + den), den))
+        want = _outcome(reference_check_line, points, radius, length)
+        got = _outcome(lambda: Line1DInstance(tuple(points), radius, length))
+        if isinstance(want, tuple):
+            assert got == want
+            outcomes.add(want[1].split()[0])
+        else:
+            assert isinstance(got, Line1DInstance)
+            outcomes.add("valid")
+    assert outcomes == {"valid", "point", "radius"}
+
+
+def test_solve_minsum_moved_matches_reference_costs(tmp_path, capsys):
+    rng = random.Random(3131)
+    path, out_path = tmp_path / "inst.json", tmp_path / "sol.json"
+    moved = set()
+    for k in range(40):
+        if k % 2:
+            config = random_integer_config(rng, rng.randint(2, 7),
+                                           rng.randint(2, 7),
+                                           rng.randint(7, 12))
+        else:
+            width, height = F(rng.randint(2, 8)), F(rng.randint(2, 8))
+            den = rng.choice(DENOMINATORS[:3])
+            config = Configuration(width, height, tuple(
+                Sensor(i, F(rng.randint(0, int(width) * den), den),
+                       F(rng.randint(0, int(height) * den), den), F(1))
+                for i in range(rng.randint(4, 9))), "continuous")
+        path.write_text(serialize.write_instance(config))
+        assert main(["solve", "minsum", str(path), "-o",
+                     str(out_path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        sol = serialize.read_solution(out_path.read_text())
+        want = reference_solution_costs(config, sol).moved
+        assert out["moved"] == want
+        moved.add(0 < want < config.n)
+    assert True in moved  # some solutions move some sensors, not all
 
 
 # -- hypothesis ----------------------------------------------------------------

@@ -5,9 +5,8 @@ from hypothesis import given, strategies as st
 
 from brutes import reflect_x, reflect_y, transpose, transpose_solution
 from wcr import serialize
-from wcr.core import (Configuration, Sensor, Solution, distance,
-                      interval_gaps, is_blocking, rat, rat_str,
-                      solution_costs)
+from wcr.core import (Configuration, Sensor, Solution, distance, int_gaps,
+                      is_blocking, rat, rat_str, solution_costs)
 from wcr.errors import ParseError, ValidationError
 
 F = Fraction
@@ -86,43 +85,44 @@ def test_continuous_mode_extent():
 
 
 # -- interval sweep ----------------------------------------------------------
+# int_gaps is the sweep the continuous is_blocking runs on each axis,
+# scaled to ints; tests/brutes.py keeps the Fraction sweep it replaced.
 
 def test_interval_gaps_basic():
-    gaps = interval_gaps([(F(0), F(1)), (F(2), F(3))], F(0), F(3))
-    assert gaps == [(F(1), F(2))]
+    assert int_gaps([(0, 1), (2, 3)], 0, 3) == [(1, 2)]
     # touching endpoints close the gap
-    assert interval_gaps([(F(0), F(1)), (F(1), F(3))], F(0), F(3)) == []
-    assert not interval_gaps([(F(0), F(2)), (F(1), F(3))], F(0), F(3))
+    assert int_gaps([(0, 1), (1, 3)], 0, 3) == []
+    assert not int_gaps([(0, 2), (1, 3)], 0, 3)
 
 
 def test_interval_gaps_empty_input():
-    assert interval_gaps([], F(0), F(2)) == [(F(0), F(2))]
+    assert int_gaps([], 0, 2) == [(0, 2)]
 
 
 @st.composite
 def intervals_and_window(draw):
-    qs = st.fractions(min_value=-5, max_value=5)
+    ints = st.integers(min_value=-40, max_value=40)
     n = draw(st.integers(min_value=0, max_value=6))
     ivs = []
     for _ in range(n):
-        a, b = sorted((draw(qs), draw(qs)))
+        a, b = sorted((draw(ints), draw(ints)))
         ivs.append((a, b))
-    lo, hi = sorted((draw(qs), draw(qs)))
+    lo, hi = sorted((draw(ints), draw(ints)))
     return ivs, lo, hi
 
 
 @given(intervals_and_window())
 def test_interval_gaps_match_point_samples(data):
     ivs, lo, hi = data
-    gaps = interval_gaps(ivs, lo, hi)
+    gaps = int_gaps(ivs, lo, hi)
     # gaps are disjoint, ordered, inside the window
     for (a, b), nxt in zip(gaps, gaps[1:] + [(hi, hi)]):
         assert lo <= a < b <= hi
         assert b <= nxt[0]
-    # sample interior points of gaps and of the claimed-covered rest
+    # sample ends and midpoints of gaps and of the claimed-covered rest
     probe = {lo, hi}
     for a, b in list(ivs) + list(gaps):
-        probe |= {a, b, (a + b) / 2}
+        probe |= {a, b, F(a + b, 2)}
     for p in probe:
         if not lo <= p <= hi:
             continue
@@ -135,12 +135,12 @@ def test_interval_gaps_match_point_samples(data):
             assert any(a <= p <= b for a, b in gaps)
 
 
-@given(intervals_and_window(), st.fractions(min_value=-3, max_value=3))
+@given(intervals_and_window(), st.integers(min_value=-30, max_value=30))
 def test_interval_gaps_translation_equivariant(data, t):
     ivs, lo, hi = data
     shifted = [(a + t, b + t) for a, b in ivs]
-    assert interval_gaps(shifted, lo + t, hi + t) == [
-        (a + t, b + t) for a, b in interval_gaps(ivs, lo, hi)]
+    assert int_gaps(shifted, lo + t, hi + t) == [
+        (a + t, b + t) for a, b in int_gaps(ivs, lo, hi)]
 
 
 # -- blocking ----------------------------------------------------------------

@@ -181,7 +181,6 @@ def test_2d_separable():
 
 
 def test_2d_guards():
-    mixed = (Sensor(1, F(1), F(1), H), Sensor(2, F(2), F(2), F(3, 2)))
     with pytest.raises(HeterogeneousRanges):
         solve_minsum_manhattan(Configuration(
             width=F(2), height=F(2),
@@ -194,7 +193,6 @@ def test_2d_guards():
                         mode="integer", metric="euclidean")
     with pytest.raises(ModeError):
         solve_minsum_manhattan(cfg)
-    del mixed
 
 
 def test_continuous_mode():
