@@ -1,13 +1,13 @@
 """Geometric model: configurations, coverage verification, movement costs.
 
 All coordinates and distances are exact rationals (fractions.Fraction);
-no floating point is used anywhere on solver paths.  The checks,
-coverage and costs at the boundary run on ints: integer-mode checks read
-numerators once the denominators are 1; continuous-mode checks compare
-numerators cross-multiplied by denominators; the continuous coverage
-sweep scales each axis by one lcm of its denominators and converts only
-the gap ends back; and solution_costs scales every coordinate by one lcm
-of their denominators, converting only the reported figures.
+no floating point is used anywhere on solver paths.  Where values are
+swept, summed or sorted together, to_ints turns them into ints on one
+common scale D, the lcm of their denominators, and only the reported
+figures become Fractions again; point-wise range checks cross-multiply
+numerators by denominators instead, so no lcm is built to validate
+input.  An integer move is within a budget when its distance() key is
+at most budget_key(metric, budget).
 
 Conventions
 -----------
@@ -263,21 +263,11 @@ def int_gaps(spans: Iterable[tuple[int, int]], lo: int, hi: int
     return gaps
 
 
-def _axis_gaps(centres: list, side: Fraction) -> tuple:
-    """The gaps that the closed intervals [c - r, c + r] of the (c, r)
-    pairs leave on [0, side], swept on ints scaled by one lcm D of the
-    denominators; only the gap ends become Fractions again."""
-    D = math.lcm(side.denominator,
-                 *{v.denominator for pair in centres for v in pair})
-    spans = []
-    for c, r in centres:
-        cn, cd = c.as_integer_ratio()
-        rn, rd = r.as_integer_ratio()
-        c, r = cn * (D // cd), rn * (D // rd)
-        spans.append((c - r, c + r))
-    hi = side.numerator * (D // side.denominator)
-    return tuple((Fraction(a, D), Fraction(b, D))
-                 for a, b in int_gaps(spans, 0, hi))
+def _axis_gaps(centres, radii, side: int, D: int) -> tuple:
+    """The gaps that the closed intervals [c - r, c + r] leave on
+    [0, side], all ints in counts of 1/D, as Fraction pairs."""
+    return tuple((Fraction(a, D), Fraction(b, D)) for a, b in int_gaps(
+        [(c - r, c + r) for c, r in zip(centres, radii)], 0, side))
 
 
 def is_blocking(config: Configuration,
@@ -300,9 +290,12 @@ def is_blocking(config: Configuration,
         rows = {y.numerator for _, y, _ in pos}
         x_gaps = tuple(i for i in range(1, a + 1) if i not in cols)
         y_gaps = tuple(j for j in range(1, b + 1) if j not in rows)
-    else:
-        x_gaps = _axis_gaps([(x, r) for x, _, r in pos], config.width)
-        y_gaps = _axis_gaps([(y, r) for _, y, r in pos], config.height)
+    else:  # both axes on the one scale of to_ints
+        D, (w, h, *ints) = to_ints([config.width, config.height,
+                                    *(c for p in pos for c in p)])
+        radii = ints[2::3]
+        x_gaps = _axis_gaps(ints[::3], radii, w, D)
+        y_gaps = _axis_gaps(ints[1::3], radii, h, D)
     return CoverageReport(blocking=not x_gaps and not y_gaps,
                           x_gaps=x_gaps, y_gaps=y_gaps)
 
@@ -337,12 +330,20 @@ def distance(metric: str, p, q):
     return dx * dx + dy * dy
 
 
-def within(metric: str, p, q, budget: Fraction) -> bool:
-    """Whether the move p -> q has length at most budget."""
-    n, m = budget.numerator, budget.denominator  # compare as ints
-    if metric == "manhattan":
-        return distance(metric, p, q) * m <= n
-    return distance(metric, p, q) * m * m <= n * n
+def to_ints(values) -> tuple[int, list[int]]:
+    """D, the lcm of the denominators of the int or Fraction values (1
+    when there are none), and each value as an integer count of 1/D."""
+    ratios = [v.as_integer_ratio() for v in values]
+    D = math.lcm(*{d for _, d in ratios})
+    return D, [n * (D // d) for n, d in ratios]
+
+
+def budget_key(metric: str, budget: Fraction) -> int:
+    """The largest distance() key an integer move may have within the
+    non-negative budget: floor(budget) under Manhattan, floor(budget^2)
+    under Euclidean (integer moves have integer keys)."""
+    n, d = budget.as_integer_ratio()
+    return n // d if metric == "manhattan" else n * n // (d * d)
 
 
 _EUCLID_EPS = Fraction(1, 10**10)
@@ -355,16 +356,15 @@ def solution_costs(config: Configuration, sol: Solution) -> CostReport:
 
 def _costs(config: Configuration, sol: Solution) -> CostReport:
     """solution_costs of a solution that Solution.validate accepted, taken
-    on ints: every coordinate is scaled by one lcm D of their
-    denominators, and only the reported figures are Fractions."""
+    on ints: every coordinate is scaled by to_ints, and only the
+    reported figures are Fractions."""
     positions = sol.positions
-    moves = [(x, y, *positions[sid]) for sid, x, y, _ in config.sensors]
-    D = math.lcm(*{c.denominator for move in moves for c in move})
+    D, ints = to_ints(c for sid, x, y, _ in config.sensors
+                      for c in (x, y, *positions[sid]))
     metric = config.metric
     moved = total = top = 0  # total: exact terms; top: largest key
     oblique = []  # squared lengths of the euclidean moves off both axes
-    for move in moves:
-        hx, hy, x, y = [c.numerator * (D // c.denominator) for c in move]
+    for hx, hy, x, y in zip(ints[::4], ints[1::4], ints[2::4], ints[3::4]):
         key = distance(metric, (hx, hy), (x, y))  # in units 1/D or 1/D²
         if key:
             moved += 1

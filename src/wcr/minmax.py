@@ -9,6 +9,10 @@ Search is restricted to integer destinations.  That restriction is
 lossless for the D = 1 gadget family (fractional solutions normalize
 to integer ones, see reductions.integerize); for other budgets the
 result is the integer-restricted optimum and labeled as such.
+
+An integer move is within the budget when its core.distance key is at
+most core.budget_key; verify_vh and lines_blocked compare positions
+that may be fractional on ints scaled by core.to_ints.
 """
 
 from __future__ import annotations
@@ -16,10 +20,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 
-from .core import Configuration, Solution, _sqrt_bounds, distance, \
-    exact_sqrt, within
+from .core import Configuration, Solution, _sqrt_bounds, budget_key, \
+    distance, exact_sqrt, to_ints
 from .errors import Infeasible, ModeError, SearchLimit, SizeLimit, \
     ValidationError
 
@@ -64,14 +68,15 @@ def _box(config: Configuration, home: tuple[int, int],
 
 def move_domain(config: Configuration, home: tuple[int, int],
                 budget: Fraction) -> tuple:
-    """Integer grid destinations within the move budget of the sensor at
-    integer point home, ordered by (displacement, x, y).  Under either
-    metric with budget 1 this is the 5-point plus (a diagonal step has
-    length sqrt(2) > 1)."""
+    """The sorted (key, x, y) triples of the integer grid destinations
+    within the move budget of the sensor at integer point home, key the
+    distance() of the move.  Under either metric with budget 1 this is
+    the 5-point plus (a diagonal step has length sqrt(2) > 1)."""
+    metric, top = config.metric, budget_key(config.metric, budget)
     xs, ys = _box(config, home, budget)
-    out = [(x, y) for x in xs for y in ys
-           if within(config.metric, home, (x, y), budget)]
-    out.sort(key=lambda q: (distance(config.metric, home, q), q))
+    out = [(key, x, y) for x in xs for y in ys
+           if (key := distance(metric, home, (x, y))) <= top]
+    out.sort()
     return tuple(out)
 
 
@@ -82,11 +87,11 @@ def lines_blocked(positions, v_lines, h_lines):
     coordinate at or below i and the nearest at or above it are at most
     1 apart (the same coordinate when one sits on i).
 
-    Coordinates are scaled to ints by D, the lcm of their denominators,
-    and sorted: one bisect per line."""
+    Coordinates are scaled to ints by to_ints and sorted: one bisect
+    per line."""
     def blocked(coords, lines):
-        d = lcm(*(c.denominator for c in coords))
-        scaled = sorted(c.numerator * (d // c.denominator) for c in coords)
+        d, scaled = to_ints(coords)
+        scaled.sort()
         out = set()
         for i in lines:
             k = bisect_left(scaled, d * i)  # scaled[k]: nearest at or above
@@ -105,8 +110,8 @@ def verify_vh(inst: VHInstance, positions: dict, *,
     every move is within budget, and positions stay on the grid.
 
     Homes, positions, the covered rectangle [1/2, a + 1/2] x
-    [1/2, b + 1/2] and the budget are compared as ints scaled by D, the
-    lcm of their denominators."""
+    [1/2, b + 1/2] and the budget are compared as ints scaled by
+    to_ints."""
     config = inst.config
     if set(positions) != {sid for sid, _, _, _ in config.sensors}:
         return False
@@ -114,16 +119,13 @@ def verify_vh(inst: VHInstance, positions: dict, *,
     if require_integer and any(x.denominator != 1 or y.denominator != 1
                                for _, _, x, y in moves):
         return False
-    budget = inst.max_move
-    D = lcm(budget.denominator, *{c.denominator for move in moves
-                                  for c in move})
-    reach = budget.numerator * (D // budget.denominator)
+    D, (reach, *ints) = to_ints([inst.max_move,
+                                 *(c for move in moves for c in move)])
     if config.metric != "manhattan":
         reach *= reach  # distance() gives squared euclidean lengths
     hi_x = (2 * config.width.numerator + 1) * D  # 2 (a + 1/2) D
     hi_y = (2 * config.height.numerator + 1) * D
-    for move in moves:
-        hx, hy, x, y = [c.numerator * (D // c.denominator) for c in move]
+    for hx, hy, x, y in zip(ints[::4], ints[1::4], ints[2::4], ints[3::4]):
         if not (D <= 2 * x <= hi_x and D <= 2 * y <= hi_y) or \
                 distance(config.metric, (hx, hy), (x, y)) > reach:
             return False
@@ -142,7 +144,7 @@ def decide_vh(inst: VHInstance, budget: int | None = None
     smallest displacement.  Raises SearchLimit past the node budget.
 
     The candidates are indexed once per call: each required line maps
-    to the sorted (displacement, x, y, sensor id) tuples of every move
+    to the sorted (key, x, y, sensor id) tuples of every move_domain
     destination on it.  A node reads a line's candidates by dropping
     the committed sensors from its list, which keeps the order, and
     picks the MRV line from live candidate counts that commit and undo
@@ -150,9 +152,10 @@ def decide_vh(inst: VHInstance, budget: int | None = None
     than SCAN_LIMIT grid cells.
     """
     config = inst.config
+    homes = [(sid, (x.numerator, y.numerator))
+             for sid, x, y, _ in config.sensors]
     cells = sum((xs.stop - xs.start) * (ys.stop - ys.start) for xs, ys in (
-        _box(config, (int(s.x), int(s.y)), inst.max_move)
-        for s in config.sensors))
+        _box(config, home, inst.max_move) for _, home in homes))
     if cells > SCAN_LIMIT:
         raise SizeLimit(f"decide_vh would scan {cells} grid cells, "
                         f"past {SCAN_LIMIT}")
@@ -161,15 +164,14 @@ def decide_vh(inst: VHInstance, budget: int | None = None
                [("h", h) for h in sorted(inst.h_lines)]
     index: dict[tuple, list] = {line: [] for line in required}
     lines_of: dict[int, list] = {}  # sensor -> line of each of its entries
-    for s in config.sensors:
-        home = (int(s.x), int(s.y))
-        lines_of[s.id] = []
-        for q in move_domain(config, home, inst.max_move):
-            cand = (distance(config.metric, home, q), q[0], q[1], s.id)
-            for line in (("v", q[0]), ("h", q[1])):
+    for sid, home in homes:
+        lines_of[sid] = []
+        for key, x, y in move_domain(config, home, inst.max_move):
+            cand = (key, x, y, sid)
+            for line in (("v", x), ("h", y)):
                 if line in index:
                     index[line].append(cand)
-                    lines_of[s.id].append(line)
+                    lines_of[sid].append(line)
     for cands in index.values():
         cands.sort()
     live = {line: len(cands) for line, cands in index.items()}

@@ -41,11 +41,11 @@ argmin is the one the full grid gives.  Each layer stores its choices
 for its band only, as a slice of one shared list, with the band's
 first state as offset.
 
-The DP runs on Python ints: the points, r and L are scaled once by D,
-the least common multiple of their denominators, so every grid point
-and every partial cost is an exact integer count of 1/D.  Only the
-returned targets and cost are converted back to Fractions, so the
-result is exact.
+The DP runs on Python ints: Line1DInstance.ints scales r, L and the
+points once per instance by core.to_ints, to integer counts of 1/D, so
+every grid point and partial cost is exact; check_minsum_1d,
+candidate_targets and the DP all read it.  Only the returned targets
+and cost become Fractions again, so the result is exact.
 """
 
 from __future__ import annotations
@@ -54,9 +54,10 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
-from .core import Configuration, Solution
+from .core import Configuration, Solution, to_ints
 from .errors import (HeterogeneousRanges, Infeasible, ModeError, SizeLimit,
                      ValidationError)
 
@@ -84,20 +85,18 @@ class Line1DInstance:
     def feasible(self) -> bool:
         return len(self.points) * 2 * self.radius >= self.length
 
-
-def _scaled(inst: Line1DInstance, *extra) -> tuple[int, list[int]]:
-    """D and [r, L, *points, *extra], each as an integer count of 1/D."""
-    vals = (inst.radius, inst.length, *inst.points, *extra)
-    d = lcm(*(v.denominator for v in vals))
-    return d, [v.numerator * (d // v.denominator) for v in vals]
+    @cached_property
+    def ints(self) -> tuple[int, list[int]]:
+        """D and [r, L, *points] in counts of 1/D (core.to_ints); read only."""
+        return to_ints((self.radius, self.length, *self.points))
 
 
 def candidate_targets(inst: Line1DInstance) -> list[int]:
-    """The sorted grid C in integer counts of 1/D (see _scaled): each
+    """The sorted grid C in integer counts of 1/D (see ints): each
     base b in {r, L - r, the points} gives the shifts b + 2rk, |k| <= n,
     that fall inside (0, L), and 0 or L stands for those clamped onto
     an end."""
-    _, (r, L, *pts) = _scaled(inst)
+    _, (r, L, *pts) = inst.ints
     n, step = len(pts), 2 * r
     grid = set()
     for b in {r, L - r, *pts}:
@@ -118,7 +117,7 @@ def check_minsum_1d(inst: Line1DInstance) -> None:
     if not inst.feasible:
         raise Infeasible("sum of diameters shorter than the segment")
     n = len(inst.points)
-    _, (r, L, *pts) = _scaled(inst)
+    _, (r, L, *pts) = inst.ints
     bases = Counter(b % (2 * r) for b in (r, L - r, *pts))
     states = n * (2 + sum(min(k * (2 * n + 1), L // (2 * r) + 1)
                           for k in bases.values()))
@@ -138,7 +137,7 @@ def solve_minsum_1d(inst: Line1DInstance
     """
     check_minsum_1d(inst)
     n = len(inst.points)
-    d, (r, L, *scaled) = _scaled(inst)
+    d, (r, L, *scaled) = inst.ints
     order = sorted(range(n), key=lambda i: (scaled[i], i))
     pts = [scaled[i] for i in order]
     C = [-r] + candidate_targets(inst)
@@ -240,8 +239,7 @@ def oracle_step(inst: Line1DInstance) -> Fraction:
     radius and every point, as the oracle's contract asks."""
     if (8 * inst.length).denominator == 1:
         return Fraction(1, 8)
-    vals = (inst.length, inst.radius, *inst.points)
-    return Fraction(1, lcm(8, *(v.denominator for v in vals)))
+    return Fraction(1, lcm(8, inst.ints[0]))  # ints[0]: their lcm
 
 
 def oracle_minsum_1d(inst: Line1DInstance) -> tuple[Fraction, Fraction]:
@@ -255,15 +253,15 @@ def oracle_minsum_1d(inst: Line1DInstance) -> tuple[Fraction, Fraction]:
     whenever r, L and the input points are multiples of delta.  Raises
     SizeLimit when B would visit more than ORACLE_GRID_CELLS grid cells.
 
-    Both run on ints: r, L, the points, delta and C are scaled by S, the
-    lcm of the denominators of delta and of the instance.
+    Both run on ints: r, L, the points, delta and C are scaled by to_ints.
     """
     n = len(inst.points)
     if n > 6:
         raise SizeLimit("1D oracle limited to 6 sensors")
     check_minsum_1d(inst)  # Infeasible; 6 sensors stay under the limit
     delta = oracle_step(inst)
-    s, (r, L, *pts, step) = _scaled(inst, delta)
+    s, (r, L, *pts, step) = to_ints((inst.radius, inst.length,
+                                     *inst.points, delta))
     pts.sort()
 
     # --- B: order-preserving full assignments on the uniform grid.

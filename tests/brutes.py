@@ -8,11 +8,11 @@ from itertools import combinations
 
 from wcr.core import HALF, MAX_DIGITS, Configuration, CostReport, \
     CoverageReport, Sensor, Solution, _sqrt_bounds, distance, exact_sqrt, \
-    is_blocking, rat_str, within
+    is_blocking, rat_str
 from wcr.errors import Infeasible, KeyMismatch, SearchLimit, SizeLimit, \
     ValidationError
 from wcr.matching import Graph, minimum_edge_cover
-from wcr.minmax import DEFAULT_NODE_BUDGET, VHInstance, move_domain, verify_vh
+from wcr.minmax import DEFAULT_NODE_BUDGET, VHInstance, verify_vh
 from wcr.minnum import TYPE0, TYPE1, TYPE2, TYPE3, TYPE4, MinNumPlan, \
     _require_integer
 from wcr.minsum import ORACLE_GRID_CELLS, Line1DInstance, oracle_step
@@ -399,6 +399,29 @@ def reference_lines_blocked(positions, v_lines, h_lines):
             blocked([y for _, y in positions], h_lines))
 
 
+def within(metric: str, p, q, budget: Fraction) -> bool:
+    """Whether the move p -> q has length at most budget, on Fractions:
+    the Manhattan length, or the squared euclidean one against budget
+    squared."""
+    dx, dy = Fraction(p[0] - q[0]), Fraction(p[1] - q[1])
+    if metric == "manhattan":
+        return abs(dx) + abs(dy) <= budget
+    return dx * dx + dy * dy <= budget * budget
+
+
+def reference_move_domain(config: Configuration, home, budget: Fraction
+                          ) -> list:
+    """The (x, y) grid cells within budget of home: a scan of the cells
+    at most budget away along each axis, each tested with within."""
+    reach = int(budget)
+    return [(x, y)
+            for x in range(max(1, home[0] - reach),
+                           min(int(config.width), home[0] + reach) + 1)
+            for y in range(max(1, home[1] - reach),
+                           min(int(config.height), home[1] + reach) + 1)
+            if within(config.metric, home, (x, y), budget)]
+
+
 def reference_verify_vh(inst: VHInstance, positions: dict, *,
                         require_integer: bool = True) -> bool:
     """The verify_vh that compares Fraction points with the extents and
@@ -432,8 +455,8 @@ def reference_decide_vh(inst: VHInstance, budget: int | None = None
     """
     config = inst.config
     limit = DEFAULT_NODE_BUDGET if budget is None else budget
-    domains = {s.id: move_domain(config, (int(s.x), int(s.y)),
-                                  inst.max_move)
+    domains = {s.id: reference_move_domain(config, (int(s.x), int(s.y)),
+                                            inst.max_move)
                for s in config.sensors}
     required = [("v", v) for v in sorted(inst.v_lines)] + \
                [("h", h) for h in sorted(inst.h_lines)]

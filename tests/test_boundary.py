@@ -2,8 +2,9 @@
 
 `Configuration.__post_init__`, `Solution.validate`, `is_blocking`,
 `solution_costs` and the point check of `Line1DInstance` check and
-measure on numerators scaled by one lcm or cross-multiplied by
-denominators; the versions in `brutes` are the originals on Fractions.
+measure on numerators scaled by one lcm (`core.to_ints`) or
+cross-multiplied by denominators; the versions in `brutes` are the
+originals on Fractions.
 Both must give the same reports, error types and messages.  `serialize`
 parses each distinct rational string once per document and formats an
 error location only when an item is bad; the messages must stay the
@@ -15,6 +16,8 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,12 +25,12 @@ from hypothesis import example, given, settings, strategies as st
 from brutes import (reference_check_line, reference_is_blocking,
                     reference_rat, reference_solution_costs,
                     reference_validate_config, reference_validate_solution)
-from wcr import serialize
+from wcr import minsum, serialize
 from wcr.cli import main
 from wcr.core import (MAX_DIGITS, Configuration, Sensor, Solution,
-                      is_blocking, rat, solution_costs)
+                      is_blocking, rat, solution_costs, to_ints)
 from wcr.errors import ParseError, WcrError
-from wcr.minsum import Line1DInstance
+from wcr.minsum import Line1DInstance, solve_minsum_manhattan
 from wcr.oracle import random_integer_config
 
 F = Fraction
@@ -302,6 +305,35 @@ def test_line_instance_checks_match_reference():
             assert isinstance(got, Line1DInstance)
             outcomes.add("valid")
     assert outcomes == {"valid", "point", "radius"}
+
+
+def test_to_ints_scales_by_the_lcm():
+    assert to_ints([]) == (1, [])
+    assert to_ints([F(1, 2), F(-5, 4), F(7, 6), 3]) == (12, [6, -15, 14, 36])
+    rng = random.Random(1818)
+    dens = DENOMINATORS + (2, 4, 6, 8, 12, 10**12)
+    for _ in range(400):
+        values = [F(rng.randint(-10**6, 10**6), rng.choice(dens))
+                  for _ in range(rng.randint(1, 8))]
+        D, ints = to_ints(iter(values))
+        assert D == reduce(lambda a, b: a * b // gcd(a, b),
+                           (v.denominator for v in values), 1)
+        assert [F(i, D) for i in ints] == values
+
+
+def test_minsum_solve_scales_each_axis_once(monkeypatch):
+    calls = []
+
+    def counted(values):
+        calls.append(1)
+        return to_ints(values)
+
+    monkeypatch.setattr(minsum, "to_ints", counted)
+    sensors = tuple(Sensor(i, F(3 * i + 1, 997), F(i, 7), F(1))
+                    for i in range(6))
+    config = Configuration(F(11), F(12), sensors, "continuous")
+    solve_minsum_manhattan(config)
+    assert len(calls) == 2
 
 
 def test_solve_minsum_moved_matches_reference_costs(tmp_path, capsys):

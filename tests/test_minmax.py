@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from brutes import (random_sat22, reference_decide_vh,
-                    reference_lines_blocked, reference_verify_vh)
+                    reference_lines_blocked, reference_verify_vh, within)
 from wcr import minmax
-from wcr.core import Configuration, Sensor, is_blocking, solution_costs
+from wcr.core import Configuration, Sensor, budget_key, is_blocking, \
+    solution_costs
 from wcr.errors import SearchLimit, SizeLimit, ValidationError
 from wcr.minmax import (VHInstance, decide_vh, full_lines, lines_blocked,
                         move_domain, oracle_minmax,
@@ -39,9 +40,48 @@ def test_full_lines():
 def test_move_domain_sorted_by_distance():
     cfg = grid(3, 3, [(2, 2)])
     dom = move_domain(cfg, (2, 2), F(1))
-    assert dom[0] == (F(2), F(2))
-    assert set(dom) == {(F(2), F(2)), (F(1), F(2)), (F(3), F(2)),
-                        (F(2), F(1)), (F(2), F(3))}
+    assert dom == ((0, 2, 2), (1, 1, 2), (1, 2, 1), (1, 2, 3), (1, 3, 2))
+
+
+MOVE_BUDGETS = (F(0), H, F(1), F(3, 2), F(7, 5), F(99, 70), F(141, 100),
+                F(5, 2))  # 99/70 and 141/100 sit just either side of sqrt 2
+
+
+@pytest.mark.parametrize("metric", ["manhattan", "euclidean"])
+def test_move_domain_matches_fraction_scan(metric):
+    """move_domain equals a scan of the whole grid that tests each cell
+    with the Fraction within, keyed by its own length formula, on
+    homes at the corners, on the edges and inside grids from 1x1 to
+    9x7, at fractional budgets."""
+    rng = random.Random(18)
+    shapes = [(1, 1), (9, 7)] + [(rng.randint(1, 9), rng.randint(1, 7))
+                                 for _ in range(10)]
+    checked = 0
+    for a, b in shapes:
+        homes = {(1, 1), (a, 1), (1, b), (a, b), (rng.randint(1, a), 1),
+                 (1, rng.randint(1, b)), (a, rng.randint(1, b)),
+                 (rng.randint(1, a), b),
+                 (rng.randint(1, a), rng.randint(1, b))}
+        for home in sorted(homes):
+            cfg = grid(a, b, [home], metric)
+            for d in MOVE_BUDGETS:
+                dx_dy = [(x, y, abs(x - home[0]), abs(y - home[1]))
+                         for x in range(1, a + 1) for y in range(1, b + 1)
+                         if within(metric, home, (x, y), d)]
+                expected = sorted(
+                    (dx + dy if metric == "manhattan" else dx * dx + dy * dy,
+                     x, y) for x, y, dx, dy in dx_dy)
+                assert list(move_domain(cfg, home, d)) == expected, \
+                    (a, b, home, d)
+                checked += 1
+    assert checked > 12 * 8
+
+
+def test_budget_key_is_the_floor_per_metric():
+    assert [budget_key("manhattan", d) for d in MOVE_BUDGETS] == \
+        [0, 0, 1, 1, 1, 1, 1, 2]
+    assert [budget_key("euclidean", d) for d in MOVE_BUDGETS] == \
+        [0, 0, 1, 2, 1, 2, 1, 6]
 
 
 def test_lines_blocked_unions():
@@ -316,6 +356,8 @@ def test_euclidean_ladder_budgets_admit_exactly_their_key(monkeypatch):
         monkeypatch.setattr(minmax, "_ladder", lambda config: [F(key)])
         assert solve_minmax(single).value_squared == key
     assert all(key <= d * d < key + 1 for key, d in zip(keys, budgets))
+    assert all(budget_key("euclidean", d) == key
+               for key, d in zip(keys, budgets))
 
     wide = grid(45, 45, [(1, 1)], metric="euclidean")
     count = 0
@@ -324,7 +366,7 @@ def test_euclidean_ladder_budgets_admit_exactly_their_key(monkeypatch):
             break
         while moves[count][0] <= key:
             count += 1
-        admitted = {(1 + dx, 1 + dy) for _, dx, dy in moves[:count]}
+        admitted = {(sq, 1 + dx, 1 + dy) for sq, dx, dy in moves[:count]}
         assert set(move_domain(wide, (1, 1), d)) == admitted
 
 
