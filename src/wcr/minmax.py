@@ -13,6 +13,18 @@ result is the integer-restricted optimum and labeled as such.
 An integer move is within the budget when its core.distance key is at
 most core.budget_key; verify_vh and lines_blocked compare positions
 that may be fractional on ints scaled by core.to_ints.
+
+solve_minmax searches the integer keys (distances under Manhattan,
+squared distances under Euclidean) from a lower bound to the key of
+the longest move, a + b - 2 or (a-1)^2 + (b-1)^2, where every move is
+allowed.  A key that no move reaches admits exactly the moves of the
+reachable key below it, so the least feasible integer key is the
+optimum.  The bound is _key_bound: the sensor that ends on a line
+moves at least that line's distance to the nearest home along its
+axis.  The search gallops (Bentley & Yao, IPL 1976): it probes bound,
+bound + 1, bound + 3, bound + 7, ... up to the first yes, then bisects
+below it, and keeps the witness of the last yes.  Each probe is one
+decide_vh call, bounded by its SCAN_LIMIT pre-count and node budget.
 """
 
 from __future__ import annotations
@@ -28,7 +40,7 @@ from .errors import Infeasible, ModeError, SearchLimit, SizeLimit, \
     ValidationError
 
 DEFAULT_NODE_BUDGET = 10**8
-SCAN_LIMIT = 10**6  # grid cells a decide_vh or _ladder call may scan
+SCAN_LIMIT = 10**6  # grid cells a decide_vh call may scan
 
 
 @dataclass(frozen=True)
@@ -176,37 +188,50 @@ def decide_vh(inst: VHInstance, budget: int | None = None
         cands.sort()
     live = {line: len(cands) for line, cands in index.items()}
     committed: dict[int, tuple[int, int]] = {}
-    nodes = [0]
+    nodes = 0
 
-    def search(unsat: list) -> bool:
-        # unsat keeps the order of required: (axis, index), vertical first
-        nodes[0] += 1
-        if nodes[0] > limit:
-            raise SearchLimit(nodes[0])
+    def visit(unsat: list):
+        # one search node: True when every line is blocked, else its
+        # frame [unsat, candidates, next index], with no candidates when
+        # a line has none left; unsat keeps the order of required
+        nonlocal nodes
+        nodes += 1
+        if nodes > limit:
+            raise SearchLimit(nodes)
         if not unsat:
             return True
         best = None
         for line in unsat:
             if not live[line]:
-                return False
+                return [unsat, [], 0]
             if best is None or live[line] < live[best]:
                 best = line
                 if live[line] == 1:
                     break
-        cands = [c for c in index[best] if c[3] not in committed]
-        for _, x, y, sid in cands:
-            committed[sid] = (x, y)
-            for line in lines_of[sid]:
-                live[line] -= 1
-            if search([l for l in unsat if l != ("v", x) and l != ("h", y)]):
-                return True
+        return [unsat, [c for c in index[best] if c[3] not in committed], 0]
+
+    # depth first on an explicit stack, as deep as there are sensors;
+    # a frame's next candidate is tried once the one before is undone
+    stack = [visit(required)]
+    while stack and stack[-1] is not True:
+        frame = stack[-1]
+        unsat, cands, i = frame
+        if i:
+            sid = cands[i - 1][3]
             del committed[sid]
             for line in lines_of[sid]:
                 live[line] += 1
-        return False
-
-    feasible = search(required)
-    if not feasible:
+        if i == len(cands):
+            stack.pop()
+            continue
+        frame[2] = i + 1
+        _, x, y, sid = cands[i]
+        committed[sid] = (x, y)
+        for line in lines_of[sid]:
+            live[line] -= 1
+        stack.append(visit([l for l in unsat
+                            if l != ("v", x) and l != ("h", y)]))
+    if not stack:
         return False, None
     sol = Solution({s.id: (Fraction(committed[s.id][0]),
                            Fraction(committed[s.id][1]))
@@ -226,29 +251,27 @@ class MinMaxResult:
     solution: Solution
 
 
-def _ladder(config: Configuration) -> list[int]:
-    """Sorted distinct achievable per-sensor displacement keys
-    (distances under Manhattan, squared distances under Euclidean).
-    Raises SizeLimit when that takes more than SCAN_LIMIT grid cells."""
-    a, b = int(config.width), int(config.height)
-    if config.n * a * b > SCAN_LIMIT:
-        raise SizeLimit(f"the distance ladder would scan {config.n * a * b} "
-                        f"grid cells, past {SCAN_LIMIT}")
-    return sorted({distance(config.metric, (int(s.x), int(s.y)), (x, y))
-                   for s in config.sensors
-                   for x in range(1, a + 1) for y in range(1, b + 1)})
+def _key_bound(config: Configuration) -> int:
+    """The key of the line farthest from every home along its axis."""
+    t = 0
+    for side, cs in ((config.width, {s.x for s in config.sensors}),
+                     (config.height, {s.y for s in config.sensors})):
+        cs = sorted(cs)
+        t = max(t, cs[0] - 1, side - cs[-1],
+                *((q - p) // 2 for p, q in zip(cs, cs[1:])))
+    return int(t if config.metric == "manhattan" else t * t)
 
 
 def solve_minmax(config: Configuration, budget: int | None = None
                  ) -> MinMaxResult:
-    """Least max-displacement making the configuration blocking
-    (integer destinations); binary search over the achievable-distance
-    ladder, each step decided by decide_vh."""
+    """Least max-displacement making the configuration blocking (integer
+    destinations): the least key decide_vh accepts, see the module doc."""
     if config.mode != "integer":
         raise ModeError("integer mode required")
     if config.n < max(config.width, config.height):
         raise Infeasible("fewer sensors than the longer side")
     v, h = full_lines(config)
+    a, b = int(config.width), int(config.height)
 
     def feasible_at(key: int):
         # key is a distance (manhattan) or a squared distance (euclidean);
@@ -259,17 +282,17 @@ def solve_minmax(config: Configuration, budget: int | None = None
             d = _sqrt_bounds(key, Fraction(1, 2 * key + 2))[1]
         return decide_vh(VHInstance(config, v, h, d), budget)
 
-    ladder = _ladder(config)
-    lo, hi = 0, len(ladder) - 1
-    best = None
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        ok, sol = feasible_at(ladder[mid])
+    bound = lo = _key_bound(config)
+    hi = a + b - 2 if config.metric == "manhattan" else \
+        (a - 1) ** 2 + (b - 1) ** 2  # every move allowed: feasible
+    best, k = None, 0
+    while lo <= hi:  # gallop bound + 2^k - 1 to the first yes, then bisect
+        key = (lo + hi) // 2 if best else min(bound + (1 << k) - 1, hi)
+        ok, sol = feasible_at(key)
         if ok:
-            best = (ladder[mid], sol)
-            hi = mid - 1
+            hi, best = key - 1, (key, sol)
         else:
-            lo = mid + 1
+            lo, k = key + 1, k + 1
     assert best is not None, "full-move relocation must be feasible"
     key, sol = best
     if config.metric == "manhattan":

@@ -119,7 +119,7 @@ def _diff_minmax(rng, seed, **bounds):
     result = solve_minmax(config)
     v, h = full_lines(config)
     # the instances are Manhattan: scan every displacement for the least
-    # budget the oracle accepts, independently of the solver's ladder
+    # budget the oracle accepts, independently of the solver's search
     a, b = int(config.width), int(config.height)
     keys = sorted({abs(x - s.x) + abs(y - s.y) for s in config.sensors
                    for x in range(1, a + 1) for y in range(1, b + 1)})

@@ -118,13 +118,33 @@ def test_minsum_without_sensors_is_infeasible(tmp_path, command):
 
 
 def test_euclidean_minmax_search_limit_exits_3(tmp_path):
-    # 41 sensors on one cell: the first ladder key decided is a large
-    # non-square, so its budget must be a tight upper root
+    # 41 sensors on one cell: the first key decided is the bound 40^2,
+    # where a node budget of 1 ends the search
     path = cfg_file(tmp_path, [(1, 1)] * 41, a=41, b=41, metric="euclidean")
     proc = run_wcr("solve", "minmax", str(path), "--budget", "1")
     assert proc.returncode == 3
     assert proc.stderr.startswith("resource limit:")
     assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+def test_line_blocking_search_1200_deep(tmp_path, capsys):
+    # one sensor per column of a 1200 x 1 grid, no move allowed: the
+    # search commits the 1200 sensors one below another, past the
+    # interpreter's recursion limit
+    cells = [(x, 1) for x in range(1, 1201)]
+    path = cfg_file(tmp_path, cells, a=1200, b=1)
+    homes = [{"id": i, "x": str(x), "y": "1"}
+             for i, (x, _) in enumerate(cells, start=1)]
+    obj = json.loads(path.read_text())
+    obj.update(v_lines=list(range(1, 1201)), h_lines=[1], max_move="0")
+    vh_path = tmp_path / "vh.json"
+    vh_path.write_text(json.dumps(obj))
+    assert main(["decide", "vh", str(vh_path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["feasible"] and out["witness"]["positions"] == homes
+    assert main(["solve", "minmax", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["max_move"] == "0" and out["solution"]["positions"] == homes
 
 
 def test_oracle_minsum_rejects_heterogeneous_ranges(tmp_path, capsys):

@@ -92,7 +92,7 @@ def _integer_cases():
 
 def _minmax_cases():
     """Sensors crowded into one corner, so optima need long moves and
-    the euclidean ladder reaches keys that are not perfect squares."""
+    the euclidean search probes keys that are not perfect squares."""
     for i in range(12):
         rng = random.Random(f"minmax:{i}")
         a, b = rng.randint(3, 6), rng.randint(3, 6)

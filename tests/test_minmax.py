@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -297,14 +298,17 @@ def test_scan_limit_counts_clipped_boxes(monkeypatch):
         decide_vh(inst)
 
 
-def test_ladder_past_the_scan_limit():
-    # 1000 sensors x 10^6 cells: refused before the ladder is built
-    cfg = grid(1000, 1000, [(i, i) for i in range(1, 1001)])
+def test_diagonal_of_side_1000_solves_at_key_0():
+    # 1000 sensors already blocking a 1000 x 1000 grid: the bound is 0,
+    # the first probe a yes, its search 1000 commitments deep
+    cells = [(i, i) for i in range(1, 1001)]
+    cfg = grid(1000, 1000, cells)
     start = time.perf_counter()
-    with pytest.raises(SizeLimit, match=f"ladder would scan {10**9} grid "
-                                        f"cells, past {minmax.SCAN_LIMIT}"):
-        solve_minmax(cfg)
+    res = solve_minmax(cfg)
     assert time.perf_counter() - start < 1
+    assert res.value == 0 and res.value_squared == 0
+    assert res.solution.positions == {i: (F(x), F(y))
+                                      for i, (x, y) in enumerate(cells, 1)}
 
 
 def test_solve_examples():
@@ -335,15 +339,102 @@ def test_solve_euclidean_squared():
     assert is_blocking(cfg, res.solution).blocking
 
 
+def oracle_key(cfg) -> tuple[int, VHInstance]:
+    """The least key at which oracle_minmax blocks every line, and its
+    instance, scanning 0, 1, 2, ... with budgets of its own: the key
+    under Manhattan, and under Euclidean the rational
+    (isqrt(key s^2) + 1) / s for s = 4 key + 4, just above sqrt(key)
+    and below sqrt(key + 1)."""
+    v, h = full_lines(cfg)
+    key = 0
+    while True:
+        s = 4 * key + 4
+        d = F(key) if cfg.metric == "manhattan" else \
+            F(isqrt(key * s * s) + 1, s)
+        if oracle_minmax(inst := VHInstance(cfg, v, h, d)):
+            return key, inst
+        key += 1
+
+
+@pytest.mark.parametrize("metric", ["manhattan", "euclidean"])
+def test_solve_matches_an_ascending_oracle_scan(metric):
+    """solve_minmax against oracle_minmax at every key from 0 up, on
+    seeded grids up to 4 x 4, two thirds of them with the sensors
+    crowded into a corner so that optima need long moves."""
+    rng = random.Random(2001)
+    optima = set()
+    for i in range(150):
+        a, b = rng.randint(1, 4), rng.randint(1, 4)
+        n = rng.randint(max(a, b), 5)
+        corner = (1, 2, 4)[i % 3]
+        cells = [(rng.randint(1, min(a, corner)),
+                  rng.randint(1, min(b, corner))) for _ in range(n)]
+        cfg = grid(a, b, cells, metric)
+        res = solve_minmax(cfg)
+        key, inst = oracle_key(cfg)
+        assert res.value_squared == (key * key if metric == "manhattan"
+                                     else key), cfg
+        # the witness is decide_vh's at the optimum's budget
+        assert res.solution == decide_vh(inst)[1], cfg
+        costs = solution_costs(cfg, res.solution)
+        assert costs.max_squared == res.value_squared, cfg
+        assert is_blocking(cfg, res.solution).blocking
+        optima.add(key)
+    # every optimum 0-3 under Manhattan; under Euclidean some scans pass
+    # the keys 3, 6 and 7 that no move reaches
+    assert len(optima) >= 4 and (metric == "manhattan" or max(optima) > 7)
+
+
+def test_probes_stay_between_the_bound_and_twice_the_optimum(monkeypatch):
+    """On tight grids (n = a = b, homes uniform) every key decided lies
+    in [bound, 2 * optimum + 1], the bound being the line farthest from
+    every home along its axis (squared under Euclidean), found here by
+    a scan of the lines: the search gallops up from the bound.  The
+    witness is the one decide_vh gave at the optimum's key, also where
+    an earlier yes above it gave another."""
+    probes, answers = [], {}
+
+    def spy(inst, budget=None):
+        probes.append(budget_key(inst.config.metric, inst.max_move))
+        answers[probes[-1]] = decide_vh(inst, budget)
+        return answers[probes[-1]]
+
+    monkeypatch.setattr(minmax, "decide_vh", spy)
+    rng = random.Random(20)
+    answered = overshot = 0
+    for i in range(24):
+        side, metric = 6 + i % 3, ("manhattan", "euclidean")[i % 2]
+        cfg = random_integer_config(rng, side, side, side, metric)
+        t = max(min(abs(c - home) for home in homes)
+                for homes in ({s.x for s in cfg.sensors},
+                              {s.y for s in cfg.sensors})
+                for c in range(1, side + 1))
+        bound = t if metric == "manhattan" else t * t
+        probes.clear()
+        answers.clear()
+        try:
+            res = solve_minmax(cfg, budget=5000)
+        except SearchLimit:
+            assert min(probes) >= bound
+            continue
+        key = res.value if metric == "manhattan" else res.value_squared
+        assert bound <= min(probes) and max(probes) <= 2 * key + 1, \
+            (cfg, probes)
+        assert res.solution == answers[key][1]
+        first_yes = next(k for k in probes if answers[k][0])
+        overshot += answers[first_yes][1] != res.solution
+        answered += 1
+    assert answered >= 20 and overshot
+
+
 def test_euclidean_ladder_budgets_admit_exactly_their_key(monkeypatch):
-    """solve_minmax decides each euclidean ladder key (a squared
-    distance) at a budget d with key <= d^2 < key + 1, so move_domain at
-    d admits exactly the integer moves of squared length <= key.  The
-    bound is checked for every sum of two squares up to 2 * 60^2,
-    move_domain (whose box grows with the key) for those up to 2 * 30^2."""
-    moves = sorted((dx * dx + dy * dy, dx, dy)
-                   for dx in range(85) for dy in range(85))
-    keys = sorted({sq for sq, _, _ in moves if sq <= 2 * 60 ** 2})
+    """solve_minmax decides each euclidean key (a squared distance) at a
+    budget d with key <= d^2 < key + 1, so move_domain at d admits
+    exactly the integer moves of squared length <= key.  The search
+    starts at the key (its bound patched) and decide_vh says yes there.
+    Checked for every integer key up to 2 * 60^2, reached by a move or
+    not, and move_domain (whose box grows with the key) for the sums of
+    two squares up to 2 * 30^2."""
     budgets = []
 
     def record(inst, budget=None):
@@ -351,23 +442,26 @@ def test_euclidean_ladder_budgets_admit_exactly_their_key(monkeypatch):
         return True, None
 
     monkeypatch.setattr(minmax, "decide_vh", record)
-    single = grid(1, 1, [(1, 1)], metric="euclidean")
+    keys = range(2 * 60 ** 2 + 1)
+    diagonal = grid(61, 61, [(i, i) for i in range(1, 62)],
+                    metric="euclidean")
     for key in keys:
-        monkeypatch.setattr(minmax, "_ladder", lambda config: [F(key)])
-        assert solve_minmax(single).value_squared == key
+        monkeypatch.setattr(minmax, "_key_bound", lambda config: key)
+        assert solve_minmax(diagonal).value_squared == key
+    assert len(budgets) == len(keys)
     assert all(key <= d * d < key + 1 for key, d in zip(keys, budgets))
     assert all(budget_key("euclidean", d) == key
                for key, d in zip(keys, budgets))
 
+    moves = sorted((dx * dx + dy * dy, dx, dy)
+                   for dx in range(45) for dy in range(45))
     wide = grid(45, 45, [(1, 1)], metric="euclidean")
     count = 0
-    for key, d in zip(keys, budgets):
-        if key > 2 * 30 ** 2:
-            break
+    for key in sorted({sq for sq, _, _ in moves if sq <= 2 * 30 ** 2}):
         while moves[count][0] <= key:
             count += 1
         admitted = {(sq, 1 + dx, 1 + dy) for sq, dx, dy in moves[:count]}
-        assert set(move_domain(wide, (1, 1), d)) == admitted
+        assert set(move_domain(wide, (1, 1), budgets[key])) == admitted
 
 
 def test_oracle_size_limit():

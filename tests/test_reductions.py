@@ -9,7 +9,8 @@ from wcr.core import Solution, is_blocking, solution_costs
 from wcr.errors import (DialectError, InconsistentSolution, NotASolution,
                         NotGadgetInstance, PropertyViolation, SizeLimit,
                         UnsatisfiedClause)
-from wcr.minmax import VHInstance, decide_vh, full_lines, verify_vh
+from wcr.minmax import VHInstance, decide_vh, full_lines, solve_minmax, \
+    verify_vh
 from wcr.reductions import (Max2Sat3Occ, Sat3_22, embed_minmax, embed_minnum,
                             embed_vh, eval_clause, extract_minmax,
                             extract_minnum, extract_vh, gen_minmax,
@@ -320,6 +321,22 @@ def test_gadget_answer_keys():
         v_lines, h_lines = full_lines(padded)
         assert decide_vh(VHInstance(padded, v_lines, h_lines, F(1)))[0]
         assert not decide_vh(VHInstance(padded, v_lines, h_lines, F(0)))[0]
+
+
+def test_minmax_answer_keys():
+    # a satisfiable formula's padded gadget has MinMax optimum exactly 1,
+    # and the optimal solution strips back to a line-blocking witness
+    rng = random.Random(2020)
+    for n in (3, 6, 12):
+        f = random_sat22(rng, n)
+        assert sat_brute(f)[1] == len(f.clauses)
+        inst, _ = gen_vh(f)
+        padded, mapping = gen_minmax(inst)
+        result = solve_minmax(padded)
+        assert result.value == 1 and result.value_squared == 1
+        assert is_blocking(padded, result.solution).blocking
+        assert verify_vh(inst, extract_minmax(mapping, result.solution)
+                         .positions)
 
 
 # -- padding into a full MinMax instance ---------------------------------------
