@@ -57,7 +57,7 @@ def _emit(obj, path: str | None = None) -> None:
 def _emit_solution(sol: Solution, path: str | None) -> None:
     """Write sol to path, then name the file on stdout; or write sol to
     stdout when path is None."""
-    _emit(serialize.solution_to_obj(sol), path)
+    _write(path, serialize.write_solution(sol))
     if path:
         _emit({"written": path})
 
@@ -65,7 +65,7 @@ def _emit_solution(sol: Solution, path: str | None) -> None:
 def _emit_with(out: dict, key: str, sol: Solution, path: str | None) -> None:
     """Encode sol once; write it to path when path is given, and write
     out with sol under key, last, to stdout."""
-    text = serialize.dumps(serialize.solution_to_obj(sol))
+    text = serialize.write_solution(sol)
     if path:
         _write(path, text)
     _write(None, serialize.dumps_with(out, key, text))

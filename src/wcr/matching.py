@@ -8,12 +8,15 @@ same search without contraction picks another on some graphs where the
 blossom contracts.  Everything is deterministic: the same edge ordering
 always yields the same matching.  Parallel edges collapse to one
 representative per vertex pair; minimum_edge_cover computes the
-representatives once and hands them to the matching.
+representatives once and hands them to the matching.  The search
+arrays p, base and used are allocated once per matching; after each
+root's search only the vertices it touched are reset, so every search
+starts from the state fresh arrays would give and visits the same
+vertices in the same order.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import IsolatedVertex, ValidationError
@@ -53,38 +56,35 @@ def _representatives(g: Graph) -> dict[tuple[int, int], int]:
 def _match_array(n: int, adj: list[list[int]]) -> list[int]:
     """match[v] = partner of v or -1; blossom algorithm."""
     match = [-1] * n
+    p = [-1] * n  # p[v]: the vertex from which the odd vertex v was seen
+    base = list(range(n))
+    used = [False] * n
+    marked = []  # each v whose p[v] the current search set
 
-    def find_augmenting(root: int) -> bool:
-        p = [-1] * n  # p[v]: the vertex from which the odd vertex v was seen
-        base = list(range(n))
-        used = [False] * n
+    def lca(a: int, b: int) -> int:
+        seen = [False] * n
+        a = base[a]
+        seen[a] = True
+        while match[a] != -1:
+            a = base[p[match[a]]]
+            seen[a] = True
+        b = base[b]
+        while not seen[b]:
+            b = base[p[match[b]]]
+        return b
+
+    def mark_path(v: int, b: int, child: int, blossom: list[bool]):
+        while base[v] != b:
+            blossom[base[v]] = True
+            blossom[base[match[v]]] = True
+            p[v] = child
+            marked.append(v)
+            child = match[v]
+            v = p[match[v]]
+
+    def find_augmenting(root: int, q: list[int]) -> None:
         used[root] = True
-        q = deque([root])
-
-        def lca(a: int, b: int) -> int:
-            seen = [False] * n
-            while True:
-                a = base[a]
-                seen[a] = True
-                if match[a] == -1:
-                    break
-                a = p[match[a]]
-            while True:
-                b = base[b]
-                if seen[b]:
-                    return b
-                b = p[match[b]]
-
-        def mark_path(v: int, b: int, child: int, blossom: list[bool]):
-            while base[v] != b:
-                blossom[base[v]] = True
-                blossom[base[match[v]]] = True
-                p[v] = child
-                child = match[v]
-                v = p[match[v]]
-
-        while q:
-            v = q.popleft()
+        for v in q:  # q grows as the search goes: a FIFO queue
             for to in adj[v]:
                 if base[v] == base[to] or match[v] == to:
                     continue
@@ -102,23 +102,27 @@ def _match_array(n: int, adj: list[list[int]]) -> list[int]:
                                 q.append(i)
                 elif p[to] == -1:
                     p[to] = v
+                    marked.append(to)
                     if match[to] == -1:
                         # augmenting path found: flip it
                         u = to
                         while u != -1:
-                            pv = p[u]
-                            nxt = match[pv]
-                            match[u] = pv
-                            match[pv] = u
+                            pv, nxt = p[u], match[p[u]]
+                            match[u], match[pv] = pv, u
                             u = nxt
-                        return True
+                        return
                     used[match[to]] = True
                     q.append(match[to])
-        return False
 
-    for v in range(n):
-        if match[v] == -1:
-            find_augmenting(v)
+    for root in range(n):
+        if match[root] == -1:
+            q = [root]  # ends holding every vertex the search set used
+            find_augmenting(root, q)
+            for u in q:  # a base only changes on a used vertex
+                used[u], base[u] = False, u
+            for u in marked:
+                p[u] = -1
+            marked.clear()
     return match
 
 
@@ -136,11 +140,7 @@ def _matching(g: Graph, rep: dict[tuple[int, int], int]) -> set[int]:
     for neighbors in adj:
         neighbors.sort()
     match = _match_array(g.vertex_count, adj)
-    chosen = set()
-    for v, w in enumerate(match):
-        if w > v:
-            chosen.add(rep[(v, w)])
-    return chosen
+    return {rep[(v, w)] for v, w in enumerate(match) if w > v}
 
 
 def minimum_edge_cover(g: Graph) -> set[int]:

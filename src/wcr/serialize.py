@@ -6,10 +6,17 @@ exactly, each distinct string once per document; decimal strings like
 an item on which that step fails (an id that is not exactly an int, a
 missing field, a bad rational) is parsed again field by field, which
 raises the first error in field order.  The location of a bad array
-item is only formatted once its parse has failed.  Output is canonical: sensors in the id order a
-Configuration keeps, fixed key order, so identical values serialize to
-identical bytes; dumps_with nests an encoded document in another
-without encoding it again.
+item is only formatted once its parse has failed.  Output is canonical:
+sensors in the id order a Configuration keeps, fixed key order, so
+identical values serialize to identical bytes; dumps_with nests an
+encoded document in another without encoding it again.
+
+A solution's positions and an instance's sensors are written from one
+f-string template per item in dumps' layout, the rest of the document by
+dumps, and the text is the same: ids are plain ints and values come from
+rat_str, which writes only digits, "-" and "/" (past the int/str digit
+limit too), so nothing needs escaping.  An empty array, or any id that
+is not a plain int (a bool would print True), goes to dumps whole.
 """
 
 from __future__ import annotations
@@ -208,14 +215,22 @@ def read_solution(data) -> Solution:
     return Solution(positions)
 
 
-def solution_to_obj(sol: Solution) -> dict:
-    return {"positions": [
-        {"id": sid, "x": rat_str(x), "y": rat_str(y)}
-        for sid, (x, y) in sorted(sol.positions.items())]}
+def _templated(obj: dict, key: str, items: list[str]) -> str:
+    """dumps(obj) with the array obj[key] == [] written as items, each
+    an object encoded at depth 2 (indent 4) by its template."""
+    head, _, tail = dumps(obj).partition(f'"{key}": []')
+    return f'{head}"{key}": [\n' + ",\n".join(items) + "\n  ]" + tail
 
 
 def write_solution(sol: Solution) -> str:
-    return dumps(solution_to_obj(sol))
+    items = sorted(sol.positions.items())
+    if not items or any(sid.__class__ is not int for sid, _ in items):
+        return dumps({"positions": [
+            {"id": sid, "x": rat_str(x), "y": rat_str(y)}
+            for sid, (x, y) in items]})
+    return _templated({"positions": []}, "positions", [
+        f'    {{\n      "id": {sid},\n      "x": "{rat_str(x)}",\n'
+        f'      "y": "{rat_str(y)}"\n    }}' for sid, (x, y) in items])
 
 
 # VH instances reuse the configuration schema plus v_lines/h_lines/max_move.
@@ -229,11 +244,12 @@ def vh_from_obj(obj: dict):
                       max_move=_rat_field(obj, "max_move", "$", {}))
 
 
-def instance_to_obj(inst) -> dict:
+def instance_to_obj(inst, sensors: list | None = None) -> dict:
     """A Configuration, or a VHInstance: its configuration's object plus
-    its lines and budget."""
+    its lines and budget.  sensors, when given, stands in for the array
+    of the configuration's sensors."""
     if not isinstance(inst, Configuration):
-        return {**instance_to_obj(inst.config),
+        return {**instance_to_obj(inst.config, sensors),
                 "v_lines": sorted(inst.v_lines),
                 "h_lines": sorted(inst.h_lines),
                 "max_move": rat_str(inst.max_move)}
@@ -243,9 +259,9 @@ def instance_to_obj(inst) -> dict:
         "rect": {"width": rat_str(inst.width),
                  "height": rat_str(inst.height)},
         "sensors": [
-            {"id": s.id, "x": rat_str(s.x), "y": rat_str(s.y),
-             "range": rat_str(s.range)}
-            for s in inst.sensors],
+            {"id": sid, "x": rat_str(x), "y": rat_str(y),
+             "range": rat_str(r)}
+            for sid, x, y, r in inst.sensors] if sensors is None else sensors,
     }
 
 
@@ -258,7 +274,14 @@ def read_instance(data):
 
 
 def write_instance(inst) -> str:
-    return dumps(instance_to_obj(inst))
+    config = inst if isinstance(inst, Configuration) else inst.config
+    sensors = config.sensors
+    if not sensors or any(sid.__class__ is not int for sid, *_ in sensors):
+        return dumps(instance_to_obj(inst))
+    return _templated(instance_to_obj(inst, []), "sensors", [
+        f'    {{\n      "id": {sid},\n      "x": "{rat_str(x)}",\n'
+        f'      "y": "{rat_str(y)}",\n      "range": "{rat_str(r)}"\n    }}'
+        for sid, x, y, r in sensors])
 
 
 def read_formula(data):

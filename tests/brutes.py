@@ -845,3 +845,111 @@ def reference_solve_minnum(config) -> MinNumPlan:
     expected = r if k >= c else r + c - k
     assert len(moves) == expected, "move count deviates from the formula"
     return MinNumPlan(free_set=M, k=k, moves=tuple(moves), solution=sol)
+
+
+def reference_match_array(n: int, adj: list[list[int]], stats=None
+                          ) -> list[int]:
+    """match[v] = partner of v or -1: the blossom search with fresh
+    p, base and used arrays for each root, which matching._match_array
+    allocates once per matching.  A verbatim copy, plus the count of
+    contractions in stats["contractions"] when stats is given."""
+    match = [-1] * n
+
+    def find_augmenting(root: int) -> bool:
+        p = [-1] * n  # p[v]: the vertex from which the odd vertex v was seen
+        base = list(range(n))
+        used = [False] * n
+        used[root] = True
+        q = deque([root])
+
+        def lca(a: int, b: int) -> int:
+            seen = [False] * n
+            while True:
+                a = base[a]
+                seen[a] = True
+                if match[a] == -1:
+                    break
+                a = p[match[a]]
+            while True:
+                b = base[b]
+                if seen[b]:
+                    return b
+                b = p[match[b]]
+
+        def mark_path(v: int, b: int, child: int, blossom: list[bool]):
+            while base[v] != b:
+                blossom[base[v]] = True
+                blossom[base[match[v]]] = True
+                p[v] = child
+                child = match[v]
+                v = p[match[v]]
+
+        while q:
+            v = q.popleft()
+            for to in adj[v]:
+                if base[v] == base[to] or match[v] == to:
+                    continue
+                if to == root or (match[to] != -1 and p[match[to]] != -1):
+                    # found an odd cycle; contract the blossom
+                    if stats is not None:
+                        stats["contractions"] += 1
+                    b = lca(v, to)
+                    blossom = [False] * n
+                    mark_path(v, b, to, blossom)
+                    mark_path(to, b, v, blossom)
+                    for i in range(n):
+                        if blossom[base[i]]:
+                            base[i] = b
+                            if not used[i]:
+                                used[i] = True
+                                q.append(i)
+                elif p[to] == -1:
+                    p[to] = v
+                    if match[to] == -1:
+                        # augmenting path found: flip it
+                        u = to
+                        while u != -1:
+                            pv = p[u]
+                            nxt = match[pv]
+                            match[u] = pv
+                            match[pv] = u
+                            u = nxt
+                        return True
+                    used[match[to]] = True
+                    q.append(match[to])
+        return False
+
+    for v in range(n):
+        if match[v] == -1:
+            find_augmenting(v)
+    return match
+
+
+def reference_solution_obj(sol: Solution) -> dict:
+    """The object write_solution's text encodes: a verbatim copy of the
+    function serialize encoded it from before its writers used
+    per-item templates."""
+    return {"positions": [
+        {"id": sid, "x": rat_str(x), "y": rat_str(y)}
+        for sid, (x, y) in sorted(sol.positions.items())]}
+
+
+def reference_instance_obj(inst) -> dict:
+    """A Configuration, or a VHInstance: its configuration's object plus
+    its lines and budget; the object write_instance's text encodes (a
+    verbatim copy, as for reference_solution_obj)."""
+    if not isinstance(inst, Configuration):
+        return {**reference_instance_obj(inst.config),
+                "v_lines": sorted(inst.v_lines),
+                "h_lines": sorted(inst.h_lines),
+                "max_move": rat_str(inst.max_move)}
+    return {
+        "mode": inst.mode,
+        "metric": inst.metric,
+        "rect": {"width": rat_str(inst.width),
+                 "height": rat_str(inst.height)},
+        "sensors": [
+            {"id": s.id, "x": rat_str(s.x), "y": rat_str(s.y),
+             "range": rat_str(s.range)}
+            for s in inst.sensors],
+    }

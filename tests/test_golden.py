@@ -612,6 +612,30 @@ def _boundary_cases():
     yield "boundary-configs", files, steps
 
 
+def _bench_scale_cases():
+    """At benchmark scale: solve minnum and verify on a 400x400 grid of
+    800 sensors, and verify a 200-sensor continuous solution."""
+    rng = random.Random("bench-scale:minnum")
+    cells = [(rng.randint(1, 400), rng.randint(1, 400)) for _ in range(800)]
+    yield "bench-scale-minnum", {
+        "inst.json": _config("integer", "manhattan", 400, 400,
+                             [(x, y, "1/2") for x, y in cells])}, [
+        ["solve", "minnum", "inst.json", "-o", "sol.json"],
+        ["verify", "inst.json", "--solution", "sol.json"]]
+    rng = random.Random("bench-scale:continuous")
+    homes = [(_frac(rng, 60), _frac(rng, 50), "1/3") for _ in range(200)]
+    # the first 90 on a diagonal that blocks, the rest anywhere
+    moved = [(Fraction(2 * i + 1, 3), Fraction(5 * (2 * i + 1), 18))
+             for i in range(90)]
+    moved += [(_frac(rng, 60), _frac(rng, 50)) for _ in homes[90:]]
+    yield "bench-scale-continuous", {
+        "inst.json": _config("continuous", "euclidean", 60, 50, homes),
+        "sol.json": _solution(moved)}, [
+        ["verify", "inst.json", "--solution", "sol.json"],
+        ["verify", "inst.json", "--solution", "sol.json",
+         "--metric", "manhattan"]]
+
+
 def _error_cases():
     plain = _config("integer", "manhattan", 2, 2, [(1, 1, "1/2")])
     yield "errors", {
@@ -641,7 +665,7 @@ def corpus():
                   _vh_cases, _vh_gadget_cases, _integerize_cases,
                   _minnum_gadget_cases,
                   _minmax_gadget_cases, _diff_cases, _error_cases,
-                  _boundary_cases, _sensor_order_cases):
+                  _boundary_cases, _sensor_order_cases, _bench_scale_cases):
         yield from group()
 
 

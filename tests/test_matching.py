@@ -1,10 +1,17 @@
 import random
+import signal
+from contextlib import contextmanager
+from fractions import Fraction as F
 
 import pytest
 
-from brutes import brute_max_matching_size, random_graph
+from brutes import brute_max_matching_size, random_graph, \
+    reference_match_array
+from wcr import matching
+from wcr.core import Configuration, Sensor
 from wcr.errors import IsolatedVertex
 from wcr.matching import Graph, maximum_matching, minimum_edge_cover
+from wcr.minnum import build_free_graph
 
 
 def g(n, *edges):
@@ -95,3 +102,78 @@ def test_deterministic():
         graph = g(n, *edges)
         assert maximum_matching(graph) == maximum_matching(graph)
         assert minimum_edge_cover(graph) == minimum_edge_cover(graph)
+
+
+def _results(graph):
+    """maximum_matching and minimum_edge_cover (or the vertex it finds
+    isolated) of graph."""
+    try:
+        cover = minimum_edge_cover(graph)
+    except IsolatedVertex as e:
+        cover = ("isolated", e.args)
+    return maximum_matching(graph), cover
+
+
+@contextmanager
+def _time_limit(seconds: int):
+    """Fail instead of hanging: a search that starts from arrays another
+    search left dirty can cycle forever."""
+    def stuck(signum, frame):
+        raise AssertionError(f"no result within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, stuck)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _against_reference(graphs, monkeypatch) -> int:
+    """Compare the matching and cover of each graph with those of the
+    search on fresh arrays per root; the number of its contractions."""
+    stats = {"contractions": 0}
+    with _time_limit(30):
+        for graph in graphs:
+            got = _results(graph)
+            monkeypatch.setattr(matching, "_match_array", lambda n, adj:
+                                reference_match_array(n, adj, stats))
+            assert got == _results(graph)
+            monkeypatch.undo()
+    return stats["contractions"]
+
+
+def _general_graph(rng):
+    """2-30 vertices and up to 60 edges, some parallel, labelled None or
+    by small ints (repeated across edges); every other graph first gets
+    an edge at each vertex, so its cover exists."""
+    n = rng.randint(2, 30)
+    pairs = [(v, rng.choice([u for u in range(n) if u != v]))
+             for v in range(n)] if rng.random() < 0.5 else []
+    pairs += [rng.sample(range(n), 2)
+              for _ in range(rng.randint(0, 60 - len(pairs)))]
+    edges = []
+    for u, v in pairs:
+        edges.append((u, v, rng.choice((None, rng.randint(0, 9)))))
+        if rng.random() < 0.1:  # a parallel edge, either way round
+            edges.append((v, u, rng.choice((None, rng.randint(0, 9)))))
+    return Graph(n, tuple(edges[:60]))
+
+
+def test_blossom_matches_fresh_arrays_per_root(monkeypatch):
+    rng = random.Random(21)
+    graphs = [_general_graph(rng) for _ in range(4000)]
+    assert _against_reference(graphs, monkeypatch) > 1000
+
+
+def test_blossom_matches_fresh_arrays_on_grid_free_graphs(monkeypatch):
+    """Free graphs of uniform 400x400 grids of 800 sensors."""
+    graphs = []
+    for seed in range(4):
+        rng = random.Random(seed)
+        graphs.append(build_free_graph(Configuration(
+            F(400), F(400), tuple(
+                Sensor(i, F(rng.randint(1, 400)), F(rng.randint(1, 400)),
+                       F(1, 2)) for i in range(800))))[0])
+    assert min(graph.vertex_count for graph in graphs) > 250
+    _against_reference(graphs, monkeypatch)
