@@ -62,13 +62,16 @@ def _emit_solution(sol: Solution, path: str | None) -> None:
         _emit({"written": path})
 
 
-def _emit_with(out: dict, key: str, sol: Solution, path: str | None) -> None:
+def _emit_with(out: dict, key: str, sol: Solution, path: str | None,
+               moves=()) -> None:
     """Encode sol once; write it to path when path is given, and write
-    out with sol under key, last, to stdout."""
+    out with sol under key, last, to stdout.  moves, when given, fill
+    the "moves" array that out holds empty (serialize.fill_moves)."""
     text = serialize.write_solution(sol)
     if path:
         _write(path, text)
-    _write(None, serialize.dumps_with(out, key, text))
+    _write(None, serialize.fill_moves(serialize.dumps_with(out, key, text),
+                                      moves))
 
 
 # Each kind of document a command reads: the serialize reader that
@@ -152,14 +155,13 @@ def cmd_solve(args) -> int:
     config = _with_metric(_load(args, "instance", Configuration),
                           args.metric)
     out = {"problem": args.problem, "metric": config.metric}
+    moves = ()
     if args.problem == "minnum":
         plan = minnum.solve_minnum(config)
-        sol = plan.solution
+        sol, moves = plan.solution, plan.moves
         out["moved"] = plan.moved
         out["free_set_size"] = plan.k
-        out["moves"] = [{"id": sid, "kind": kind,
-                         "to": [rat_str(x), rat_str(y)]}
-                        for sid, kind, (x, y) in plan.moves]
+        out["moves"] = []  # filled from moves
     elif args.problem == "minsum":
         sol, cost = minsum.solve_minsum_manhattan(config)
         out["sum_cost"] = rat_str(cost)
@@ -173,7 +175,7 @@ def cmd_solve(args) -> int:
         out["max_move_squared"] = rat_str(result.value_squared)
         if result.value is not None:
             out["max_move"] = rat_str(result.value)
-    _emit_with(out, "solution", sol, args.output)
+    _emit_with(out, "solution", sol, args.output, moves)
     return 0
 
 

@@ -1,13 +1,14 @@
 """Geometric model: configurations, coverage verification, movement costs.
 
-All coordinates and distances are exact rationals (fractions.Fraction);
-no floating point is used anywhere on solver paths.  Where values are
-swept, summed or sorted together, to_ints turns them into ints on one
-common scale D, the lcm of their denominators, and only the reported
-figures become Fractions again; point-wise range checks cross-multiply
-numerators by denominators instead, so no lcm is built to validate
-input.  An integer move is within a budget when its distance() key is
-at most budget_key(metric, budget).
+All coordinates and distances are exact rationals, ints and
+fractions.Fraction (see Conventions); no floating point is used anywhere
+on solver paths.  Where values are swept, summed or sorted together,
+to_ints turns them into ints on one common scale D, the lcm of their
+denominators, and only the reported figures become Fractions again;
+point-wise range checks cross-multiply numerators by denominators
+instead, so no lcm is built to validate input.  An integer move is
+within a budget when its distance() key is at most
+budget_key(metric, budget).
 
 Conventions
 -----------
@@ -22,8 +23,16 @@ Conventions
 * Continuous mode: the covered rectangle is [0, a] x [0, b] and sensor
   centers lie inside it.
 * Coverage is closed: touching an interval endpoint counts as covered.
+* Rationals: rat, the readers, the generators and the solvers give an
+  int for every integral coordinate, dimension, range and budget, and a
+  Fraction only for the others; figures built as Fraction(n, D) on a
+  common scale (costs, gaps, MinSum targets) stay Fractions.  An int and
+  the equal Fraction compare, hash and print alike, so either may be
+  passed in.  Quotients are Fraction(a, b), never a / b, which is a
+  float on two ints.
 * A Sensor is a NamedTuple (id, x, y, range): immutable, ordered and
   hashed as that tuple, and equal to a plain tuple of the same fields.
+  Its id is a plain int (not a bool).
 * A Configuration keeps its sensors in id order, so configurations of
   the same sensors compare equal whatever order they were given in;
   validation walks the given order.
@@ -45,8 +54,9 @@ _PRINTABLE = 10 ** MAX_DIGITS  # ints below it have at most MAX_DIGITS
 INTEGER_SIDE_LIMIT = 10**6  # columns or rows is_blocking lists one by one
 
 
-def rat(value) -> Fraction:
-    """Coerce ints, Fractions and exact decimal/"p/q" strings to Fraction.
+def rat(value) -> int | Fraction:
+    """Coerce ints, Fractions and exact decimal/"p/q" strings to an exact
+    rational: an int when the value is integral, else a Fraction.
     Rejects booleans, and strings whose numerator or denominator would
     pass MAX_DIGITS digits (checking an exponent before 10**exponent).
 
@@ -56,13 +66,15 @@ def rat(value) -> Fraction:
         p, slash, q = value.partition("/")
         if p.isascii() and p.isdigit() and len(p) <= MAX_DIGITS:
             if not slash:
-                return Fraction(int(p))
+                return int(p)
             if q.isascii() and q.isdigit() and len(q) <= MAX_DIGITS:
-                return Fraction(int(p), int(q))
+                n, d = int(p), int(q)
+                # d == 0 raises ZeroDivisionError in Fraction
+                return n // d if d and not n % d else Fraction(n, d)
     if isinstance(value, Fraction):
-        return value
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+        return int(value)
     if isinstance(value, str):
         _, e, exponent = value.lower().rpartition("e")
         if e and abs(int(exponent)) > MAX_DIGITS:
@@ -70,11 +82,11 @@ def rat(value) -> Fraction:
         q = Fraction(value)  # accepts "3", "3/4" and "0.75" exactly
         if max(abs(q.numerator), q.denominator) >= _PRINTABLE:
             raise ValidationError(f"rational past {MAX_DIGITS} digits")
-        return q
+        return q.numerator if q.denominator == 1 else q
     raise ValidationError(f"cannot interpret {value!r} as an exact rational")
 
 
-def rat_str(value: Fraction) -> str:
+def rat_str(value: int | Fraction) -> str:
     """Canonical string form: "p" for integers, "p/q" otherwise.  Python's
     int/str digit limit guards input only: a result past it (a sum of
     costs over many denominators) is printed in full."""
@@ -91,15 +103,15 @@ def rat_str(value: Fraction) -> str:
 
 class Sensor(NamedTuple):
     id: int
-    x: Fraction
-    y: Fraction
-    range: Fraction
+    x: int | Fraction
+    y: int | Fraction
+    range: int | Fraction
 
 
 @dataclass(frozen=True)
 class Configuration:
-    width: Fraction
-    height: Fraction
+    width: int | Fraction
+    height: int | Fraction
     sensors: tuple[Sensor, ...]
     mode: str = "integer"  # "integer" | "continuous"
     metric: str = "manhattan"  # "manhattan" | "euclidean"
@@ -113,6 +125,8 @@ class Configuration:
             raise ValidationError("rectangle dimensions must be positive")
         sensors = self.sensors
         ids = [sid for sid, _, _, _ in sensors]
+        if any(sid.__class__ is not int for sid in ids):  # no bool either
+            raise ValidationError("sensor ids must be integers")
         if len(ids) != len(set(ids)):
             raise ValidationError("duplicate sensor id")
         if any(sid < 0 for sid in ids):
@@ -146,17 +160,17 @@ class Configuration:
         return len(self.sensors)
 
     @property
-    def x_extent(self) -> tuple[Fraction, Fraction]:
+    def x_extent(self) -> tuple[int | Fraction, int | Fraction]:
         """Covered interval on the x axis."""
         if self.mode == "integer":
             return HALF, self.width + HALF
-        return Fraction(0), Fraction(self.width)
+        return 0, self.width
 
     @property
-    def y_extent(self) -> tuple[Fraction, Fraction]:
+    def y_extent(self) -> tuple[int | Fraction, int | Fraction]:
         if self.mode == "integer":
             return HALF, self.height + HALF
-        return Fraction(0), Fraction(self.height)
+        return 0, self.height
 
     def sensor_by_id(self) -> dict[int, Sensor]:
         return {s.id: s for s in self.sensors}
@@ -166,7 +180,7 @@ class Configuration:
 class Solution:
     """Final positions keyed by sensor id."""
 
-    positions: Mapping[int, tuple[Fraction, Fraction]]
+    positions: Mapping[int, tuple[int | Fraction, int | Fraction]]
 
     def validate(self, config: Configuration) -> None:
         positions = self.positions
@@ -312,13 +326,13 @@ def _sqrt_bounds(value: Fraction, eps: Fraction) -> tuple[Fraction, Fraction]:
     return Fraction(root, scale), Fraction(root + 2, scale)
 
 
-def exact_sqrt(value: Fraction) -> Fraction | None:
+def exact_sqrt(value: int | Fraction) -> int | None:
     """The root of value when value is the square of an integer, else
     None."""
     if value.denominator != 1:
         return None
     root = math.isqrt(value.numerator)
-    return Fraction(root) if root * root == value.numerator else None
+    return root if root * root == value.numerator else None
 
 
 def distance(metric: str, p, q):

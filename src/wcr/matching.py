@@ -151,10 +151,8 @@ def minimum_edge_cover(g: Graph) -> set[int]:
     for (u, v), i in rep.items():
         incident[u].append(i)
         incident[v].append(i)
-    for v, edges in enumerate(incident):
-        if not edges:
-            raise IsolatedVertex(v)
-        edges.sort(key=lambda i: _edge_key(i, g.edges[i][2]))
+    if [] in incident:
+        raise IsolatedVertex(incident.index([]))
 
     cover = _matching(g, rep)
     matched = [False] * g.vertex_count
@@ -162,8 +160,9 @@ def minimum_edge_cover(g: Graph) -> set[int]:
         u, v, _ = g.edges[i]
         matched[u] = matched[v] = True
     for v in range(g.vertex_count):
-        if not matched[v]:
-            cover.add(incident[v][0])
+        if not matched[v]:  # keys are unique: they end in the edge index
+            cover.add(min(incident[v],
+                          key=lambda i: _edge_key(i, g.edges[i][2])))
             matched[v] = True
 
     touched = set()

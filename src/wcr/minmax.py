@@ -48,7 +48,7 @@ class VHInstance:
     config: Configuration
     v_lines: frozenset[int]
     h_lines: frozenset[int]
-    max_move: Fraction
+    max_move: int | Fraction
 
     def __post_init__(self):
         if self.config.mode != "integer":
@@ -233,10 +233,8 @@ def decide_vh(inst: VHInstance, budget: int | None = None
                             if l != ("v", x) and l != ("h", y)]))
     if not stack:
         return False, None
-    sol = Solution({s.id: (Fraction(committed[s.id][0]),
-                           Fraction(committed[s.id][1]))
-                    if s.id in committed else (s.x, s.y)
-                    for s in config.sensors})
+    sol = Solution({sid: committed.get(sid, (x, y))
+                    for sid, x, y, _ in config.sensors})
     assert verify_vh(inst, sol.positions)
     return True, sol
 
@@ -246,8 +244,8 @@ class MinMaxResult:
     """Exact optimum.  `value` is the distance when it is rational
     (always under Manhattan; under Euclidean only for perfect squares,
     else None); `value_squared` is always exact."""
-    value: Fraction | None
-    value_squared: Fraction
+    value: int | Fraction | None
+    value_squared: int
     solution: Solution
 
 
@@ -277,7 +275,7 @@ def solve_minmax(config: Configuration, budget: int | None = None
         # key is a distance (manhattan) or a squared distance (euclidean);
         # integer moves have integer squared distances, so any d with
         # key <= d^2 < key + 1 admits exactly the moves of key or less
-        d = Fraction(key) if config.metric == "manhattan" else exact_sqrt(key)
+        d = key if config.metric == "manhattan" else exact_sqrt(key)
         if d is None:
             d = _sqrt_bounds(key, Fraction(1, 2 * key + 2))[1]
         return decide_vh(VHInstance(config, v, h, d), budget)
@@ -296,8 +294,8 @@ def solve_minmax(config: Configuration, budget: int | None = None
     assert best is not None, "full-move relocation must be feasible"
     key, sol = best
     if config.metric == "manhattan":
-        return MinMaxResult(Fraction(key), Fraction(key * key), sol)
-    return MinMaxResult(exact_sqrt(key), Fraction(key), sol)
+        return MinMaxResult(key, key * key, sol)
+    return MinMaxResult(exact_sqrt(key), key, sol)
 
 
 def oracle_minmax(inst: VHInstance) -> bool:

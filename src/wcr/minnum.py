@@ -31,7 +31,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import Configuration, Solution, is_blocking
 from .errors import Infeasible, ModeError, SizeLimit
@@ -212,8 +211,6 @@ def solve_minnum(config: Configuration) -> MinNumPlan:
 
     if swapped:
         moves = [(sid, _SWAPPED[kind], (y, x)) for sid, kind, (x, y) in moves]
-    moves = [(sid, kind, (Fraction(x), Fraction(y)))
-             for sid, kind, (x, y) in moves]
     sol = Solution({sid: (x, y) for sid, x, y, _ in config.sensors}
                    | {sid: target for sid, _, target in moves})
     assert is_blocking(config, sol).blocking, \

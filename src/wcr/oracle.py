@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import serialize
-from .core import Configuration, Sensor
+from .core import HALF, Configuration, Sensor
 from .minmax import VHInstance, decide_vh, full_lines, oracle_minmax, \
     solve_minmax
 from .minnum import brute_minnum, solve_minnum
@@ -44,10 +44,9 @@ def config_digest(obj) -> str:
 
 def random_integer_config(rng: random.Random, a: int, b: int, n: int,
                           metric: str = "manhattan") -> Configuration:
-    sensors = tuple(Sensor(i, Fraction(rng.randint(1, a)),
-                           Fraction(rng.randint(1, b)), Fraction(1, 2))
+    sensors = tuple(Sensor(i, rng.randint(1, a), rng.randint(1, b), HALF)
                     for i in range(n))
-    return Configuration(width=Fraction(a), height=Fraction(b),
+    return Configuration(width=a, height=b,
                          sensors=sensors, mode="integer", metric=metric)
 
 
@@ -80,7 +79,7 @@ def random_vh_instance(rng: random.Random, max_grid: int = 4,
     h = frozenset(r for r in range(1, b + 1) if rng.random() < 0.5)
     d = rng.choice([0, 1, 2])
     return VHInstance(config=config, v_lines=v, h_lines=h,
-                      max_move=Fraction(d))
+                      max_move=d)
 
 
 def _diff_minnum(rng, seed, **bounds):

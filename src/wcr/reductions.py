@@ -26,10 +26,9 @@ other.  Input a construction cannot handle raises a WcrError.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .core import INTEGER_SIDE_LIMIT, Configuration, Sensor, Solution, \
-    is_blocking
+from .core import HALF, INTEGER_SIDE_LIMIT, Configuration, Sensor, \
+    Solution, is_blocking
 from .errors import DialectError, InconsistentSolution, NotASolution, \
     NotEnoughSatisfied, NotGadgetInstance, PropertyViolation, SizeLimit, \
     UnsatisfiedClause
@@ -160,7 +159,7 @@ def gen_minnum(f: Max2Sat3Occ) -> tuple[Configuration, MinNumMeta]:
 
     def add(x: int, y: int) -> int:
         nonlocal next_id
-        sensors.append(Sensor(next_id, Fraction(x), Fraction(y), Fraction(1)))
+        sensors.append(Sensor(next_id, x, y, 1))
         next_id += 1
         return next_id - 1
 
@@ -180,7 +179,7 @@ def gen_minnum(f: Max2Sat3Occ) -> tuple[Configuration, MinNumMeta]:
         occ_sensor[(v, j2)] = add(2 * j2 + 1, z + 4)
         beta[v] = add(2 * m + 3 * (v - 1) + 2, z + 5)
 
-    config = Configuration(width=Fraction(side), height=Fraction(side),
+    config = Configuration(width=side, height=side,
                            sensors=tuple(sensors), mode="continuous",
                            metric="manhattan")
     assert config.n == 5 * n
@@ -203,7 +202,7 @@ def embed_minnum(config: Configuration, meta: MinNumMeta, f: Max2Sat3Occ,
     for i, idx in enumerate(satisfied[:meta.t]):
         v = next(abs(l) for l in f.clauses[idx]
                  if (l > 0) == assignment[abs(l) - 1])
-        spot = Fraction(6 * meta.n + 2 * i + 1)  # on the uncovered diagonal
+        spot = 6 * meta.n + 2 * i + 1  # on the uncovered diagonal
         positions[meta.occ_sensor[(v, idx)]] = (spot, spot)
     sol = Solution(positions)
     assert is_blocking(config, sol).blocking
@@ -297,8 +296,7 @@ def gen_vh(f: Sat3_22) -> tuple[VHInstance, VHMeta]:
 
     def add(x: int, y: int) -> int:
         nonlocal next_id
-        sensors.append(Sensor(next_id, Fraction(x), Fraction(y),
-                              Fraction(1, 2)))
+        sensors.append(Sensor(next_id, x, y, HALF))
         next_id += 1
         return next_id - 1
 
@@ -322,7 +320,7 @@ def gen_vh(f: Sat3_22) -> tuple[VHInstance, VHMeta]:
             clause_sensor[(j, pos)] = add(ccb + 3, row)
             slot_row[clause_sensor[(j, pos)]] = row
 
-    config = Configuration(width=Fraction(a), height=Fraction(b),
+    config = Configuration(width=a, height=b,
                            sensors=tuple(sensors), mode="integer",
                            metric="manhattan")
     assert config.n == 8 * n + 3 * m
@@ -339,7 +337,7 @@ def gen_vh(f: Sat3_22) -> tuple[VHInstance, VHMeta]:
                             by_row[rb + h + 3], rb + h))
 
     inst = VHInstance(config=config, v_lines=frozenset(v_lines),
-                      h_lines=frozenset(h_lines), max_move=Fraction(1))
+                      h_lines=frozenset(h_lines), max_move=1)
     return inst, VHMeta(n=n, m=m, var_sensor=var_sensor,
                         clause_sensor=clause_sensor, slot_row=slot_row,
                         triples=tuple(triples))
@@ -436,7 +434,7 @@ def integerize(inst: VHInstance, meta: VHMeta, sol: Solution) -> Solution:
         pos[sid] = (x, y) if x == home - 1 else (home, y)
     for _, _, r, h in meta.triples:  # pass 4
         if pos[r][1].denominator != 1:
-            pos[r] = (pos[r][0], Fraction(h + 3))
+            pos[r] = (pos[r][0], h + 3)
     # on the gadget of the meta the result blocks; a meta of another
     # instance can break that
     if not verify_vh(inst, pos):
@@ -481,8 +479,7 @@ def gen_minmax(vh: VHInstance) -> tuple[Configuration, MinMaxMapping]:
 
     def add(x: int, y: int) -> int:
         nonlocal next_id
-        sensors.append(Sensor(next_id, Fraction(x), Fraction(y),
-                              Fraction(1, 2)))
+        sensors.append(Sensor(next_id, x, y, HALF))
         next_id += 1
         return next_id - 1
 
@@ -496,7 +493,7 @@ def gen_minmax(vh: VHInstance) -> tuple[Configuration, MinMaxMapping]:
     h_ids.append(add(1, non_h[-1] + dy))
     h_ids += [add(bh + 3, height) for _ in range(3)]
 
-    padded = Configuration(width=Fraction(width), height=Fraction(height),
+    padded = Configuration(width=width, height=height,
                            sensors=tuple(sensors), mode="integer",
                            metric=config.metric)
     return padded, MinMaxMapping(vh=vh, padded=padded, dx=dx, dy=dy,

@@ -1,22 +1,26 @@
 """Canonical JSON serialization for instances, solutions and formulas.
 
 Rationals are written as "p/q" (or a bare integer string) and parsed
-exactly, each distinct string once per document; decimal strings like
-"0.5" are accepted on input.  A sensor or position is read in one step;
-an item on which that step fails (an id that is not exactly an int, a
-missing field, a bad rational) is parsed again field by field, which
-raises the first error in field order.  The location of a bad array
-item is only formatted once its parse has failed.  Output is canonical:
-sensors in the id order a Configuration keeps, fixed key order, so
-identical values serialize to identical bytes; dumps_with nests an
-encoded document in another without encoding it again.
+exactly by core.rat, each distinct string once per document, into an int
+when integral and a Fraction otherwise; decimal strings like "0.5" are
+accepted on input.  A sensor or position is read in one step: its
+strings are looked up in the document's cache inline and a Sensor is
+built by tuple.__new__.  An item on which that step fails (an id that is
+not exactly an int, a missing field, a bad rational) is parsed again
+field by field, which raises the first error in field order.  The
+location of a bad array item is only formatted once its parse has
+failed.  Output is canonical: sensors in the id order a Configuration
+keeps, fixed key order, so identical values serialize to identical
+bytes; dumps_with nests an encoded document in another without encoding
+it again.
 
 A solution's positions and an instance's sensors are written from one
 f-string template per item in dumps' layout, the rest of the document by
 dumps, and the text is the same: ids are plain ints and values come from
 rat_str, which writes only digits, "-" and "/" (past the int/str digit
-limit too), so nothing needs escaping.  An empty array, or any id that
-is not a plain int (a bool would print True), goes to dumps whole.
+limit too), so nothing needs escaping.  A Configuration holds only plain
+int ids; a solution with any other id (a bool would print True) goes to
+dumps whole.  fill_moves writes the moves of a MinNum plan the same way.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ def _get(obj: dict, key: str, where: str, i: int | None = None):
     return obj[key]
 
 
-def _rational(value, rats: dict) -> Fraction:
+def _rational(value, rats: dict) -> int | Fraction:
     """rat(value), parsing each distinct string of a document once into
     rats.  Only str values are keys: True == 1 and they hash alike."""
     if value.__class__ is not str:
@@ -51,6 +55,7 @@ def _rational(value, rats: dict) -> Fraction:
     return parsed
 
 
+_new = tuple.__new__  # _new(Sensor, fields): a Sensor, with no Python call
 _BAD_RATIONAL = (ValueError, ZeroDivisionError, ValidationError)
 # what an item read in one step can raise: a missing key, a non-object
 # item or a bad rational; the field-by-field parse then names the fault
@@ -58,7 +63,7 @@ _FAULTS = (KeyError, TypeError) + _BAD_RATIONAL
 
 
 def _rat_field(obj: dict, key: str, where: str, rats: dict,
-               i: int | None = None) -> Fraction:
+               i: int | None = None) -> int | Fraction:
     value = _get(obj, key, where, i)
     try:
         return _rational(value, rats)
@@ -161,11 +166,12 @@ def config_from_obj(obj: dict) -> Configuration:
     sensors = []
     for i, s in enumerate(sensors_obj):
         try:  # an int id and good rationals: read in one step
-            sid = s["id"]
+            sid, x, y, r = s["id"], s["x"], s["y"], s["range"]
             if sid.__class__ is int:
-                sensors.append(Sensor(sid, _rational(s["x"], rats),
-                                      _rational(s["y"], rats),
-                                      _rational(s["range"], rats)))
+                sensors.append(_new(Sensor, (
+                    sid, rats[x] if x in rats else _rational(x, rats),
+                    rats[y] if y in rats else _rational(y, rats),
+                    rats[r] if r in rats else _rational(r, rats))))
                 continue
         except _FAULTS:
             pass
@@ -203,10 +209,10 @@ def read_solution(data) -> Solution:
     positions = {}
     for i, e in enumerate(entries):
         try:  # as in config_from_obj, plus a new id
-            sid = e["id"]
+            sid, x, y = e["id"], e["x"], e["y"]
             if sid.__class__ is int and sid not in positions:
-                positions[sid] = (_rational(e["x"], rats),
-                                  _rational(e["y"], rats))
+                positions[sid] = (rats[x] if x in rats else _rational(x, rats),
+                                  rats[y] if y in rats else _rational(y, rats))
                 continue
         except _FAULTS:
             pass
@@ -215,22 +221,36 @@ def read_solution(data) -> Solution:
     return Solution(positions)
 
 
-def _templated(obj: dict, key: str, items: list[str]) -> str:
-    """dumps(obj) with the array obj[key] == [] written as items, each
-    an object encoded at depth 2 (indent 4) by its template."""
-    head, _, tail = dumps(obj).partition(f'"{key}": []')
+def _templated(text: str, key: str, items: list[str]) -> str:
+    """text, a dumps() text whose top-level array key is [], with that
+    array written as items, each an object encoded at depth 2 (indent
+    4) by its template; text itself when there are no items."""
+    if not items:
+        return text
+    head, _, tail = text.partition(f'"{key}": []')
     return f'{head}"{key}": [\n' + ",\n".join(items) + "\n  ]" + tail
 
 
 def write_solution(sol: Solution) -> str:
     items = sorted(sol.positions.items())
-    if not items or any(sid.__class__ is not int for sid, _ in items):
+    if any(sid.__class__ is not int for sid, _ in items):
         return dumps({"positions": [
             {"id": sid, "x": rat_str(x), "y": rat_str(y)}
             for sid, (x, y) in items]})
-    return _templated({"positions": []}, "positions", [
+    return _templated(dumps({"positions": []}), "positions", [
         f'    {{\n      "id": {sid},\n      "x": "{rat_str(x)}",\n'
         f'      "y": "{rat_str(y)}"\n    }}' for sid, (x, y) in items])
+
+
+def fill_moves(text: str, moves) -> str:
+    """text, a dumps() text whose top-level "moves" array is [], with
+    that array holding {"id": id, "kind": kind, "to": [x, y]} for each
+    (id, kind, (x, y)) of moves, as dumps writes it: the ids of a
+    Configuration are plain ints and the kinds need no escaping."""
+    return _templated(text, "moves", [
+        f'    {{\n      "id": {sid},\n      "kind": "{kind}",\n'
+        f'      "to": [\n        "{rat_str(x)}",\n        "{rat_str(y)}"\n'
+        f'      ]\n    }}' for sid, kind, (x, y) in moves])
 
 
 # VH instances reuse the configuration schema plus v_lines/h_lines/max_move.
@@ -275,13 +295,10 @@ def read_instance(data):
 
 def write_instance(inst) -> str:
     config = inst if isinstance(inst, Configuration) else inst.config
-    sensors = config.sensors
-    if not sensors or any(sid.__class__ is not int for sid, *_ in sensors):
-        return dumps(instance_to_obj(inst))
-    return _templated(instance_to_obj(inst, []), "sensors", [
+    return _templated(dumps(instance_to_obj(inst, [])), "sensors", [
         f'    {{\n      "id": {sid},\n      "x": "{rat_str(x)}",\n'
         f'      "y": "{rat_str(y)}",\n      "range": "{rat_str(r)}"\n    }}'
-        for sid, x, y, r in sensors])
+        for sid, x, y, r in config.sensors])
 
 
 def read_formula(data):

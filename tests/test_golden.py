@@ -223,7 +223,7 @@ def _vh_gadget_cases():
         for s in inst.config.sensors:
             x, y = sol.positions[s.id]
             if rng.random() < 0.3:
-                x, y = (s.x + x) / 2, (s.y + y) / 2
+                x, y = Fraction(s.x + x, 2), Fraction(s.y + y, 2)
             half[s.id] = (x, y)
         text = serialize.write_instance(inst)
         files = {"f.json": _formula_json(f),
@@ -445,8 +445,8 @@ def _sensor_order_cases():
         best23, _ = sat_brute(f23)
         inst, meta = reductions.gen_vh(f22)
         sol = reductions.embed_vh(inst, meta, f22, best22)
-        half = {s.id: ((s.x + x) / 2, (s.y + y) / 2) if rng.random() < 0.3
-                else (x, y)
+        half = {s.id: (Fraction(s.x + x, 2), Fraction(s.y + y, 2))
+                if rng.random() < 0.3 else (x, y)
                 for s in inst.config.sensors
                 for x, y in [sol.positions[s.id]]}
         mn, mn_meta = reductions.gen_minnum(f23)

@@ -7,11 +7,13 @@ import json
 import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, strategies as st
 
 from brutes import reference_instance_obj, reference_solution_obj
 from wcr import serialize
 from wcr.core import Configuration, Sensor, Solution
+from wcr.errors import ValidationError
 from wcr.minmax import VHInstance
 
 HUGE = F(10**4400 + 1, 3)  # numerator past the 4300-digit str limit
@@ -105,11 +107,10 @@ def test_ids_that_are_not_plain_ints_fall_back_to_dumps():
     _check_solution(sol)
     assert '"id": true' in serialize.write_solution(sol)
     _check_solution(Solution({0: (F(1), F(2)), True: (F(-1, 3), F(0))}))
-    config = Configuration(F(2), F(2), (Sensor(True, F(1), F(2), F(1, 2)),
-                                        Sensor(0, F(2), F(1), F(1, 2))))
-    _check_instance(config)
-    _check_instance(VHInstance(config, frozenset({1}), frozenset(), F(1)))
-    assert '"id": true' in serialize.write_instance(config)
+    # a Configuration refuses such ids, so write_instance never sees one
+    with pytest.raises(ValidationError, match="sensor ids must be integers"):
+        Configuration(F(2), F(2), (Sensor(True, F(1), F(2), F(1, 2)),
+                                   Sensor(0, F(2), F(1), F(1, 2))))
 
 
 def test_dumps_with_of_the_templated_solution():
@@ -124,6 +125,22 @@ def test_dumps_with_of_the_templated_solution():
 
 
 _fractions = st.fractions() | st.integers().map(F)
+
+
+@given(st.lists(st.tuples(st.integers(0),
+                          st.sampled_from(("jump", "slide-row", "slide-col")),
+                          st.tuples(_fractions | st.integers(),
+                                    _fractions | st.integers())),
+                max_size=6))
+def test_fill_moves_matches_dumps(moves):
+    sol = Solution({sid: xy for sid, _, xy in moves})
+    out = {"problem": "minnum", "moved": len(moves)}
+    text = serialize.dumps_with({**out, "moves": []}, "solution",
+                                serialize.write_solution(sol))
+    assert serialize.fill_moves(text, moves) == _encoded({**out, "moves": [
+        {"id": sid, "kind": kind, "to": [str(x), str(y)]}
+        for sid, kind, (x, y) in moves],
+        "solution": reference_solution_obj(sol)})
 
 
 @given(st.dictionaries(st.integers(), st.tuples(_fractions, _fractions),
