@@ -21,8 +21,7 @@ from dataclasses import asdict, replace
 
 from . import minmax, minnum, minsum, oracle, reductions, serialize
 from .core import Configuration, Solution, _costs, is_blocking, rat_str
-from .errors import Infeasible, ParseError, SearchLimit, SizeLimit, \
-    ValidationError, WcrError
+from .errors import Infeasible, ParseError, SearchLimit, SizeLimit, WcrError
 
 
 def _read(args, name: str) -> str:
@@ -48,10 +47,9 @@ def _write(path: str | None, text: str) -> None:
         raise WcrError(f"cannot write {path}: {e}") from None
 
 
-def _emit(obj, path: str | None = None) -> None:
-    """Encode obj once and write it to path, or to stdout when path is
-    None."""
-    _write(path, serialize.dumps(obj))
+def _emit(obj) -> None:
+    """Encode obj once and write it to stdout."""
+    _write(None, serialize.dumps(obj))
 
 
 def _emit_solution(sol: Solution, path: str | None) -> None:
@@ -63,15 +61,16 @@ def _emit_solution(sol: Solution, path: str | None) -> None:
 
 
 def _emit_with(out: dict, key: str, sol: Solution, path: str | None,
-               moves=()) -> None:
+               moves=None) -> None:
     """Encode sol once; write it to path when path is given, and write
-    out with sol under key, last, to stdout.  moves, when given, fill
-    the "moves" array that out holds empty (serialize.fill_moves)."""
+    out to stdout with the moves of a MinNum plan, when given, and then
+    sol under key, last."""
     text = serialize.write_solution(sol)
     if path:
         _write(path, text)
-    _write(None, serialize.fill_moves(serialize.dumps_with(out, key, text),
-                                      moves))
+    parts = {} if moves is None else {"moves": serialize.moves_array(moves)}
+    parts[key] = text
+    _write(None, serialize.dumps(out, parts))
 
 
 # Each kind of document a command reads: the serialize reader that
@@ -155,13 +154,12 @@ def cmd_solve(args) -> int:
     config = _with_metric(_load(args, "instance", Configuration),
                           args.metric)
     out = {"problem": args.problem, "metric": config.metric}
-    moves = ()
+    moves = None
     if args.problem == "minnum":
         plan = minnum.solve_minnum(config)
         sol, moves = plan.solution, plan.moves
         out["moved"] = plan.moved
         out["free_set_size"] = plan.k
-        out["moves"] = []  # filled from moves
     elif args.problem == "minsum":
         sol, cost = minsum.solve_minsum_manhattan(config)
         out["sum_cost"] = rat_str(cost)
@@ -380,9 +378,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except (SizeLimit, SearchLimit) as e:
         print(f"resource limit: {e}", file=sys.stderr)
         return 3

@@ -182,6 +182,10 @@ class Solution:
 
     positions: Mapping[int, tuple[int | Fraction, int | Fraction]]
 
+    def __post_init__(self):
+        if any(sid.__class__ is not int for sid in self.positions):
+            raise ValidationError("sensor ids must be integers")
+
     def validate(self, config: Configuration) -> None:
         positions = self.positions
         if set(positions) != {sid for sid, _, _, _ in config.sensors}:

@@ -6,7 +6,8 @@ axis solutions combines into an optimal 2D solution).  axis_instances
 makes the two: each axis takes the sensors' coordinates in id order,
 shifted by the low end of its extent.  An integer-mode extent starts at
 1/2; a continuous one starts at 0, and its coordinates and targets pass
-through as the same Fractions, with no arithmetic.  Line1DInstance
+through unchanged (ints when integral, Fractions otherwise), with no
+arithmetic.  Line1DInstance
 checks 0 <= p <= L on numerators cross-multiplied by denominators.
 solve_minsum_manhattan checks both axes before either DP runs.
 
@@ -215,7 +216,7 @@ def axis_instances(config: Configuration
 
 
 def _shift(coords, by: Fraction) -> tuple[Fraction, ...]:
-    """coords moved by by; the same Fractions when by is 0."""
+    """coords moved by by; the same values when by is 0."""
     return tuple(coords) if not by else tuple(c + by for c in coords)
 
 

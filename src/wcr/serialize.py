@@ -11,16 +11,16 @@ field by field, which raises the first error in field order.  The
 location of a bad array item is only formatted once its parse has
 failed.  Output is canonical: sensors in the id order a Configuration
 keeps, fixed key order, so identical values serialize to identical
-bytes; dumps_with nests an encoded document in another without encoding
-it again.
+bytes.
 
-A solution's positions and an instance's sensors are written from one
-f-string template per item in dumps' layout, the rest of the document by
-dumps, and the text is the same: ids are plain ints and values come from
-rat_str, which writes only digits, "-" and "/" (past the int/str digit
-limit too), so nothing needs escaping.  A Configuration holds only plain
-int ids; a solution with any other id (a bool would print True) goes to
-dumps whole.  fill_moves writes the moves of a MinNum plan the same way.
+dumps is the one encoder.  Its parts are texts it has already written,
+each spliced in at its key's top-level slot, so a document is encoded
+once however deep it is nested.  The bulk arrays (a solution's
+positions, an instance's sensors, the moves of a MinNum plan) are
+written from one f-string template per item in dumps' layout, and the
+text is the same: Configuration and Solution hold only plain int ids
+and values come from rat_str, which writes only digits, "-" and "/"
+(past the int/str digit limit too), so nothing needs escaping.
 """
 
 from __future__ import annotations
@@ -184,18 +184,27 @@ def config_from_obj(obj: dict) -> Configuration:
         metric=obj.get("metric", "manhattan"))
 
 
-def dumps(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+def dumps(obj, parts: dict[str, str] | None = None) -> str:
+    """json.dumps(obj, indent=2) + "\\n", where each key of parts holds
+    the dumps text of that key's value: the text goes in at obj's slot
+    for the key, or last (in parts order) when obj lacks it, with every
+    line after its first indented two more spaces.  A slot is found as
+    the encoder writes the key at the top level; the encoder writes no
+    raw newline inside a string, so nothing nested can match."""
+    if not parts:
+        return json.dumps(obj, indent=2) + "\n"
+    text = json.dumps({**obj, **dict.fromkeys(parts)}, indent=2) + "\n"
+    for key, part in parts.items():
+        slot = f"\n  {json.dumps(key)}: "
+        head, _, tail = text.partition(slot + "null")
+        text = head + slot + part[:-1].replace("\n", "\n  ") + tail
+    return text
 
 
-def dumps_with(obj: dict, key: str, text: str) -> str:
-    """dumps({**obj, key: value}) for a key not in obj, given text =
-    dumps(value), without encoding value again: the encoder writes value
-    as text with each line after the first indented two more spaces, and
-    never writes a raw newline inside a string."""
-    tail = "null\n}\n"  # how dumps({**obj, key: None}) ends
-    return dumps({**obj, key: None}).removesuffix(tail) + \
-        text[:-1].replace("\n", "\n  ") + "\n}\n"
+def _array(items: list[str]) -> str:
+    """The dumps text of an array whose items, each an object at depth
+    1 (indent 2), are written as items."""
+    return "[\n" + ",\n".join(items) + "\n]\n" if items else "[]\n"
 
 
 def read_solution(data) -> Solution:
@@ -221,36 +230,21 @@ def read_solution(data) -> Solution:
     return Solution(positions)
 
 
-def _templated(text: str, key: str, items: list[str]) -> str:
-    """text, a dumps() text whose top-level array key is [], with that
-    array written as items, each an object encoded at depth 2 (indent
-    4) by its template; text itself when there are no items."""
-    if not items:
-        return text
-    head, _, tail = text.partition(f'"{key}": []')
-    return f'{head}"{key}": [\n' + ",\n".join(items) + "\n  ]" + tail
-
-
 def write_solution(sol: Solution) -> str:
-    items = sorted(sol.positions.items())
-    if any(sid.__class__ is not int for sid, _ in items):
-        return dumps({"positions": [
-            {"id": sid, "x": rat_str(x), "y": rat_str(y)}
-            for sid, (x, y) in items]})
-    return _templated(dumps({"positions": []}), "positions", [
-        f'    {{\n      "id": {sid},\n      "x": "{rat_str(x)}",\n'
-        f'      "y": "{rat_str(y)}"\n    }}' for sid, (x, y) in items])
+    return dumps({}, {"positions": _array([
+        f'  {{\n    "id": {sid},\n    "x": "{rat_str(x)}",\n'
+        f'    "y": "{rat_str(y)}"\n  }}'
+        for sid, (x, y) in sorted(sol.positions.items())])})
 
 
-def fill_moves(text: str, moves) -> str:
-    """text, a dumps() text whose top-level "moves" array is [], with
-    that array holding {"id": id, "kind": kind, "to": [x, y]} for each
-    (id, kind, (x, y)) of moves, as dumps writes it: the ids of a
-    Configuration are plain ints and the kinds need no escaping."""
-    return _templated(text, "moves", [
-        f'    {{\n      "id": {sid},\n      "kind": "{kind}",\n'
-        f'      "to": [\n        "{rat_str(x)}",\n        "{rat_str(y)}"\n'
-        f'      ]\n    }}' for sid, kind, (x, y) in moves])
+def moves_array(moves) -> str:
+    """The dumps text of {"id": id, "kind": kind, "to": [x, y]} for each
+    (id, kind, (x, y)) of moves, a MinNum plan's: the kinds need no
+    escaping."""
+    return _array([
+        f'  {{\n    "id": {sid},\n    "kind": "{kind}",\n'
+        f'    "to": [\n      "{rat_str(x)}",\n      "{rat_str(y)}"\n'
+        f'    ]\n  }}' for sid, kind, (x, y) in moves])
 
 
 # VH instances reuse the configuration schema plus v_lines/h_lines/max_move.
@@ -264,25 +258,19 @@ def vh_from_obj(obj: dict):
                       max_move=_rat_field(obj, "max_move", "$", {}))
 
 
-def instance_to_obj(inst, sensors: list | None = None) -> dict:
-    """A Configuration, or a VHInstance: its configuration's object plus
-    its lines and budget.  sensors, when given, stands in for the array
-    of the configuration's sensors."""
+def _head(inst) -> dict:
+    """The object of a Configuration, or of a VHInstance (its
+    configuration's object plus its lines and budget), with None in
+    the slot of the sensors array."""
     if not isinstance(inst, Configuration):
-        return {**instance_to_obj(inst.config, sensors),
+        return {**_head(inst.config),
                 "v_lines": sorted(inst.v_lines),
                 "h_lines": sorted(inst.h_lines),
                 "max_move": rat_str(inst.max_move)}
-    return {
-        "mode": inst.mode,
-        "metric": inst.metric,
-        "rect": {"width": rat_str(inst.width),
-                 "height": rat_str(inst.height)},
-        "sensors": [
-            {"id": sid, "x": rat_str(x), "y": rat_str(y),
-             "range": rat_str(r)}
-            for sid, x, y, r in inst.sensors] if sensors is None else sensors,
-    }
+    return {"mode": inst.mode, "metric": inst.metric,
+            "rect": {"width": rat_str(inst.width),
+                     "height": rat_str(inst.height)},
+            "sensors": None}
 
 
 def read_instance(data):
@@ -295,10 +283,10 @@ def read_instance(data):
 
 def write_instance(inst) -> str:
     config = inst if isinstance(inst, Configuration) else inst.config
-    return _templated(dumps(instance_to_obj(inst, [])), "sensors", [
-        f'    {{\n      "id": {sid},\n      "x": "{rat_str(x)}",\n'
-        f'      "y": "{rat_str(y)}",\n      "range": "{rat_str(r)}"\n    }}'
-        for sid, x, y, r in config.sensors])
+    return dumps(_head(inst), {"sensors": _array([
+        f'  {{\n    "id": {sid},\n    "x": "{rat_str(x)}",\n'
+        f'    "y": "{rat_str(y)}",\n    "range": "{rat_str(r)}"\n  }}'
+        for sid, x, y, r in config.sensors])})
 
 
 def read_formula(data):
@@ -364,6 +352,7 @@ def read_meta(data):
 
 def write_meta(meta) -> str:
     from .reductions import MinMaxMapping, MinNumMeta, VHMeta
+    parts = None
     if isinstance(meta, MinNumMeta):
         obj = {"kind": "minnum", "n": meta.n, "m": meta.m, "t": meta.t,
                "side": meta.side,
@@ -381,10 +370,11 @@ def write_meta(meta) -> str:
                             in sorted(meta.slot_row.items())},
                "triples": [list(t) for t in meta.triples]}
     elif isinstance(meta, MinMaxMapping):
-        obj = {"kind": "minmax", "vh": instance_to_obj(meta.vh),
-               "padded": instance_to_obj(meta.padded),
+        obj = {"kind": "minmax", "vh": None, "padded": None,
                "dx": meta.dx, "dy": meta.dy,
                "v_ids": list(meta.v_ids), "h_ids": list(meta.h_ids)}
+        parts = {"vh": write_instance(meta.vh),
+                 "padded": write_instance(meta.padded)}
     else:
         raise ValidationError(f"not a serializable meta: {type(meta)}")
-    return dumps(obj)
+    return dumps(obj, parts)

@@ -287,18 +287,3 @@ def test_write_solution_sorted_and_stable():
     assert text.index('"id": 1') < text.index('"id": 3')
     assert text == serialize.write_solution(
         serialize.read_solution(text))
-
-
-_texts = st.text(st.sampled_from('a\n"\\\u00e9\u2028 ') | st.characters(),
-                 max_size=6)
-_json = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | _texts,
-    lambda inner: st.lists(inner, max_size=3) |
-    st.dictionaries(_texts, inner, max_size=3), max_leaves=12)
-
-
-@given(st.dictionaries(_texts, _json, max_size=3), _texts, _json)
-def test_dumps_with_matches_dumps(obj, key, value):
-    obj.pop(key, None)
-    assert serialize.dumps_with(obj, key, serialize.dumps(value)) == \
-        serialize.dumps({**obj, key: value})

@@ -1,7 +1,8 @@
-"""The templated writers against json.dumps of the objects they encode:
-write_solution and write_instance must give exactly the text that
-json.dumps(obj, indent=2) + "\\n" gives for the object built field by
-field (tests/brutes.py)."""
+"""The encoder and the templated writers against json.dumps: dumps with
+parts must give the text dumps gives for the object with the parts'
+values in place, and write_solution, write_instance and write_meta
+exactly the text that json.dumps(obj, indent=2) + "\\n" gives for the
+object built field by field (tests/brutes.py)."""
 
 import json
 import random
@@ -10,11 +11,13 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from brutes import reference_instance_obj, reference_solution_obj
+from brutes import random_sat22, reference_instance_obj, \
+    reference_solution_obj
 from wcr import serialize
 from wcr.core import Configuration, Sensor, Solution
 from wcr.errors import ValidationError
 from wcr.minmax import VHInstance
+from wcr.reductions import gen_minmax, gen_vh
 
 HUGE = F(10**4400 + 1, 3)  # numerator past the 4300-digit str limit
 
@@ -29,9 +32,8 @@ def _check_solution(sol: Solution) -> None:
 
 
 def _check_instance(inst) -> None:
-    text = serialize.write_instance(inst)
-    assert text == _encoded(reference_instance_obj(inst))
-    assert serialize.instance_to_obj(inst) == reference_instance_obj(inst)
+    assert serialize.write_instance(inst) == \
+        _encoded(reference_instance_obj(inst))
 
 
 def _rational(rng, signed=False):
@@ -102,25 +104,63 @@ def test_coordinates_past_the_digit_limit():
         Sensor(3, F(0), side, F(1))), mode="continuous"))
 
 
-def test_ids_that_are_not_plain_ints_fall_back_to_dumps():
-    sol = Solution({True: (F(1), F(2))})
-    _check_solution(sol)
-    assert '"id": true' in serialize.write_solution(sol)
-    _check_solution(Solution({0: (F(1), F(2)), True: (F(-1, 3), F(0))}))
-    # a Configuration refuses such ids, so write_instance never sees one
+def test_ids_that_are_not_plain_ints_are_refused():
+    # so the writers never see an id they would print as True
+    with pytest.raises(ValidationError, match="sensor ids must be integers"):
+        Solution({True: (F(1), F(2))})
+    with pytest.raises(ValidationError, match="sensor ids must be integers"):
+        Solution({0: (1, 2), True: (2, 1)})  # True == 1 would pass as 1
     with pytest.raises(ValidationError, match="sensor ids must be integers"):
         Configuration(F(2), F(2), (Sensor(True, F(1), F(2), F(1, 2)),
                                    Sensor(0, F(2), F(1), F(1, 2))))
 
 
-def test_dumps_with_of_the_templated_solution():
+_texts = st.text(st.sampled_from('a\n"\\\u00e9\u2028 ') | st.characters(),
+                 max_size=6)
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _texts,
+    lambda inner: st.lists(inner, max_size=3) |
+    st.dictionaries(_texts, inner, max_size=3), max_leaves=12)
+
+
+@given(st.dictionaries(_texts, _json, max_size=4), st.data())
+def test_dumps_splices_parts_as_dumps_writes_them(obj, data):
+    # keys of obj are spliced in place, other keys go last in parts order
+    keys = data.draw(st.lists(
+        (st.sampled_from(list(obj)) if obj else st.nothing()) | _texts,
+        unique=True, max_size=4))
+    values = {key: data.draw(_json) for key in keys}
+    parts = {key: serialize.dumps(value) for key, value in values.items()}
+    assert serialize.dumps(obj, parts) == serialize.dumps({**obj, **values})
+
+
+@pytest.mark.parametrize("key", ['a', '"', "\n", "\u00e9", "\u2028", "\\",
+                                 '", "a": null', ""])
+def test_dumps_parts_at_escaped_keys_and_beside_a_nested_key(key):
+    # the nested objects hold the key too, and the string values hold
+    # what its top-level slot looks like; only the top level is spliced
+    slot = f"\n  {json.dumps(key)}: null"
+    obj = {"x": {key: None, "y": [{key: []}]}, key: None, slot: slot,
+           "z": [], "w": {}}
+    for value in ([], {}, None, [{key: [], slot: {}}], {key: {key: [1]}}):
+        for parts in ({key: value}, {key: value, "z": [key]},
+                      {"new": value, key: [], "z": {}}):
+            assert serialize.dumps(obj, {
+                k: serialize.dumps(v) for k, v in parts.items()}) == \
+                serialize.dumps({**obj, **parts})
+    assert serialize.dumps({}, {key: "[]\n"}) == \
+        serialize.dumps({key: []})
+    assert serialize.dumps(obj, {}) == serialize.dumps(obj)
+
+
+def test_dumps_nests_the_templated_solution():
     rng = random.Random(5)
     for n in (0, 1, 7):
         sol = Solution({sid: (_rational(rng, True), _rational(rng, True))
                         for sid in range(n)})
         out = {"problem": "minnum", "moved": n, "moves": [[1, "jump"]]}
-        assert serialize.dumps_with(out, "solution",
-                                    serialize.write_solution(sol)) == \
+        assert serialize.dumps(out, {
+            "solution": serialize.write_solution(sol)}) == \
             _encoded({**out, "solution": reference_solution_obj(sol)})
 
 
@@ -132,15 +172,16 @@ _fractions = st.fractions() | st.integers().map(F)
                           st.tuples(_fractions | st.integers(),
                                     _fractions | st.integers())),
                 max_size=6))
-def test_fill_moves_matches_dumps(moves):
+def test_moves_array_matches_dumps(moves):
+    # as cmd_solve writes a MinNum plan: moves, then the solution, last
     sol = Solution({sid: xy for sid, _, xy in moves})
     out = {"problem": "minnum", "moved": len(moves)}
-    text = serialize.dumps_with({**out, "moves": []}, "solution",
-                                serialize.write_solution(sol))
-    assert serialize.fill_moves(text, moves) == _encoded({**out, "moves": [
-        {"id": sid, "kind": kind, "to": [str(x), str(y)]}
-        for sid, kind, (x, y) in moves],
-        "solution": reference_solution_obj(sol)})
+    assert serialize.dumps(out, {
+        "moves": serialize.moves_array(moves),
+        "solution": serialize.write_solution(sol)}) == _encoded({
+            **out, "moves": [{"id": sid, "kind": kind, "to": [str(x), str(y)]}
+                             for sid, kind, (x, y) in moves],
+            "solution": reference_solution_obj(sol)})
 
 
 @given(st.dictionaries(st.integers(), st.tuples(_fractions, _fractions),
@@ -171,3 +212,15 @@ def test_write_line_instance_matches_dumps(cells, v_lines, h_lines, budget):
     config = Configuration(F(9), F(9), tuple(
         Sensor(sid, F(x), F(y), F(1, 2)) for sid, (x, y) in enumerate(cells)))
     _check_instance(VHInstance(config, v_lines, h_lines, budget))
+
+
+def test_write_meta_of_minmax_gadgets_matches_dumps():
+    rng = random.Random(25)
+    for n in (3, 3, 6, 6, 9, 12):
+        _, meta = gen_minmax(gen_vh(random_sat22(rng, n))[0])
+        assert serialize.write_meta(meta) == _encoded({
+            "kind": "minmax",
+            "vh": reference_instance_obj(meta.vh),
+            "padded": reference_instance_obj(meta.padded),
+            "dx": meta.dx, "dy": meta.dy,
+            "v_ids": list(meta.v_ids), "h_ids": list(meta.h_ids)})

@@ -33,6 +33,55 @@ def test_no_true_division_in_the_library():
     assert not found, found
 
 
+def _reads(node):
+    """The identifiers node reads: names, attributes and imported names."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.ImportFrom):
+            yield from (alias.name for alias in n.names)
+
+
+def test_no_unused_import_or_private_name_in_the_library():
+    # what a deletion leaves behind: an import its module no longer
+    # reads (__all__ counts as a read), or a module-level _name that no
+    # statement reads but the one defining it
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    found = []
+    for name, tree in trees.items():
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        read.update(export for stmt in tree.body
+                    if isinstance(stmt, ast.Assign)
+                    and ast.unparse(stmt.targets[0]) == "__all__"
+                    for export in ast.literal_eval(stmt.value))
+        found += [f"{name}:{node.lineno} import {alias.name}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  and getattr(node, "module", "") != "__future__"
+                  for alias in node.names
+                  if (alias.asname or alias.name.split(".")[0]) not in read]
+    statements = [(name, stmt, set(_reads(stmt)))
+                  for name, tree in trees.items() for stmt in tree.body]
+    for name, stmt, _ in statements:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            defined = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            defined = [t.id for t in ast.walk(stmt)
+                       if isinstance(t, ast.Name) and
+                       isinstance(t.ctx, ast.Store)]
+        else:
+            continue
+        found += [f"{name}:{stmt.lineno} {d} unread" for d in defined
+                  if d.startswith("_") and not d.startswith("__")
+                  and not any(d in reads for _, other, reads in statements
+                              if other is not stmt)]
+    assert not found, found
+
+
 def _exact(value) -> bool:
     return type(value) is int or (type(value) is Fraction and
                                   value.denominator > 1)
