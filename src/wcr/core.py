@@ -32,7 +32,8 @@ Conventions
   float on two ints.
 * A Sensor is a NamedTuple (id, x, y, range): immutable, ordered and
   hashed as that tuple, and equal to a plain tuple of the same fields.
-  Its id is a plain int (not a bool).
+  Its id is a plain int and no coordinate or range is a bool (which
+  the writers would print as "True"); the same holds for a Solution.
 * A Configuration keeps its sensors in id order, so configurations of
   the same sensors compare equal whatever order they were given in;
   validation walks the given order.
@@ -132,8 +133,13 @@ class Configuration:
         if any(sid < 0 for sid in ids):
             raise ValidationError("sensor ids must be non-negative")
         # denominators are positive: signs and grid checks read numerators
-        if any(r.numerator <= 0 for _, _, _, r in sensors):
-            raise ValidationError("sensor range must be positive")
+        for sid, x, y, r in sensors:
+            if x.__class__ is bool or y.__class__ is bool or \
+                    r.__class__ is bool:
+                raise ValidationError(
+                    f"sensor {sid} has a bool coordinate or range")
+            if r.numerator <= 0:
+                raise ValidationError("sensor range must be positive")
         if self.mode == "integer":
             if self.width.denominator != 1 or self.height.denominator != 1:
                 raise ValidationError("integer mode requires integer dimensions")
@@ -183,8 +189,12 @@ class Solution:
     positions: Mapping[int, tuple[int | Fraction, int | Fraction]]
 
     def __post_init__(self):
-        if any(sid.__class__ is not int for sid in self.positions):
-            raise ValidationError("sensor ids must be integers")
+        for sid, (x, y) in self.positions.items():
+            if sid.__class__ is not int:  # no bool either
+                raise ValidationError("sensor ids must be integers")
+            if x.__class__ is bool or y.__class__ is bool:
+                raise ValidationError(
+                    f"final position of sensor {sid} has a bool coordinate")
 
     def validate(self, config: Configuration) -> None:
         positions = self.positions

@@ -52,11 +52,13 @@ class SizeLimit(WcrError):
 
 
 class SearchLimit(WcrError):
-    """Backtracking search exceeded its node budget."""
+    """Backtracking search exceeded its node budget, at a node with
+    `unsatisfied` lines left to block under the move key `key`."""
 
-    def __init__(self, nodes: int):
-        super().__init__(f"node budget exhausted after {nodes} nodes")
-        self.nodes = nodes
+    def __init__(self, nodes: int, key: int, unsatisfied: int):
+        super().__init__(f"node budget exhausted after {nodes} nodes, at "
+                         f"key {key} with {unsatisfied} lines unblocked")
+        self.nodes, self.key, self.unsatisfied = nodes, key, unsatisfied
 
 
 class NotEnoughSatisfied(WcrError):

@@ -24,7 +24,7 @@ moves at least that line's distance to the nearest home along its
 axis.  The search gallops (Bentley & Yao, IPL 1976): it probes bound,
 bound + 1, bound + 3, bound + 7, ... up to the first yes, then bisects
 below it, and keeps the witness of the last yes.  Each probe is one
-decide_vh call, bounded by its SCAN_LIMIT pre-count and node budget.
+_decide call at an integer key, within SCAN_LIMIT and the node budget.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .core import Configuration, Solution, _sqrt_bounds, budget_key, \
-    distance, exact_sqrt, to_ints
+from .core import Configuration, Solution, budget_key, distance, \
+    exact_sqrt, to_ints
 from .errors import Infeasible, ModeError, SearchLimit, SizeLimit, \
     ValidationError
 
@@ -68,10 +68,10 @@ def full_lines(config: Configuration) -> tuple[frozenset[int], frozenset[int]]:
 
 
 def _box(config: Configuration, home: tuple[int, int],
-         budget: Fraction) -> tuple[range, range]:
-    """The grid columns and rows within budget of home along each axis:
-    |dx|, |dy| <= floor(budget) under both metrics."""
-    reach = int(budget)
+         key: int) -> tuple[range, range]:
+    """The grid columns and rows within key of home along each axis:
+    |dx|, |dy| <= key under Manhattan, <= isqrt(key) under Euclidean."""
+    reach = key if config.metric == "manhattan" else isqrt(key)
     return (range(max(1, home[0] - reach),
                   min(int(config.width), home[0] + reach) + 1),
             range(max(1, home[1] - reach),
@@ -79,15 +79,15 @@ def _box(config: Configuration, home: tuple[int, int],
 
 
 def move_domain(config: Configuration, home: tuple[int, int],
-                budget: Fraction) -> tuple:
-    """The sorted (key, x, y) triples of the integer grid destinations
-    within the move budget of the sensor at integer point home, key the
-    distance() of the move.  Under either metric with budget 1 this is
-    the 5-point plus (a diagonal step has length sqrt(2) > 1)."""
-    metric, top = config.metric, budget_key(config.metric, budget)
-    xs, ys = _box(config, home, budget)
-    out = [(key, x, y) for x in xs for y in ys
-           if (key := distance(metric, home, (x, y))) <= top]
+                key: int) -> tuple:
+    """The sorted (d, x, y) triples of the integer grid destinations
+    whose distance() d from the sensor at integer point home is at most
+    key.  Under either metric with key 1 this is the 5-point plus (a
+    diagonal step has squared length 2)."""
+    metric = config.metric
+    xs, ys = _box(config, home, key)
+    out = [(d, x, y) for x in xs for y in ys
+           if (d := distance(metric, home, (x, y))) <= key]
     out.sort()
     return tuple(out)
 
@@ -163,23 +163,30 @@ def decide_vh(inst: VHInstance, budget: int | None = None
     update.  Raises SizeLimit when the budget boxes to scan hold more
     than SCAN_LIMIT grid cells.
     """
-    config = inst.config
+    ok, sol = _decide(inst.config, inst.v_lines, inst.h_lines,
+                      budget_key(inst.config.metric, inst.max_move), budget)
+    assert not ok or verify_vh(inst, sol.positions)
+    return ok, sol
+
+
+def _decide(config: Configuration, v_lines, h_lines, key: int, budget):
+    """decide_vh's search over the moves of distance() key or less."""
     homes = [(sid, (x.numerator, y.numerator))
              for sid, x, y, _ in config.sensors]
     cells = sum((xs.stop - xs.start) * (ys.stop - ys.start) for xs, ys in (
-        _box(config, home, inst.max_move) for _, home in homes))
+        _box(config, home, key) for _, home in homes))
     if cells > SCAN_LIMIT:
         raise SizeLimit(f"decide_vh would scan {cells} grid cells, "
                         f"past {SCAN_LIMIT}")
     limit = DEFAULT_NODE_BUDGET if budget is None else budget
-    required = [("v", v) for v in sorted(inst.v_lines)] + \
-               [("h", h) for h in sorted(inst.h_lines)]
+    required = [("v", v) for v in sorted(v_lines)] + \
+               [("h", h) for h in sorted(h_lines)]
     index: dict[tuple, list] = {line: [] for line in required}
     lines_of: dict[int, list] = {}  # sensor -> line of each of its entries
     for sid, home in homes:
         lines_of[sid] = []
-        for key, x, y in move_domain(config, home, inst.max_move):
-            cand = (key, x, y, sid)
+        for d, x, y in move_domain(config, home, key):
+            cand = (d, x, y, sid)
             for line in (("v", x), ("h", y)):
                 if line in index:
                     index[line].append(cand)
@@ -197,7 +204,7 @@ def decide_vh(inst: VHInstance, budget: int | None = None
         nonlocal nodes
         nodes += 1
         if nodes > limit:
-            raise SearchLimit(nodes)
+            raise SearchLimit(nodes, key, len(unsat))
         if not unsat:
             return True
         best = None
@@ -233,18 +240,16 @@ def decide_vh(inst: VHInstance, budget: int | None = None
                             if l != ("v", x) and l != ("h", y)]))
     if not stack:
         return False, None
-    sol = Solution({sid: committed.get(sid, (x, y))
-                    for sid, x, y, _ in config.sensors})
-    assert verify_vh(inst, sol.positions)
-    return True, sol
+    return True, Solution({sid: committed.get(sid, (x, y))
+                           for sid, x, y, _ in config.sensors})
 
 
 @dataclass(frozen=True)
 class MinMaxResult:
-    """Exact optimum.  `value` is the distance when it is rational
+    """Exact optimum.  `value` is the distance when it is an integer
     (always under Manhattan; under Euclidean only for perfect squares,
     else None); `value_squared` is always exact."""
-    value: int | Fraction | None
+    value: int | None
     value_squared: int
     solution: Solution
 
@@ -270,29 +275,22 @@ def solve_minmax(config: Configuration, budget: int | None = None
         raise Infeasible("fewer sensors than the longer side")
     v, h = full_lines(config)
     a, b = int(config.width), int(config.height)
-
-    def feasible_at(key: int):
-        # key is a distance (manhattan) or a squared distance (euclidean);
-        # integer moves have integer squared distances, so any d with
-        # key <= d^2 < key + 1 admits exactly the moves of key or less
-        d = key if config.metric == "manhattan" else exact_sqrt(key)
-        if d is None:
-            d = _sqrt_bounds(key, Fraction(1, 2 * key + 2))[1]
-        return decide_vh(VHInstance(config, v, h, d), budget)
-
     bound = lo = _key_bound(config)
     hi = a + b - 2 if config.metric == "manhattan" else \
         (a - 1) ** 2 + (b - 1) ** 2  # every move allowed: feasible
     best, k = None, 0
     while lo <= hi:  # gallop bound + 2^k - 1 to the first yes, then bisect
         key = (lo + hi) // 2 if best else min(bound + (1 << k) - 1, hi)
-        ok, sol = feasible_at(key)
+        ok, sol = _decide(config, v, h, key, budget)
         if ok:
             hi, best = key - 1, (key, sol)
         else:
             lo, k = key + 1, k + 1
     assert best is not None, "full-move relocation must be feasible"
     key, sol = best
+    assert lines_blocked(sol.positions.values(), v, h) == (v, h) and all(
+        distance(config.metric, (x, y), sol.positions[sid]) <= key
+        for sid, x, y, _ in config.sensors)
     if config.metric == "manhattan":
         return MinMaxResult(key, key * key, sol)
     return MinMaxResult(exact_sqrt(key), key, sol)
@@ -301,18 +299,21 @@ def solve_minmax(config: Configuration, budget: int | None = None
 def oracle_minmax(inst: VHInstance) -> bool:
     """Memoized exhaustive check over sensors x unsatisfied-line sets.
     Reference for decide_vh: the move domains come from a scan of each
-    sensor's budget box with a budget test of its own, not from
-    move_domain.  The domains are counted first, line by line along
-    the shorter side of each box, and SizeLimit is raised before any
-    scan once their product passes 10^7."""
+    sensor's box of its own reach with a budget test of its own, not
+    from _box and move_domain.  The domains are counted first, line by
+    line along the shorter side of each box, and SizeLimit is raised
+    before any scan once their product passes 10^7."""
     config = inst.config
     budget = inst.max_move
     # integer moves: |dx| + |dy| <= budget iff <= floor(budget), and
     # dx^2 + dy^2 <= budget^2 iff <= floor(budget^2)
     manhattan = config.metric == "manhattan"
     reach, reach2 = int(budget), int(budget * budget)
+    a, b = int(config.width), int(config.height)
     homes = [(int(s.x), int(s.y)) for s in config.sensors]
-    boxes = [_box(config, home, budget) for home in homes]
+    boxes = [(range(max(1, x - reach), min(a, x + reach) + 1),
+              range(max(1, y - reach), min(b, y + reach) + 1))
+             for x, y in homes]
     product = 1  # of the domain sizes so far
     for home, box in zip(homes, boxes):
         # count the cells within budget on each line of the shorter side

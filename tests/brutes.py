@@ -145,9 +145,11 @@ def random_graph(rng: random.Random, max_vertices: int = 10):
 
 
 def random_sat22(rng: random.Random, n: int) -> Sat3_22:
-    """Random 3-SAT(2,2) formula on n variables (a multiple of 3): 4n/3
-    clauses, each variable with two positive and two negative
-    occurrences in three distinct clauses."""
+    """Random 3-SAT(2,2) formula on n variables (a positive multiple of
+    3, else ValueError): 4n/3 clauses, each variable with two positive
+    and two negative occurrences in three distinct clauses."""
+    if n <= 0 or n % 3:
+        raise ValueError(f"n must be a positive multiple of 3, not {n}")
     while True:
         lits = [s * v for v in range(1, n + 1) for s in (1, 1, -1, -1)]
         rng.shuffle(lits)
@@ -451,10 +453,14 @@ def reference_decide_vh(inst: VHInstance, budget: int | None = None
     Lines are branched on in MRV order (fewest candidate blockers,
     ties (axis, index) with vertical first); candidates are
     (uncommitted sensor, destination on the line) pairs tried by
-    smallest displacement.  Raises SearchLimit past the node budget.
+    smallest displacement.  Raises SearchLimit past the node budget,
+    with the floor of the move budget (of its square under Euclidean)
+    and the count of unsatisfied lines at that node.
     """
     config = inst.config
     limit = DEFAULT_NODE_BUDGET if budget is None else budget
+    d = inst.max_move
+    key = int(d) if config.metric == "manhattan" else int(d * d)
     domains = {s.id: reference_move_domain(config, (int(s.x), int(s.y)),
                                             inst.max_move)
                for s in config.sensors}
@@ -483,7 +489,7 @@ def reference_decide_vh(inst: VHInstance, budget: int | None = None
     def search(unsat: frozenset) -> bool:
         nodes[0] += 1
         if nodes[0] > limit:
-            raise SearchLimit(nodes[0])
+            raise SearchLimit(nodes[0], key, len(unsat))
         if not unsat:
             return True
         axis_rank = {"v": 0, "h": 1}

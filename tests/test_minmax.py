@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from brutes import (random_sat22, reference_decide_vh,
                     reference_lines_blocked, reference_verify_vh, within)
 from wcr import minmax
-from wcr.core import Configuration, Sensor, budget_key, is_blocking, \
-    solution_costs
+from wcr.core import Configuration, Sensor, Solution, budget_key, \
+    is_blocking, solution_costs
 from wcr.errors import SearchLimit, SizeLimit, ValidationError
 from wcr.minmax import (VHInstance, decide_vh, full_lines, lines_blocked,
                         move_domain, oracle_minmax,
@@ -40,7 +40,7 @@ def test_full_lines():
 
 def test_move_domain_sorted_by_distance():
     cfg = grid(3, 3, [(2, 2)])
-    dom = move_domain(cfg, (2, 2), F(1))
+    dom = move_domain(cfg, (2, 2), budget_key("manhattan", F(1)))
     assert dom == ((0, 2, 2), (1, 1, 2), (1, 2, 1), (1, 2, 3), (1, 3, 2))
 
 
@@ -72,8 +72,8 @@ def test_move_domain_matches_fraction_scan(metric):
                 expected = sorted(
                     (dx + dy if metric == "manhattan" else dx * dx + dy * dy,
                      x, y) for x, y, dx, dy in dx_dy)
-                assert list(move_domain(cfg, home, d)) == expected, \
-                    (a, b, home, d)
+                got = move_domain(cfg, home, budget_key(metric, d))
+                assert list(got) == expected, (a, b, home, d)
                 checked += 1
     assert checked > 12 * 8
 
@@ -133,20 +133,39 @@ def test_decide_monotone_in_budget():
         assert ok2 or not ok
 
 
+EUCLIDEAN_BUDGETS = (F(7, 5), F(99, 70), F(141, 100), F(3, 2), F(2),
+                     F(11, 5), F(9, 4))  # either side of sqrt 2 and sqrt 5
+
+
 def test_decide_matches_oracle():
+    """On random Manhattan instances, and on Euclidean ones at budgets
+    whose square's floor (the key) and floor (the reach along an axis)
+    part ways: the oracle finds its reach from the budget itself."""
     rng = random.Random(21)
     for _ in range(150):
         inst = random_vh_instance(rng)
         assert decide_vh(inst)[0] == oracle_minmax(inst)
+    answers = set()
+    for i in range(350):
+        a, b = rng.randint(2, 5), rng.randint(2, 5)
+        cfg = random_integer_config(rng, a, b, rng.randint(1, 4), "euclidean")
+        inst = VHInstance(
+            cfg, frozenset(x for x in range(1, a + 1) if rng.random() < 0.5),
+            frozenset(y for y in range(1, b + 1) if rng.random() < 0.5),
+            EUCLIDEAN_BUDGETS[i % len(EUCLIDEAN_BUDGETS)])
+        got = decide_vh(inst)[0]
+        assert got == oracle_minmax(inst), inst
+        answers.add(got)
+    assert answers == {True, False}
 
 
 def run(decide, inst, budget=None):
     """decide's result as comparable data: the witness positions, or
-    the node count at which SearchLimit fired."""
+    the node count, key and unsatisfied line count SearchLimit gave."""
     try:
         ok, wit = decide(inst, budget)
     except SearchLimit as e:
-        return "limit", e.nodes
+        return "limit", e.nodes, e.key, e.unsatisfied
     return ok, wit and dict(wit.positions)
 
 
@@ -191,14 +210,17 @@ def seeded_vh_instances(seed: int, count: int):
 
 def test_decide_matches_reference_search():
     """The indexed search visits the reference's nodes: same answer and
-    witness, and SearchLimit at the same node under every budget."""
+    witness, and SearchLimit at the same node, key and unsatisfied
+    line count under every budget."""
     for inst in seeded_vh_instances(seed=31, count=300):
         assert run(decide_vh, inst) == run(reference_decide_vh, inst)
         for budget in (0, 1, 2, 3, 5, 8, 13):
             assert run(decide_vh, inst, budget) == \
                 run(reference_decide_vh, inst, budget)
         nodes = nodes_explored(reference_decide_vh, inst)
-        assert run(decide_vh, inst, nodes - 1) == ("limit", nodes)
+        limited = run(reference_decide_vh, inst, nodes - 1)
+        assert limited[:2] == ("limit", nodes)
+        assert run(decide_vh, inst, nodes - 1) == limited
         assert run(decide_vh, inst, nodes)[0] != "limit"
 
 
@@ -208,7 +230,9 @@ def test_decide_matches_reference_on_gadgets():
         inst, _ = gen_vh(random_sat22(rng, 3))
         assert run(decide_vh, inst) == run(reference_decide_vh, inst)
         nodes = nodes_explored(reference_decide_vh, inst)
-        assert run(decide_vh, inst, nodes - 1) == ("limit", nodes)
+        limited = run(reference_decide_vh, inst, nodes - 1)
+        assert limited[:2] == ("limit", nodes)
+        assert run(decide_vh, inst, nodes - 1) == limited
         assert run(decide_vh, inst, nodes)[0] != "limit"
 
 
@@ -283,8 +307,12 @@ def test_search_limit():
     cfg = grid(4, 4, [(x, y) for x in (1, 2, 3) for y in (1, 2)
                       ][:6])
     inst = vh(cfg, {1, 2, 3, 4}, {1, 2, 3, 4}, 2)
-    with pytest.raises(SearchLimit):
+    # the second node, one sensor committed, blocks two of the 8 lines
+    with pytest.raises(SearchLimit, match="after 2 nodes, at key 2 with 6 "
+                                          "lines unblocked") as info:
         decide_vh(inst, budget=1)
+    assert (info.value.nodes, info.value.key, info.value.unsatisfied) == \
+        (2, 2, 6)
 
 
 def test_scan_limit_counts_clipped_boxes(monkeypatch):
@@ -390,16 +418,17 @@ def test_probes_stay_between_the_bound_and_twice_the_optimum(monkeypatch):
     in [bound, 2 * optimum + 1], the bound being the line farthest from
     every home along its axis (squared under Euclidean), found here by
     a scan of the lines: the search gallops up from the bound.  The
-    witness is the one decide_vh gave at the optimum's key, also where
-    an earlier yes above it gave another."""
+    witness is the one _decide gave at the optimum's key, also where an
+    earlier yes above it gave another."""
     probes, answers = [], {}
+    decide = minmax._decide
 
-    def spy(inst, budget=None):
-        probes.append(budget_key(inst.config.metric, inst.max_move))
-        answers[probes[-1]] = decide_vh(inst, budget)
-        return answers[probes[-1]]
+    def spy(config, v_lines, h_lines, key, budget):
+        probes.append(key)
+        answers[key] = decide(config, v_lines, h_lines, key, budget)
+        return answers[key]
 
-    monkeypatch.setattr(minmax, "decide_vh", spy)
+    monkeypatch.setattr(minmax, "_decide", spy)
     rng = random.Random(20)
     answered = overshot = 0
     for i in range(24):
@@ -427,41 +456,56 @@ def test_probes_stay_between_the_bound_and_twice_the_optimum(monkeypatch):
     assert answered >= 20 and overshot
 
 
-def test_euclidean_ladder_budgets_admit_exactly_their_key(monkeypatch):
-    """solve_minmax decides each euclidean key (a squared distance) at a
-    budget d with key <= d^2 < key + 1, so move_domain at d admits
-    exactly the integer moves of squared length <= key.  The search
-    starts at the key (its bound patched) and decide_vh says yes there.
-    Checked for every integer key up to 2 * 60^2, reached by a move or
-    not, and move_domain (whose box grows with the key) for the sums of
-    two squares up to 2 * 30^2."""
-    budgets = []
+def test_euclidean_probes_are_keys_whose_domains_admit_exactly_them(
+        monkeypatch):
+    """solve_minmax decides each euclidean key (a squared distance) as
+    that int, and move_domain at key k admits exactly the integer moves
+    of squared length <= k.  The search starts at the key (its bound
+    patched) and _decide says yes there with the already blocking
+    diagonal, on int coordinates as read_instance gives them.  Checked
+    for every integer key up to 2 * 60^2, and move_domain (whose box
+    grows with the key) for every key up to 2 * 30^2, reached by a move
+    or not."""
+    decided = []
 
-    def record(inst, budget=None):
-        budgets.append(inst.max_move)
-        return True, None
+    def record(config, v_lines, h_lines, key, budget):
+        decided.append(key)
+        return True, Solution({sid: (x, y)
+                               for sid, x, y, _ in config.sensors})
 
-    monkeypatch.setattr(minmax, "decide_vh", record)
+    monkeypatch.setattr(minmax, "_decide", record)
     keys = range(2 * 60 ** 2 + 1)
-    diagonal = grid(61, 61, [(i, i) for i in range(1, 62)],
-                    metric="euclidean")
+    diagonal = Configuration(61, 61, tuple(Sensor(i, i, i, H)
+                                           for i in range(1, 62)),
+                             metric="euclidean")
     for key in keys:
         monkeypatch.setattr(minmax, "_key_bound", lambda config: key)
         assert solve_minmax(diagonal).value_squared == key
-    assert len(budgets) == len(keys)
-    assert all(key <= d * d < key + 1 for key, d in zip(keys, budgets))
-    assert all(budget_key("euclidean", d) == key
-               for key, d in zip(keys, budgets))
+    assert decided == list(keys)
+    assert all(key.__class__ is int for key in decided)
 
     moves = sorted((dx * dx + dy * dy, dx, dy)
                    for dx in range(45) for dy in range(45))
     wide = grid(45, 45, [(1, 1)], metric="euclidean")
     count = 0
-    for key in sorted({sq for sq, _, _ in moves if sq <= 2 * 30 ** 2}):
+    for key in range(2 * 30 ** 2 + 1):
         while moves[count][0] <= key:
             count += 1
         admitted = {(sq, 1 + dx, 1 + dy) for sq, dx, dy in moves[:count]}
-        assert set(move_domain(wide, (1, 1), budgets[key])) == admitted
+        assert set(move_domain(wide, (1, 1), key)) == admitted, key
+
+
+def test_solve_minmax_builds_no_vh_instance(monkeypatch):
+    """Probes search on integer keys: no budget document is built."""
+    def refuse(self):
+        raise AssertionError("solve_minmax built a VHInstance")
+
+    monkeypatch.setattr(VHInstance, "__post_init__", refuse)
+    cells = [(1, 1), (1, 2), (2, 1)]
+    assert solve_minmax(grid(3, 3, cells)).value_squared == 4
+    assert solve_minmax(grid(3, 3, cells, "euclidean")).value_squared == 2
+    with pytest.raises(AssertionError, match="built a VHInstance"):
+        vh(grid(3, 3, cells), {1}, {1}, 1)
 
 
 def test_oracle_size_limit():

@@ -133,6 +133,14 @@ def test_minnum_two_movers_same_clause_rejected():
 
 # -- 3-SAT(2,2) -> line blocking ----------------------------------------------
 
+def test_random_sat22_refuses_n_not_a_positive_multiple_of_3():
+    # 4n literals in threes leave a short last clause, which the
+    # distinct-variables test would reject on every shuffle
+    for n in (4, 0, -3):
+        with pytest.raises(ValueError, match="positive multiple of 3"):
+            random_sat22(random.Random(0), n)
+
+
 def test_gen_vh_structure():
     inst, meta = gen_vh(SAT22)
     n, m = 3, 4

@@ -115,6 +115,26 @@ def test_ids_that_are_not_plain_ints_are_refused():
                                    Sensor(0, F(2), F(1), F(1, 2))))
 
 
+@pytest.mark.parametrize("make, read", [
+    (lambda c: Solution({0: (c, 2)}), serialize.read_solution),
+    (lambda c: Configuration(2, 2, (Sensor(0, c, 2, 1),), mode="continuous"),
+     serialize.read_instance),
+    (lambda c: Configuration(2, 2, (Sensor(0, 1, 2, c),), mode="continuous"),
+     serialize.read_instance),
+    (lambda c: Configuration(2, 2, (Sensor(0, 2, c, F(1, 2)),)),
+     serialize.read_instance),
+], ids=["solution-x", "continuous-x", "continuous-range", "integer-y"])
+def test_bool_coordinates_and_ranges_are_refused(make, read):
+    # the writers would print True as "True", which the readers refuse;
+    # the int 1 in its place writes a document that reads back equal
+    with pytest.raises(ValidationError, match="has a bool coordinate"):
+        make(True)
+    obj = make(1)
+    write = serialize.write_solution if isinstance(obj, Solution) else \
+        serialize.write_instance
+    assert read(write(obj)) == obj
+
+
 _texts = st.text(st.sampled_from('a\n"\\\u00e9\u2028 ') | st.characters(),
                  max_size=6)
 _json = st.recursive(
