@@ -9,60 +9,81 @@ shifted by the low end of its extent.  An integer-mode extent starts at
 through unchanged (ints when integral, Fractions otherwise), with no
 arithmetic.  Line1DInstance
 checks 0 <= p <= L on numerators cross-multiplied by denominators.
-solve_minsum_manhattan checks both axes before either DP runs.
+solve_minsum_manhattan checks each axis once, both before either DP
+runs, and then runs the DP body _solve_1d on each.
 
-The 1D problem: points p_1..p_n on a segment [0, L], all radius r,
-minimize total movement so the union of [t_i - r, t_i + r] covers
-[0, L].  An order-preserving optimum always exists, and some optimum
-places every moved sensor on the candidate grid
+The 1D problem: points p_0 <= ... <= p_{n-1} (sorted, ties by input
+index) on a segment [0, L], all radius r, minimize total movement so
+the union of [t_i - r, t_i + r] covers [0, L].  The solver returns one
+optimum: the lexicographically least target vector (t_0, ..., t_{n-1}),
+with a sensor that stays put ranked before one that moves onto its own
+point.
 
-    C = {p_j + 2rk} U {r + 2rk} U {L - r - 2rk},   |k| <= n,
+Anchors.  In that vector every maximal run of consecutive sorted
+sensors whose targets touch (t_{i+1} = t_i + 2r) is anchored: one of
+its members is at its own point, or the run starts at r, or it ends at
+L - r.  Otherwise shifting the run down keeps the cover and lowers
+the cost, or keeps the cost and lowers the vector, or shifting it up
+lowers the cost; a touching pair with a staying sensor between them is
+handled by an exchange.  So every target is a + 2ri with a in
 
-clamped to [0, L] (translate any rigid sub-chain of touching intervals
-until a sensor stops moving or an endpoint anchors).  The solver is a
-suffix DP over sorted sensors and states c = "the last placed target is
-C[c]", with C led by the point -r for "nothing placed yet" (its window
-is the targets <= r; no sensor is placed on it).  A sensor stays put,
-leaving the state as it is (sensors not needed for coverage stay where
-they are), or moves to a target in [C[c], C[c] + 2r], priced by a
-sliding-window minimum.  Each layer records the state its sensor goes
-to (its own state when it stays put: a move onto C[c] adds no cover,
-so it never beats staying), and the targets are read off those
-choices.  Ties go to the smallest target: the window keeps the first
-index of its minimum, and a move beats staying put only when strictly
-cheaper, or as cheap at a target below the sensor.
+    A = {p_j - 2rj} U {r - 2rj} U {L - r - 2rj},   j < n,
 
-Each layer i (sensors 0..i-1 placed) fills only its band, the states
-c that are reachable, C[c] <= (2i - 1)r (the first target is <= r and
-each move adds <= 2r), and can still finish, C[c] + r + 2r(n - i) >= L.
-A band state's window reads only states reachable at the next layer;
-states below a band keep their no-cover value, which is exact, and
-states above it are never read, so every finite value and first-index
-argmin is the one the full grid gives.  Each layer stores its choices
-for its band only, as a slice of one shared list, with the band's
-first state as offset.
+and sensor i's candidates are those a + 2ri inside [0, L] and inside
+its band, L - r - 2r(n-1-i) <= t <= (2i+1)r (the sensors before it
+reach at most (2i+1)r, the ones after it cover at most 2r each).  Each
+candidate is b + 2rk with |k| < n, a point of the candidate grid C of
+candidate_targets: the options are a subset of those of a DP over all
+of C (tests/brutes.py::reference_minsum_1d), and they hold its answer,
+so with the option order below both return the same vector.
+
+The DP is a suffix pass over sensors i = n-1 .. 0 and their candidates
+t, in ascending order.  An option (i, t) with t >= L - r completes the
+cover; any other follows the least option already stored at a target
+in [t, t + 2r] (a later sensor's: the options of i at or above t are
+not stored yet).  Its value is |p_i - t| plus the value of what it
+follows, and it is stored at t when less than the option there.  The
+answer is the least option stored at a target <= r; the targets are
+read off its follow links, and every sensor off the path stays put.
+
+Options are ordered so that the least one starts the least vector
+among its equal-cost completions: by cost; then options moving a
+sensor down (t < p), earliest sensor first; then all others, latest
+sensor first (the sensors before it stay put, and a stay is ranked
+before a move up or onto its own point); then, within one sensor, the
+smaller target.  One int key encodes that order,
+
+    ((2 * cost + side) * n + idx) * W + k,
+
+side 0 and idx = i for a move down, side 1 and idx = n-1-i otherwise,
+k the index of t in G, the sorted union of all candidates, W = |G|.
+So M, the least key stored per point of G, is a list of ints, and the
+option an option follows is min(M[k:up[k]]), up[k] the end of its
+window.  Options are at most n * |A| <= 3n^2, and each reads a window
+of G; check_minsum_1d still admits instances by the grid's n * |C|,
+which bounds the options as well.
 
 The DP runs on Python ints: Line1DInstance.ints scales r, L and the
 points once per instance by core.to_ints, to integer counts of 1/D, so
-every grid point and partial cost is exact; check_minsum_1d,
-candidate_targets and the DP all read it.  Only the returned targets
-and cost become Fractions again, so the result is exact.
+every candidate and key is exact; check_minsum_1d, candidate_targets
+and the DP all read it.  Only the returned targets and cost become
+rationals again: ints when integral, Fractions otherwise.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .core import Configuration, Solution, to_ints
+from .core import Configuration, Solution, rat, to_ints
 from .errors import (HeterogeneousRanges, Infeasible, ModeError, SizeLimit,
                      ValidationError)
 
-MINSUM_STATE_LIMIT = 2 * 10**7  # n * |C|, the states of the MinSum DP
+MINSUM_STATE_LIMIT = 2 * 10**7  # n * |C|, a bound on the MinSum DP's options
 ORACLE_GRID_CELLS = 2 * 10**5  # sensors x grid states x window of the DP B
 
 
@@ -114,7 +135,9 @@ def candidate_targets(inst: Line1DInstance) -> list[int]:
 def check_minsum_1d(inst: Line1DInstance) -> None:
     """Infeasible, or SizeLimit if n * |C| may pass the limit: C's bases
     of one residue mod 2r put min(count * (2n+1), L/2r + 1) points on
-    [0, L] at most, and clamping adds 0 and L."""
+    [0, L] at most, and clamping adds 0 and L.  Every option of the DP
+    is a sensor and a point of C, so the count bounds the options too,
+    loosely: they are at most n * |A| <= 3n^2."""
     if not inst.feasible:
         raise Infeasible("sum of diameters shorter than the segment")
     n = len(inst.points)
@@ -128,70 +151,74 @@ def check_minsum_1d(inst: Line1DInstance) -> None:
 
 
 def solve_minsum_1d(inst: Line1DInstance
-                    ) -> tuple[tuple[Fraction, ...], Fraction]:
-    """Optimal targets (aligned to input order) and their total cost.
+                    ) -> tuple[tuple[int | Fraction, ...], int | Fraction]:
+    """Optimal targets (aligned to input order) and their total cost,
+    ints when integral and Fractions otherwise.
 
     On an integer-mode axis (half-integer points, r = 1/2, integer L)
-    every grid point but the clamped ends 0 and L is a half-integer,
-    and those ends are never optimal (r and L - r cover as much at a
-    strictly smaller move), so the targets stay on lattice points.
+    every candidate is a half-integer, so the targets stay on lattice
+    points.
     """
     check_minsum_1d(inst)
+    return _solve_1d(inst)
+
+
+def _solve_1d(inst: Line1DInstance
+              ) -> tuple[tuple[int | Fraction, ...], int | Fraction]:
+    """solve_minsum_1d on an axis check_minsum_1d has admitted."""
     n = len(inst.points)
     d, (r, L, *scaled) = inst.ints
     order = sorted(range(n), key=lambda i: (scaled[i], i))
     pts = [scaled[i] for i in order]
-    C = [-r] + candidate_targets(inst)
-    m = len(C)  # state 0, at -r: nothing placed yet
-    done_from = bisect_left(C, L - r)  # terminal: the rest stay put
-    upper = [bisect_right(C, t + 2 * r) for t in C]  # window ends
+    step, done = 2 * r, L - r  # a target >= done completes the cover
+    A = sorted({b - step * j for j, p in enumerate(pts) for b in (p, r, done)})
+    # sensor i's candidates: A[s:e] + 2ri, inside [0, L] and its band
+    slices = [(bisect_left(A, max(0, done - step * (n - 1 - i)) - step * i),
+               bisect_right(A, min(L, r + step * i) - step * i))
+              for i in range(n)]
+    G = sorted({a + step * i for i, (s, e) in enumerate(slices)
+                for a in A[s:e]})
+    W, index = len(G), {t: k for k, t in enumerate(G)}
+    up = [bisect_right(G, t + step) for t in G]  # window ends
+    unit = 2 * n * W  # one unit of cost in a key
+    none = (n * L + 1) * unit  # past every key: no move exceeds L
+    M = [none] * W  # the least key stored at each point of G
+    follows = {}  # stored key -> the key it follows, -1 when terminal
+    for i in range(n - 1, -1, -1):
+        p, shift = pts[i], step * i
+        s, e = slices[i]
+        down, other = i * W, (2 * n - 1 - i) * W
+        for a in A[s:e]:  # ascending: i reads no option of its own
+            t = a + shift
+            k = index[t]
+            if t >= done:
+                follow = -1
+                key = abs(p - t) * unit
+            else:
+                follow = min(M[k:up[k]])
+                if follow == none:
+                    continue
+                key = abs(p - t) * unit + follow - follow % unit
+            key += (down if t < p else other) + k
+            if key < M[k]:
+                M[k] = key
+                follows[key] = follow
 
-    # best[c] = min cost of the sensors to come from state c.  no_cover
-    # exceeds any real cost (n*L: no move exceeds L) and marks a state
-    # with no covering completion; an int, as D can overflow floats
-    no_cover = n * L + 1
-    best = [no_cover] * done_from + [0] * (m - done_from)
-    place = [0] * m  # |p - C[c]| + best[c], set on each layer's windows
-    stay = list(range(m))  # every choice is an int of stay, shared
-    choices = []  # (lo, choice): choice[c - lo] = state after the sensor
-    for i in range(n - 1, -1, -1):  # best turns, in place, into layer i
-        p = pts[i]
-        # the band of layer i: C[c] <= (2i - 1)r is reachable by sensors
-        # 0..i-1, C[c] + r + 2r(n - i) >= L can be finished by the rest
-        lo = bisect_left(C, L - r - 2 * r * (n - i))
-        hi = bisect_right(C, (2 * i - 1) * r)
-        end = min(hi, done_from)
-        top = upper[end - 1]  # the band's windows read place[lo:top]
-        place[lo:top] = [abs(p - t) + v
-                         for t, v in zip(C[lo:top], best[lo:top])]
-        choice = stay[lo:hi]  # c - lo = it stays put
-        window: deque[int] = deque()  # first argmin of place[c:upper[c]]
-        pushed = max(lo, 1)  # no sensor is placed on state 0
-        for c in range(lo, end):
-            while pushed < upper[c]:
-                while window and place[window[-1]] > place[pushed]:
-                    window.pop()
-                window.append(pushed)
-                pushed += 1
-            while window[0] < c:
-                window.popleft()
-            cp = window[0]  # ties: smallest target, staying put first
-            if place[cp] < best[c] or place[cp] == best[c] and C[cp] < p:
-                best[c], choice[c - lo] = place[cp], stay[cp]
-        choices.append((lo, choice))
-
-    total = best[0]
-    if total >= no_cover:
+    key = min(M[:bisect_right(G, r)])
+    if key == none:
         raise Infeasible("no covering assignment exists")  # pragma: no cover
-    targets_sorted, state = [], 0
-    for p, (lo, choice) in zip(pts, reversed(choices)):
-        cp = choice[state - lo]
-        targets_sorted.append(p if cp == state else C[cp])
-        state = cp
+    total = key // unit
+    targets_sorted = list(pts)  # sensors off the path stay put
+    while key >= 0:
+        rank, k = divmod(key, W)
+        rank %= 2 * n
+        targets_sorted[rank if rank < n else 2 * n - 1 - rank] = G[k]
+        key = follows[key]
 
     assert sum(abs(t - p) for t, p in zip(targets_sorted, pts)) == total
-    targets = [Fraction(t, d) for _, t in sorted(zip(order, targets_sorted))]
-    return tuple(targets), Fraction(total, d)
+    targets = [rat(Fraction(t, d))
+               for _, t in sorted(zip(order, targets_sorted))]
+    return tuple(targets), rat(Fraction(total, d))
 
 
 def axis_instances(config: Configuration
@@ -215,23 +242,25 @@ def axis_instances(config: Configuration
             Line1DInstance(points=ys, radius=r, length=hi_y - lo_y))
 
 
-def _shift(coords, by: Fraction) -> tuple[Fraction, ...]:
-    """coords moved by by; the same values when by is 0."""
-    return tuple(coords) if not by else tuple(c + by for c in coords)
+def _shift(coords, by: Fraction) -> tuple[int | Fraction, ...]:
+    """coords moved by by, ints when integral; the same values when by
+    is 0."""
+    return tuple(coords) if not by else tuple(rat(c + by) for c in coords)
 
 
 def solve_minsum_manhattan(config: Configuration
-                           ) -> tuple[Solution, Fraction]:
-    """Exact 2D MinSum for homogeneous ranges under Manhattan distance."""
+                           ) -> tuple[Solution, int | Fraction]:
+    """Exact 2D MinSum for homogeneous ranges under Manhattan distance;
+    positions and cost are ints when integral."""
     xin, yin = axis_instances(config)
     if config.metric != "manhattan":
         raise ModeError("MinSum solver is Manhattan-only")
     for axis in (xin, yin):  # both axes before either DP runs
         check_minsum_1d(axis)
-    (tx, cx), (ty, cy) = solve_minsum_1d(xin), solve_minsum_1d(yin)
+    (tx, cx), (ty, cy) = _solve_1d(xin), _solve_1d(yin)
     tx, ty = _shift(tx, config.x_extent[0]), _shift(ty, config.y_extent[0])
     return Solution({sid: (x, y) for (sid, _, _, _), x, y
-                     in zip(config.sensors, tx, ty)}), cx + cy
+                     in zip(config.sensors, tx, ty)}), rat(cx + cy)
 
 
 def oracle_step(inst: Line1DInstance) -> Fraction:

@@ -1,5 +1,7 @@
 import random
+import tracemalloc
 from fractions import Fraction
+from hashlib import sha256
 from math import lcm
 
 import pytest
@@ -147,18 +149,36 @@ def test_integer_axis_bound_is_one_lattice(monkeypatch):
 
 
 def test_tight_instance_of_320_sensors_is_under_the_limit(monkeypatch):
-    # the check passes and the grid is asked for: the solve starts
+    # the check passes and the DP is asked for: the solve starts
     def reached(inst):
-        raise RuntimeError("grid requested")
+        raise RuntimeError("DP started")
 
-    monkeypatch.setattr(minsum, "candidate_targets", reached)
-    with pytest.raises(RuntimeError, match="grid requested"):
+    monkeypatch.setattr(minsum, "_solve_1d", reached)
+    with pytest.raises(RuntimeError, match="DP started"):
         solve_minsum_1d(tight_instance(320))
     # its bound (n * |C| = 320 * 48002 = 15360640) would pass one below it
     monkeypatch.setattr(minsum, "MINSUM_STATE_LIMIT", 15456639)
     with pytest.raises(SizeLimit, match="may keep 15456640 states, past "
                                         "15456639"):
         solve_minsum_1d(tight_instance(320))
+
+
+def test_tight_instance_of_320_sensors_solves_in_small_memory():
+    # 76 800 options where a DP over the whole candidate grid keeps
+    # 7.68 * 10^6 band states and a 66 MiB peak; the cost and the
+    # targets' digest are that DP's
+    inst = tight_instance(320)
+    tracemalloc.start()
+    try:
+        targets, cost = solve_minsum_1d(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 2**20, peak
+    assert cost == Fraction(58263, 997)
+    assert sha256(" ".join(map(str, targets)).encode()).hexdigest() == \
+        "97e1394cd41a02759f7ffc189939c0ffba2434c1f2f1375ef80ab142c68883f8"
+    assert covers(targets, inst.radius, inst.length)
 
 
 def test_2d_separable():
@@ -304,6 +324,53 @@ def test_band_edges_match_reference_dp(slack, n, den, radius):
 
 def test_tight_instance_matches_reference_dp():
     inst = tight_instance(40)
+    assert solve_minsum_1d(inst) == reference_minsum_1d(inst)
+
+
+FAMILIES = ("zero", "below 2r", "above L/2", "equal", "ends", "lattice r",
+            "integer", "p/997")
+
+
+def family_instance(rng: random.Random, family: str, n: int,
+                    radius: Fraction) -> Line1DInstance:
+    """A feasible instance of one family: the slacks of slack_instance,
+    all points equal, points only at 0 and L, points on the lattice of
+    step r, an integer-mode axis (radius 1/2), or points at p/997."""
+    if family in ("zero", "below 2r", "above L/2"):
+        return slack_instance(rng, n, 997, radius, family)
+    if family == "integer":
+        return integer_axis(rng, n)
+    if family == "p/997":
+        return random_line_instance(rng, n, 997, radius)
+    m = rng.randint(1, 2 * n)  # L = m * r <= 2rn
+    if family == "equal":
+        points = [radius * F(rng.randint(0, 12 * m), 12)] * n
+    elif family == "ends":
+        points = [rng.choice((0, m)) * radius for _ in range(n)]
+    else:
+        points = [rng.randint(0, m) * radius for _ in range(n)]
+    return Line1DInstance(points=tuple(points), radius=radius,
+                          length=m * radius)
+
+
+def test_matches_reference_dp_on_seeded_families():
+    # the whole (targets, cost) tuple: the chain anchors hold the least
+    # optimal vector of the DP over the whole grid, ties included
+    rng = random.Random(28)
+    for family in FAMILIES:
+        for radius in (F(1), H, F(3, 7), F(5, 2)):
+            for _ in range(4):
+                inst = family_instance(rng, family, rng.randint(1, 14),
+                                       radius)
+                assert solve_minsum_1d(inst) == reference_minsum_1d(inst), \
+                    (family, inst)
+
+
+@pytest.mark.parametrize("family, n, radius", [
+    ("below 2r", 40, F(1)), ("lattice r", 48, F(3, 7)),
+    ("integer", 50, H), ("p/997", 60, F(5, 2))])
+def test_matches_reference_dp_on_large_families(family, n, radius):
+    inst = family_instance(random.Random(n), family, n, radius)
     assert solve_minsum_1d(inst) == reference_minsum_1d(inst)
 
 

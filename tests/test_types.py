@@ -11,7 +11,7 @@ from pathlib import Path
 
 from brutes import random_max2sat3occ, random_sat22
 from wcr import serialize
-from wcr.core import Configuration, Sensor, Solution, is_blocking, \
+from wcr.core import Configuration, Sensor, Solution, is_blocking, rat, \
     solution_costs
 from wcr.minmax import decide_vh, solve_minmax, verify_vh
 from wcr.minnum import solve_minnum
@@ -174,6 +174,27 @@ def test_gadgets_and_their_solutions_are_ints():
         _check_positions(integerize(inst, meta, read).positions)
     config, _ = gen_minnum(random_max2sat3occ(rng, 4))
     _check_config(config)
+
+
+def test_minsum_positions_and_cost_are_int_or_proper_fraction():
+    # integer-mode targets come back from half-shifted axes, continuous
+    # ones from counts of 1/D: both are ints when integral, and so is
+    # the cost, the sum of the two axes' costs
+    rng = random.Random(28)
+    configs = []
+    for _ in range(10):
+        a, b = rng.randint(2, 7), rng.randint(2, 7)
+        configs.append(random_integer_config(rng, a, b,
+                                             rng.randint(max(a, b), 10)))
+        w, h = rng.randint(1, 6), rng.randint(1, 6)
+        configs.append(Configuration(w, h, tuple(
+            Sensor(i, rat(Fraction(rng.randint(0, 3 * w), 3)),
+                   rat(Fraction(rng.randint(0, 2 * h), 2)), 1)
+            for i in range(max(w, h))), "continuous", "manhattan"))
+    for config in configs:
+        sol, cost = solve_minsum_manhattan(config)
+        _check_positions(sol.positions)
+        assert _exact(cost), cost
 
 
 def _as_fractions(config: Configuration) -> Configuration:
