@@ -201,16 +201,6 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _read_assignment(args, n: int):
-    obj = serialize._loads(_read(args, "assignment"))
-    if not isinstance(obj, list) or not all(
-            isinstance(v, int) and v in (0, 1) for v in obj):
-        raise ParseError("assignment must be a JSON array of booleans")
-    if len(obj) != n:
-        raise ParseError(f"assignment has {len(obj)} values for {n} variables")
-    return tuple(bool(v) for v in obj)
-
-
 def cmd_embed(args) -> int:
     inst_kind, meta_kind, formula_kind = _CONSTRUCTIONS[args.construction]
     meta = _load(args, "meta", meta_kind)
@@ -218,7 +208,8 @@ def cmd_embed(args) -> int:
         out = reductions.embed_minmax(meta, _load(args, "solution", Solution))
     else:
         formula = _load(args, "formula", formula_kind)
-        assignment = _read_assignment(args, formula.n)
+        assignment = serialize.read_assignment(_read(args, "assignment"),
+                                               formula.n)
         inst = _load(args, "instance", inst_kind)
         embed = getattr(reductions, "embed_" + args.construction)
         out = embed(inst, meta, formula, assignment)

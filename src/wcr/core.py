@@ -329,9 +329,8 @@ def is_blocking(config: Configuration,
 
 
 def _sqrt_bounds(value: Fraction, eps: Fraction) -> tuple[Fraction, Fraction]:
-    """Rational lower/upper bounds of sqrt(value) with hi - lo <= eps."""
-    if value == 0:
-        return Fraction(0), Fraction(0)
+    """Rational lower/upper bounds of sqrt(value) with hi - lo <= eps,
+    for value > 0."""
     # scale so that the integer square root gives the needed precision
     scale = 2 * eps.denominator * max(1, eps.numerator)
     scaled = value * scale * scale

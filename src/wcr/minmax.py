@@ -207,14 +207,7 @@ def _decide(config: Configuration, v_lines, h_lines, key: int, budget):
             raise SearchLimit(nodes, key, len(unsat))
         if not unsat:
             return True
-        best = None
-        for line in unsat:
-            if not live[line]:
-                return [unsat, [], 0]
-            if best is None or live[line] < live[best]:
-                best = line
-                if live[line] == 1:
-                    break
+        best = min(unsat, key=live.__getitem__)
         return [unsat, [c for c in index[best] if c[3] not in committed], 0]
 
     # depth first on an explicit stack, as deep as there are sensors;
@@ -236,8 +229,8 @@ def _decide(config: Configuration, v_lines, h_lines, key: int, budget):
         committed[sid] = (x, y)
         for line in lines_of[sid]:
             live[line] -= 1
-        stack.append(visit([l for l in unsat
-                            if l != ("v", x) and l != ("h", y)]))
+        vx, hy = ("v", x), ("h", y)
+        stack.append(visit([l for l in unsat if l != vx and l != hy]))
     if not stack:
         return False, None
     return True, Solution({sid: committed.get(sid, (x, y))

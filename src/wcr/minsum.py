@@ -41,10 +41,13 @@ The DP is a suffix pass over sensors i = n-1 .. 0 and their candidates
 t, in ascending order.  An option (i, t) with t >= L - r completes the
 cover; any other follows the least option already stored at a target
 in [t, t + 2r] (a later sensor's: the options of i at or above t are
-not stored yet).  Its value is |p_i - t| plus the value of what it
-follows, and it is stored at t when less than the option there.  The
-answer is the least option stored at a target <= r; the targets are
-read off its follow links, and every sensor off the path stays put.
+not stored yet).  That window is never empty: sensor i+1 has an
+option at t + 2r, or at L - r when t + 2r passes L (t < L - r, so
+i < n-1), and every option is stored or beaten.  Its value is
+|p_i - t| plus the value of what it follows, and it is stored at t
+when less than the option there.  The answer is the least option
+stored at a target <= r; the targets are read off its follow links,
+and every sensor off the path stays put.
 
 Options are ordered so that the least one starts the least vector
 among its equal-cost completions: by cost; then options moving a
@@ -196,8 +199,6 @@ def _solve_1d(inst: Line1DInstance
                 key = abs(p - t) * unit
             else:
                 follow = min(M[k:up[k]])
-                if follow == none:
-                    continue
                 key = abs(p - t) * unit + follow - follow % unit
             key += (down if t < p else other) + k
             if key < M[k]:
@@ -205,8 +206,7 @@ def _solve_1d(inst: Line1DInstance
                 follows[key] = follow
 
     key = min(M[:bisect_right(G, r)])
-    if key == none:
-        raise Infeasible("no covering assignment exists")  # pragma: no cover
+    assert key < none
     total = key // unit
     targets_sorted = list(pts)  # sensors off the path stay put
     while key >= 0:

@@ -26,6 +26,7 @@ other.  Input a construction cannot handle raises a WcrError.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, product
 
 from .core import HALF, INTEGER_SIDE_LIMIT, Configuration, Sensor, \
     Solution, is_blocking
@@ -114,12 +115,10 @@ def sat_brute(f) -> tuple[tuple[bool, ...], int]:
         raise SizeLimit("sat oracle limited to 24 variables")
     best_count = -1
     best = None
-    for code in range(2 ** f.n):
-        assignment = tuple(bool((code >> (f.n - 1 - v)) & 1)
-                           for v in range(f.n))
-        count = sum(1 for c in f.clauses if eval_clause(c, assignment))
-        if count > best_count:
-            best_count, best = count, assignment
+    for assignment in product((False, True), repeat=f.n):
+        satisfied = sum(1 for c in f.clauses if eval_clause(c, assignment))
+        if satisfied > best_count:
+            best_count, best = satisfied, assignment
     return best, best_count
 
 
@@ -132,6 +131,26 @@ def _check_gadget(inst, meta, gadget, gadget_meta) -> None:
         raise NotGadgetInstance("meta was not generated from this formula")
     if inst != gadget:
         raise NotGadgetInstance("instance is not the gadget of this formula")
+
+
+def _adder(sensors: list, first: int, r):
+    """add(x, y): append a sensor of range r at (x, y) to sensors and
+    return its id, first on the first call and one more on each next."""
+    ids = count(first)
+
+    def add(x: int, y: int) -> int:
+        sensors.append(Sensor(next(ids), x, y, r))
+        return sensors[-1].id
+    return add
+
+
+def _record(assignment: list, lit: int, error: type) -> None:
+    """Set the variable of lit to lit's polarity in assignment; error
+    when it already holds the other one."""
+    value = lit > 0
+    if assignment[abs(lit) - 1] not in (None, value):
+        raise error(f"variable {abs(lit)} forced to both polarities")
+    assignment[abs(lit) - 1] = value
 
 
 # ---------------------------------------------------------------------------
@@ -155,14 +174,7 @@ def gen_minnum(f: Max2Sat3Occ) -> tuple[Configuration, MinNumMeta]:
     occ_sensor = {}
     alpha = {}
     beta = {}
-    next_id = 0
-
-    def add(x: int, y: int) -> int:
-        nonlocal next_id
-        sensors.append(Sensor(next_id, x, y, 1))
-        next_id += 1
-        return next_id - 1
-
+    add = _adder(sensors, 0, 1)
     for v in range(1, n + 1):
         z = 6 * (v - 1)
         occ = f.occurrences(v)
@@ -233,12 +245,8 @@ def extract_minnum(config: Configuration, meta: MinNumMeta, f: Max2Sat3Occ,
             raise InconsistentSolution(
                 f"two sensors of clause {idx} were relocated")
         clauses_used.add(idx)
-        lit = next(l for l in f.clauses[idx] if abs(l) == v)
-        value = lit > 0
-        if assignment[v - 1] is not None and assignment[v - 1] != value:
-            raise InconsistentSolution(
-                f"variable {v} forced to both polarities")
-        assignment[v - 1] = value
+        _record(assignment, next(l for l in f.clauses[idx] if abs(l) == v),
+                InconsistentSolution)
     result = tuple(bool(a) for a in assignment)
     satisfied = sum(1 for c in f.clauses if eval_clause(c, result))
     if satisfied < meta.t:
@@ -261,18 +269,19 @@ _VAR_SENSORS = (          # role -> (local column, local row)
 )
 _POS_SLOTS = (10, 16)     # shared H-rows hosting positive occurrences
 _NEG_SLOTS = (4, 22)
-# per-variable switch triples: (2-clause row h, roles of p and q); the
-# 3-clause sensor r sits on row h+3; rows h+1, h+2 are the H-lines
-_TRIPLES = ((2, "c1_a", "sx_a"), (8, "c2_a", "sx_b"),
-            (14, "c1_b", "sxp_a"), (20, "c2_b", "sxp_b"))
+# per-variable switch triples: slot -> roles of p and q; p sits on row
+# slot - 2, the 3-clause sensor r of the slot on row slot + 1, and rows
+# slot - 1, slot are the H-lines
+_TRIPLES = {4: ("c1_a", "sx_a"), 10: ("c2_a", "sx_b"),
+            16: ("c1_b", "sxp_a"), 22: ("c2_b", "sxp_b")}
 
-# unit moves encoding a truth value; "up" decreases the row index
+# unit moves encoding a truth value; "up" decreases the row index; false
+# moves each role's _a as true moves its _b, and the other way round
 _EMBED_TRUE = {"sx_b": (-1, 0), "sx_a": (0, -1), "sxp_a": (-1, 0),
                "sxp_b": (0, -1), "c1_b": (0, 1), "c1_a": (-1, 0),
                "c2_a": (0, 1), "c2_b": (-1, 0)}
-_EMBED_FALSE = {"sx_a": (-1, 0), "sx_b": (0, -1), "sxp_b": (-1, 0),
-                "sxp_a": (0, -1), "c1_a": (0, 1), "c1_b": (-1, 0),
-                "c2_b": (0, 1), "c2_a": (-1, 0)}
+_EMBED_FALSE = {role[:-1] + ("b" if role.endswith("a") else "a"): move
+                for role, move in _EMBED_TRUE.items()}
 
 
 @dataclass(frozen=True)
@@ -292,14 +301,8 @@ def gen_vh(f: Sat3_22) -> tuple[VHInstance, VHMeta]:
     var_sensor = {}
     clause_sensor = {}
     slot_row = {}
-    next_id = 0
-
-    def add(x: int, y: int) -> int:
-        nonlocal next_id
-        sensors.append(Sensor(next_id, x, y, HALF))
-        next_id += 1
-        return next_id - 1
-
+    triples = []
+    add = _adder(sensors, 0, HALF)
     v_lines, h_lines = set(), set()
     for v in range(1, n + 1):
         cb, rb = 16 * (v - 1), 24 * (v - 1)
@@ -317,24 +320,18 @@ def gen_vh(f: Sat3_22) -> tuple[VHInstance, VHMeta]:
             v = abs(lit)
             slot = slots[v][lit > 0].pop(0)
             row = 24 * (v - 1) + slot + 1  # one row below the shared H-line
-            clause_sensor[(j, pos)] = add(ccb + 3, row)
-            slot_row[clause_sensor[(j, pos)]] = row
+            sid = clause_sensor[(j, pos)] = add(ccb + 3, row)
+            slot_row[sid] = row
+            p_role, q_role = _TRIPLES[slot]
+            triples.append((var_sensor[(v, p_role)], var_sensor[(v, q_role)],
+                            sid, row - 3))
 
     config = Configuration(width=a, height=b,
                            sensors=tuple(sensors), mode="integer",
                            metric="manhattan")
     assert config.n == 8 * n + 3 * m
     assert len(v_lines) == 4 * n + m and len(h_lines) == 8 * n
-
-    by_row = {}
-    for sid, row in slot_row.items():
-        by_row.setdefault(row, sid)
-    triples = []
-    for v in range(1, n + 1):
-        rb = 24 * (v - 1)
-        for h, p_role, q_role in _TRIPLES:
-            triples.append((var_sensor[(v, p_role)], var_sensor[(v, q_role)],
-                            by_row[rb + h + 3], rb + h))
+    triples.sort(key=lambda triple: triple[3])
 
     inst = VHInstance(config=config, v_lines=frozenset(v_lines),
                       h_lines=frozenset(h_lines), max_move=1)
@@ -393,11 +390,7 @@ def extract_vh(inst: VHInstance, meta: VHMeta, f: Sat3_22, sol: Solution):
         if not left_movers:
             raise NotASolution(f"clause {j} has no sensor on its V-line")
         for lit in left_movers:
-            value = lit > 0
-            if assignment[abs(lit) - 1] not in (None, value):
-                raise NotASolution(
-                    f"variable {abs(lit)} forced to both polarities")
-            assignment[abs(lit) - 1] = value
+            _record(assignment, lit, NotASolution)
     result = tuple(bool(x) for x in assignment)
     assert all(eval_clause(c, result) for c in f.clauses)
     return result
@@ -409,15 +402,15 @@ def integerize(inst: VHInstance, meta: VHMeta, sol: Solution) -> Solution:
     same lines.  A solution that does not block every required line
     within budget 1 is not a solution: NotASolution.
 
-    Pass 1 squares up horizontal moves: every gadget sensor has its
-    unique useful V-line one column to its left, so anything but a full
-    left step returns to the home column (a full left step spends the
-    budget, so the row is home).  Pass 4 returns a fractional row of a
-    switch triple's r (the 3-clause sensor on row h+3) home.  The rows
-    of p (row h) and q (H-line h+2) need no pass: in a blocking solution
-    they are integer (acceptance criterion 9 certifies it for half
-    steps; the equivalence run in CHANGES.md covers thirds, quarters
-    and tenths).
+    The first pass squares up horizontal moves: every gadget sensor has
+    its unique useful V-line one column to its left, so anything but a
+    full left step returns to the home column (a full left step spends
+    the budget, so the row is home).  The second pass returns a
+    fractional row of a switch triple's r (the 3-clause sensor on row
+    h+3) home.  The rows of p (row h) and q (H-line h+2) need no pass:
+    in a blocking solution they are integer (acceptance criterion 9
+    certifies it for half steps; the equivalence run in CHANGES.md
+    covers thirds, quarters and tenths).
     """
     by_id = inst.config.sensor_by_id()
     if inst.max_move != 1:
@@ -429,10 +422,10 @@ def integerize(inst: VHInstance, meta: VHMeta, sol: Solution) -> Solution:
     if not verify_vh(inst, sol.positions, require_integer=False):
         raise NotASolution("not a unit-move blocking solution")
     pos = {}
-    for sid, (x, y) in sol.positions.items():  # pass 1
+    for sid, (x, y) in sol.positions.items():  # first pass
         home = by_id[sid].x
         pos[sid] = (x, y) if x == home - 1 else (home, y)
-    for _, _, r, h in meta.triples:  # pass 4
+    for _, _, r, h in meta.triples:  # second pass
         if pos[r][1].denominator != 1:
             pos[r] = (pos[r][0], h + 3)
     # on the gadget of the meta the result blocks; a meta of another
@@ -475,14 +468,8 @@ def gen_minmax(vh: VHInstance) -> tuple[Configuration, MinMaxMapping]:
 
     sensors = [Sensor(s.id, s.x + dx, s.y + dy, s.range)
                for s in config.sensors]
-    next_id = max((s.id for s in config.sensors), default=-1) + 1
-
-    def add(x: int, y: int) -> int:
-        nonlocal next_id
-        sensors.append(Sensor(next_id, x, y, HALF))
-        next_id += 1
-        return next_id - 1
-
+    add = _adder(sensors, max((s.id for s in config.sensors), default=-1) + 1,
+                 HALF)
     av = a - len(vh.v_lines)
     v_ids = [add(c + dx, av + 1 - i) for i, c in enumerate(non_v, start=1)]
     v_ids.append(add(non_v[-1] + dx, 1))         # colocated duplicate
@@ -502,9 +489,9 @@ def gen_minmax(vh: VHInstance) -> tuple[Configuration, MinMaxMapping]:
 
 # forced border moves: every v-sensor for a non-V column steps one line
 # down; the duplicate goes right and the final three go left/up/down;
-# h-sensors mirror this with the axes swapped
-_V_TAIL = ((1, 0), (-1, 0), (0, -1), (0, 1))
-_H_TAIL = ((0, 1), (0, -1), (-1, 0), (1, 0))
+# h-sensors mirror this with the axes swapped.  Per axis: (step, tail)
+_V_MOVES = ((0, 1), ((1, 0), (-1, 0), (0, -1), (0, 1)))
+_H_MOVES = ((1, 0), ((0, 1), (0, -1), (-1, 0), (1, 0)))
 
 
 def embed_minmax(mapping: MinMaxMapping, sol: Solution) -> Solution:
@@ -514,20 +501,15 @@ def embed_minmax(mapping: MinMaxMapping, sol: Solution) -> Solution:
     if not verify_vh(vh, sol.positions):
         raise NotASolution("input is not a unit-move line-blocking solution")
     by_id = mapping.padded.sensor_by_id()
-    positions = {}
-    for sid, (x, y) in sol.positions.items():
-        positions[sid] = (x + mapping.dx, y + mapping.dy)
-    for ids, tail in ((mapping.v_ids, _V_TAIL), (mapping.h_ids, _H_TAIL)):
-        for sid in ids[:-4]:
-            s = by_id[sid]
-            move = (0, 1) if ids is mapping.v_ids else (1, 0)
-            positions[sid] = (s.x + move[0], s.y + move[1])
-        for sid, (ddx, ddy) in zip(ids[-4:], tail):
+    positions = {sid: (x + mapping.dx, y + mapping.dy)
+                 for sid, (x, y) in sol.positions.items()}
+    for ids, (step, tail) in ((mapping.v_ids, _V_MOVES),
+                              (mapping.h_ids, _H_MOVES)):
+        for sid, (ddx, ddy) in zip(ids, (step,) * (len(ids) - 4) + tail):
             s = by_id[sid]
             positions[sid] = (s.x + ddx, s.y + ddy)
     out = Solution(positions)
-    report = is_blocking(mapping.padded, out)
-    if not report.blocking:
+    if not is_blocking(mapping.padded, out).blocking:
         raise NotASolution("padded solution is not blocking")
     return out
 

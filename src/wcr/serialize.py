@@ -6,12 +6,12 @@ when integral and a Fraction otherwise; decimal strings like "0.5" are
 accepted on input.  A sensor or position is read in one step: its
 strings are looked up in the document's cache inline and a Sensor is
 built by tuple.__new__.  An item on which that step fails (an id that is
-not exactly an int, a missing field, a bad rational) is parsed again
-field by field, which raises the first error in field order.  The
-location of a bad array item is only formatted once its parse has
-failed.  Output is canonical: sensors in the id order a Configuration
-keeps, fixed key order, so identical values serialize to identical
-bytes.
+not exactly an int, a missing field, a bad rational) goes to _fault,
+which checks it field by field and raises the first error in field
+order.  The location of a bad array item is only formatted once its
+parse has failed.  Output is canonical: sensors in the id order a
+Configuration keeps, fixed key order, so identical values serialize to
+identical bytes.
 
 dumps is the one encoder.  Its parts are texts it has already written,
 each spliced in at its key's top-level slot, so a document is encoded
@@ -31,6 +31,9 @@ from typing import Any
 
 from .core import Configuration, Sensor, Solution, rat, rat_str
 from .errors import ParseError, ValidationError
+from .minmax import VHInstance
+from .reductions import Max2Sat3Occ, MinMaxMapping, MinNumMeta, Sat3_22, \
+    VHMeta
 
 
 def _at(where: str, i: int | None) -> str:
@@ -58,7 +61,7 @@ def _rational(value, rats: dict) -> int | Fraction:
 _new = tuple.__new__  # _new(Sensor, fields): a Sensor, with no Python call
 _BAD_RATIONAL = (ValueError, ZeroDivisionError, ValidationError)
 # what an item read in one step can raise: a missing key, a non-object
-# item or a bad rational; the field-by-field parse then names the fault
+# item or a bad rational; _fault then names the fault
 _FAULTS = (KeyError, TypeError) + _BAD_RATIONAL
 
 
@@ -122,35 +125,26 @@ def _meta_int_map(obj: dict, key: str) -> dict[int, int]:
 
 
 def _loads(data) -> Any:
-    if isinstance(data, (bytes, bytearray)):
-        data = data.decode("utf-8")
     try:
         return json.loads(data)
     except (ValueError, RecursionError) as e:  # also too many digits or levels
         raise ParseError(f"invalid JSON: {e}") from None
 
 
-def _sensor(s, i: int, rats: dict) -> Sensor:
-    """$.sensors[i], parsed field by field: the first error in the order
-    id, x, y, range."""
-    if not isinstance(s, dict):
-        raise ParseError(f"$.sensors[{i}] must be an object")
-    return Sensor(id=_int_field(s, "id", "$.sensors", i),
-                  x=_rat_field(s, "x", "$.sensors", rats, i),
-                  y=_rat_field(s, "y", "$.sensors", rats, i),
-                  range=_rat_field(s, "range", "$.sensors", rats, i))
-
-
-def _position(e, i: int, rats: dict, positions: dict):
-    """$.positions[i] as (id, (x, y)), parsed field by field: the first
-    error in the order id, duplicate id, x, y."""
-    if not isinstance(e, dict):
-        raise ParseError(f"$.positions[{i}] must be an object")
-    sid = _int_field(e, "id", "$.positions", i)
-    if sid in positions:
-        raise ParseError(f"$.positions[{i}]: duplicate id {sid}")
-    return sid, (_rat_field(e, "x", "$.positions", rats, i),
-                 _rat_field(e, "y", "$.positions", rats, i))
+def _fault(item, i: int, where: str, rats: dict, keys: tuple, seen=()):
+    """Raise the first error of where[i], an item the one-step read
+    refused, in the order: not an object, id, an id in seen, then the
+    rational fields keys.  An item with none of these faults has an id
+    of an int subclass, which a library call can pass: it is refused as
+    Configuration and Solution refuse it."""
+    if not isinstance(item, dict):
+        raise ParseError(f"{where}[{i}] must be an object")
+    sid = _int_field(item, "id", where, i)
+    if sid in seen:
+        raise ParseError(f"{where}[{i}]: duplicate id {sid}")
+    for key in keys:
+        _rat_field(item, key, where, rats, i)
+    raise ValidationError("sensor ids must be integers")
 
 
 def config_from_obj(obj: dict) -> Configuration:
@@ -175,7 +169,7 @@ def config_from_obj(obj: dict) -> Configuration:
                 continue
         except _FAULTS:
             pass
-        sensors.append(_sensor(s, i, rats))
+        _fault(s, i, "$.sensors", rats, ("x", "y", "range"))
     return Configuration(
         width=_rat_field(rect, "width", "$.rect", rats),
         height=_rat_field(rect, "height", "$.rect", rats),
@@ -225,8 +219,7 @@ def read_solution(data) -> Solution:
                 continue
         except _FAULTS:
             pass
-        sid, xy = _position(e, i, rats, positions)
-        positions[sid] = xy
+        _fault(e, i, "$.positions", rats, ("x", "y"), positions)
     return Solution(positions)
 
 
@@ -250,7 +243,6 @@ def moves_array(moves) -> str:
 # VH instances reuse the configuration schema plus v_lines/h_lines/max_move.
 
 def vh_from_obj(obj: dict):
-    from .minmax import VHInstance
     config = config_from_obj(obj)
     return VHInstance(config=config,
                       v_lines=frozenset(_int_list_field(obj, "v_lines", "$")),
@@ -290,7 +282,6 @@ def write_instance(inst) -> str:
 
 
 def read_formula(data):
-    from .reductions import Max2Sat3Occ, Sat3_22
     obj = _loads(data)
     if not isinstance(obj, dict):
         raise ParseError("formula must be a JSON object")
@@ -313,9 +304,20 @@ def read_formula(data):
     raise ParseError(f"unknown dialect {dialect!r}")
 
 
+def read_assignment(data, n: int) -> tuple[bool, ...]:
+    """A truth assignment of n variables: a JSON array of n values, each
+    0, 1, false or true."""
+    obj = _loads(data)
+    if not isinstance(obj, list) or not all(
+            isinstance(v, int) and v in (0, 1) for v in obj):
+        raise ParseError("assignment must be a JSON array of booleans")
+    if len(obj) != n:
+        raise ParseError(f"assignment has {len(obj)} values for {n} variables")
+    return tuple(bool(v) for v in obj)
+
+
 def read_meta(data):
     """Reduction metadata (forward/backward mapping tables)."""
-    from .reductions import MinMaxMapping, MinNumMeta, VHMeta
     obj = _loads(data)
     if not isinstance(obj, dict):
         raise ParseError("meta must be a JSON object")
@@ -351,7 +353,6 @@ def read_meta(data):
 
 
 def write_meta(meta) -> str:
-    from .reductions import MinMaxMapping, MinNumMeta, VHMeta
     parts = None
     if isinstance(meta, MinNumMeta):
         obj = {"kind": "minnum", "n": meta.n, "m": meta.m, "t": meta.t,

@@ -134,6 +134,58 @@ def brute_max_free_set_size(config) -> int:
     return best
 
 
+def certified_free_set_size(config) -> int:
+    """The size k of a maximum free set, by a certificate that runs at
+    any scale: k = |free| - |all-free rows| - |all-free columns| + nu(B),
+    B the bipartite graph of all-free rows x all-free columns with one
+    edge per free sensor on both (type 4).  (The free graph's hub y has
+    one edge, so its matching number is 1 + nu(B); Gallai's identity
+    gives the edge cover.)  nu(B) is certified by a matching (Kuhn's
+    augmenting paths) and a König vertex cover of the same size, found
+    from the alternating paths out of the unmatched rows and checked
+    with one pass over B's edges.  Shares no code with wcr.matching."""
+    cells = [(int(s.y), int(s.x)) for s in config.sensors]
+    rows, cols = Counter(y for y, _ in cells), Counter(x for _, x in cells)
+    free = [rows[y] > 1 and cols[x] > 1 for y, x in cells]
+    free_rows = set(rows) - {y for (y, _), f in zip(cells, free) if not f}
+    free_cols = set(cols) - {x for (_, x), f in zip(cells, free) if not f}
+    edges = [(y, x) for y, x in cells if y in free_rows and x in free_cols]
+    adj = {y: [] for y in free_rows}
+    for y, x in edges:
+        adj[y].append(x)
+    row_of = {}  # matched column -> its row
+
+    def augment(y, seen) -> bool:  # as deep as there are rows
+        for x in adj[y]:
+            if x not in seen:
+                seen.add(x)
+                if x not in row_of or augment(row_of[x], seen):
+                    row_of[x] = y
+                    return True
+        return False
+
+    for y in sorted(free_rows):
+        augment(y, set())
+    # König: Z holds what alternating paths from unmatched rows reach
+    z_rows = free_rows - set(row_of.values())
+    z_cols = set()
+    todo = deque(z_rows)
+    while todo:
+        for x in adj[todo.popleft()]:
+            if x not in z_cols:
+                assert x in row_of, "an augmenting path: matching not maximum"
+                z_cols.add(x)
+                z_rows.add(row_of[x])
+                todo.append(row_of[x])
+    cover_rows = free_rows - z_rows  # the cover: these rows and z_cols
+    edge_set = set(edges)
+    assert len(set(row_of.values())) == len(row_of) == \
+        len(cover_rows) + len(z_cols)
+    assert all((y, x) in edge_set for x, y in row_of.items())
+    assert all(y in cover_rows or x in z_cols for y, x in edges)
+    return sum(free) - len(free_rows) - len(free_cols) + len(row_of)
+
+
 def random_graph(rng: random.Random, max_vertices: int = 10):
     """Random simple graph without isolated vertices, as an edge list."""
     while True:

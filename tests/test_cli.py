@@ -72,6 +72,16 @@ def test_parse_error_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sensors_not_an_array_exit_2(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text('{"mode": "integer", "rect": {"width": "2", '
+                    '"height": "2"}, "sensors": {}}')
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: $.sensors must be an array\n"
+
+
 def test_solve_minnum(tmp_path, capsys):
     path = cfg_file(tmp_path, [(1, 1), (2, 1), (1, 2)])
     out_path = tmp_path / "sol.json"
@@ -780,8 +790,9 @@ def test_minsum_past_the_state_limit_exit_3(tmp_path, capsys, n, height,
     # range-1 sensors at p/997 on n x height.  2000: the x axis's 1279
     # residues mod 2 each reach all 1000+ lattice points of [0, 2000],
     # so n * |C| > 2.5 * 10^9.  320: the y axis keeps n * |C| = 30413440
-    # states, the x axis is under the limit (a 14 s DP), and both are
-    # checked before either is solved
+    # states, the x axis is under the limit (its DP takes about 0.56 s
+    # on a 2-core x86-64 host), and both are checked before either is
+    # solved
     rng = random.Random(n)
     centers = [(F(rng.randint(0, 997 * n), 997),
                 F(rng.randint(0, 997 * height), 997)) for _ in range(n)]

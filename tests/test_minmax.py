@@ -208,32 +208,32 @@ def seeded_vh_instances(seed: int, count: int):
         yield VHInstance(cfg, v, h, d)
 
 
+def check_reference_search(inst, budgets=()):
+    """decide_vh against the reference search: the same answer and
+    witness within no more nodes, and under each budget (and one node
+    short of the reference) a SearchLimit, at the same node and key,
+    only where the reference hits one too."""
+    full = run(reference_decide_vh, inst)
+    assert run(decide_vh, inst) == full
+    nodes = nodes_explored(reference_decide_vh, inst)
+    assert nodes_explored(decide_vh, inst) <= nodes
+    for budget in (*budgets, nodes - 1):
+        ref = run(reference_decide_vh, inst, budget)
+        if budget < nodes:
+            assert ref[:2] == ("limit", budget + 1)
+        got = run(decide_vh, inst, budget)
+        assert got == full or got[:3] == ref[:3]
+
+
 def test_decide_matches_reference_search():
-    """The indexed search visits the reference's nodes: same answer and
-    witness, and SearchLimit at the same node, key and unsatisfied
-    line count under every budget."""
     for inst in seeded_vh_instances(seed=31, count=300):
-        assert run(decide_vh, inst) == run(reference_decide_vh, inst)
-        for budget in (0, 1, 2, 3, 5, 8, 13):
-            assert run(decide_vh, inst, budget) == \
-                run(reference_decide_vh, inst, budget)
-        nodes = nodes_explored(reference_decide_vh, inst)
-        limited = run(reference_decide_vh, inst, nodes - 1)
-        assert limited[:2] == ("limit", nodes)
-        assert run(decide_vh, inst, nodes - 1) == limited
-        assert run(decide_vh, inst, nodes)[0] != "limit"
+        check_reference_search(inst, (0, 1, 2, 3, 5, 8, 13))
 
 
 def test_decide_matches_reference_on_gadgets():
     rng = random.Random(41)
     for _ in range(4):
-        inst, _ = gen_vh(random_sat22(rng, 3))
-        assert run(decide_vh, inst) == run(reference_decide_vh, inst)
-        nodes = nodes_explored(reference_decide_vh, inst)
-        limited = run(reference_decide_vh, inst, nodes - 1)
-        assert limited[:2] == ("limit", nodes)
-        assert run(decide_vh, inst, nodes - 1) == limited
-        assert run(decide_vh, inst, nodes)[0] != "limit"
+        check_reference_search(gen_vh(random_sat22(rng, 3))[0])
 
 
 def test_verify_rejections():

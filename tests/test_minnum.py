@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brutes import (brute_max_free_set_size, reference_build_free_graph,
-                    reference_classify, reference_max_free_set,
-                    reference_solve_minnum, transpose)
+from brutes import (brute_max_free_set_size, certified_free_set_size,
+                    reference_build_free_graph, reference_classify,
+                    reference_max_free_set, reference_solve_minnum,
+                    transpose)
 from wcr.core import Configuration, Sensor, is_blocking, solution_costs
 from wcr.errors import SizeLimit
 from wcr.minnum import (TYPE0, TYPE1, TYPE2, TYPE3, TYPE4, brute_minnum,
@@ -179,6 +180,26 @@ def test_planner_matches_reference_on_seeded_grids():
         if shapes[i % len(shapes)] == "blocking":
             assert report.blocking
     assert swapped >= grids // 3
+
+
+def test_certified_free_set_size_matches_brute():
+    rng = random.Random(16)
+    for _ in range(300):
+        cfg = random_minnum_instance(rng, max_grid=5, max_n=9)
+        assert certified_free_set_size(cfg) == brute_max_free_set_size(cfg)
+
+
+def test_free_set_size_certified_at_grid_scale():
+    """solve_minnum's k against the certificate, which shares no code
+    with the blossom, up to the 400 x 400 grids of 800 sensors that the
+    minnum-grid benchmark solves."""
+    rng = random.Random(29)
+    for i in range(30):
+        side = 400 if i < 2 else rng.randint(20, 400)
+        n = side * (1 + i % 2)
+        cfg = grid(side, side, [(rng.randint(1, side), rng.randint(1, side))
+                                for _ in range(n)])
+        assert solve_minnum(cfg).k == certified_free_set_size(cfg)
 
 
 def test_transpose_symmetry():

@@ -114,6 +114,14 @@ def test_ids_that_are_not_plain_ints_are_refused():
         Configuration(F(2), F(2), (Sensor(True, F(1), F(2), F(1, 2)),
                                    Sensor(0, F(2), F(1), F(1, 2))))
 
+    class Id(int):  # only a library call can pass one
+        pass
+
+    with pytest.raises(ValidationError, match="sensor ids must be integers"):
+        serialize.config_from_obj({
+            "mode": "integer", "rect": {"width": "2", "height": "2"},
+            "sensors": [{"id": Id(0), "x": "1", "y": "2", "range": "1/2"}]})
+
 
 @pytest.mark.parametrize("make, read", [
     (lambda c: Solution({0: (c, 2)}), serialize.read_solution),
