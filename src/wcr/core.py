@@ -360,6 +360,9 @@ def distance(metric: str, p, q):
 def to_ints(values) -> tuple[int, list[int]]:
     """D, the lcm of the denominators of the int or Fraction values (1
     when there are none), and each value as an integer count of 1/D."""
+    values = list(values)
+    if {*map(type, values)} <= {int}:  # bool is not int: it takes the ratios
+        return 1, values
     ratios = [v.as_integer_ratio() for v in values]
     D = math.lcm(*{d for _, d in ratios})
     return D, [n * (D // d) for n, d in ratios]

@@ -25,11 +25,17 @@ axis.  The search gallops (Bentley & Yao, IPL 1976): it probes bound,
 bound + 1, bound + 3, bound + 7, ... up to the first yes, then bisects
 below it, and keeps the witness of the last yes.  Each probe is one
 _decide call at an integer key, within SCAN_LIMIT and the node budget.
+
+decide_vh searches depth first on integer line ids.  Each node branches
+on the MRV line (fewest live candidates, least id).  Commit and undo
+keep the unsatisfied lines in that order, so a node costs the lines
+that the committed sensor's moves touch, not a scan of the lines still
+unblocked.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -67,15 +73,10 @@ def full_lines(config: Configuration) -> tuple[frozenset[int], frozenset[int]]:
             frozenset(range(1, int(config.height) + 1)))
 
 
-def _box(config: Configuration, home: tuple[int, int],
-         key: int) -> tuple[range, range]:
-    """The grid columns and rows within key of home along each axis:
-    |dx|, |dy| <= key under Manhattan, <= isqrt(key) under Euclidean."""
-    reach = key if config.metric == "manhattan" else isqrt(key)
-    return (range(max(1, home[0] - reach),
-                  min(int(config.width), home[0] + reach) + 1),
-            range(max(1, home[1] - reach),
-                  min(int(config.height), home[1] + reach) + 1))
+def _reach(config: Configuration, key: int) -> int:
+    """How far along each axis a move of distance() key or less goes:
+    key under Manhattan, isqrt(key) under Euclidean."""
+    return key if config.metric == "manhattan" else isqrt(key)
 
 
 def move_domain(config: Configuration, home: tuple[int, int],
@@ -83,11 +84,21 @@ def move_domain(config: Configuration, home: tuple[int, int],
     """The sorted (d, x, y) triples of the integer grid destinations
     whose distance() d from the sensor at integer point home is at most
     key.  Under either metric with key 1 this is the 5-point plus (a
-    diagonal step has squared length 2)."""
-    metric = config.metric
-    xs, ys = _box(config, home, key)
-    out = [(d, x, y) for x in xs for y in ys
-           if (d := distance(metric, home, (x, y))) <= key]
+    diagonal step has squared length 2).
+
+    Each column within _reach holds the rows within what is left of
+    key once the column is reached: key - |dx| under Manhattan,
+    isqrt(key - dx^2) under Euclidean."""
+    hx, hy = home
+    a, b, reach = int(config.width), int(config.height), _reach(config, key)
+    manhattan = config.metric == "manhattan"
+    out = []
+    for x in range(max(1, hx - reach), min(a, hx + reach) + 1):
+        dx = abs(x - hx) if manhattan else (x - hx) ** 2
+        r = key - dx if manhattan else isqrt(key - dx)
+        for y in range(max(1, hy - r), min(b, hy + r) + 1):
+            out.append((dx + (abs(y - hy) if manhattan else (y - hy) ** 2),
+                        x, y))
     out.sort()
     return tuple(out)
 
@@ -100,9 +111,12 @@ def lines_blocked(positions, v_lines, h_lines):
     1 apart (the same coordinate when one sits on i).
 
     Coordinates are scaled to ints by to_ints and sorted: one bisect
-    per line."""
+    per line.  At scale 1 (all on the grid) a line is blocked iff a
+    coordinate sits on it: one set intersection."""
     def blocked(coords, lines):
         d, scaled = to_ints(coords)
+        if d == 1:
+            return set(scaled).intersection(lines)
         scaled.sort()
         out = set()
         for i in lines:
@@ -155,13 +169,20 @@ def decide_vh(inst: VHInstance, budget: int | None = None
     (uncommitted sensor, destination on the line) pairs tried by
     smallest displacement.  Raises SearchLimit past the node budget.
 
-    The candidates are indexed once per call: each required line maps
-    to the sorted (key, x, y, sensor id) tuples of every move_domain
-    destination on it.  A node reads a line's candidates by dropping
-    the committed sensors from its list, which keeps the order, and
-    picks the MRV line from live candidate counts that commit and undo
-    update.  Raises SizeLimit when the budget boxes to scan hold more
-    than SCAN_LIMIT grid cells.
+    The required lines get the ids 0..L-1, the sorted vertical lines
+    first, then the sorted horizontal ones, so a tie goes to the least
+    id.  The candidates are indexed once per call: each line id maps to
+    the sorted (key, x, y, sensor) tuples of every move_domain
+    destination on it, and each sensor to the lines its entries are on,
+    with their counts.  A node reads the MRV line's candidates by
+    dropping the committed sensors from its list, which keeps the
+    order.  The unsatisfied lines stay sorted by (live candidates, id),
+    one int each, so the MRV line is the first of them: commit and undo
+    move only the lines the sensor's entries are on and the two lines
+    its destination blocks, each by a bisect and a list move.  A node
+    thus costs the lines one sensor touches, not a pass over the
+    unsatisfied lines.  Raises SizeLimit when the budget boxes to scan
+    hold more than SCAN_LIMIT grid cells.
     """
     ok, sol = _decide(inst.config, inst.v_lines, inst.h_lines,
                       budget_key(inst.config.metric, inst.max_move), budget)
@@ -171,70 +192,100 @@ def decide_vh(inst: VHInstance, budget: int | None = None
 
 def _decide(config: Configuration, v_lines, h_lines, key: int, budget):
     """decide_vh's search over the moves of distance() key or less."""
-    homes = [(sid, (x.numerator, y.numerator))
-             for sid, x, y, _ in config.sensors]
-    cells = sum((xs.stop - xs.start) * (ys.stop - ys.start) for xs, ys in (
-        _box(config, home, key) for _, home in homes))
+    homes = [(x.numerator, y.numerator) for _, x, y, _ in config.sensors]
+    a, b, reach = int(config.width), int(config.height), _reach(config, key)
+    cells = sum((min(a, x + reach) - max(1, x - reach) + 1) *
+                (min(b, y + reach) - max(1, y - reach) + 1) for x, y in homes)
     if cells > SCAN_LIMIT:
         raise SizeLimit(f"decide_vh would scan {cells} grid cells, "
                         f"past {SCAN_LIMIT}")
     limit = DEFAULT_NODE_BUDGET if budget is None else budget
-    required = [("v", v) for v in sorted(v_lines)] + \
-               [("h", h) for h in sorted(h_lines)]
-    index: dict[tuple, list] = {line: [] for line in required}
-    lines_of: dict[int, list] = {}  # sensor -> line of each of its entries
-    for sid, home in homes:
-        lines_of[sid] = []
+    vs, hs = sorted(v_lines), sorted(h_lines)
+    L = len(vs) + len(hs)  # line ids: the vertical lines, then the rows
+    v_id = {x: i for i, x in enumerate(vs)}
+    h_id = {y: i for i, y in enumerate(hs, len(vs))}
+    # sensors are numbered in config.sensors' order, which is by id, so
+    # the (d, x, y, sensor) candidates sort as they would by id
+    index: list[list] = [[] for _ in range(L)]  # line -> its candidates
+    touches = []  # sensor -> (line, its entries on the line) pairs
+    for s, home in enumerate(homes):
+        count: dict[int, int] = {}
         for d, x, y in move_domain(config, home, key):
-            cand = (d, x, y, sid)
-            for line in (("v", x), ("h", y)):
-                if line in index:
-                    index[line].append(cand)
-                    lines_of[sid].append(line)
-    for cands in index.values():
+            for line in (v_id.get(x), h_id.get(y)):
+                if line is not None:
+                    index[line].append((d, x, y, s))
+                    count[line] = count.get(line, 0) + 1
+        touches.append(list(count.items()))
+    for cands in index:
         cands.sort()
-    live = {line: len(cands) for line, cands in index.items()}
-    committed: dict[int, tuple[int, int]] = {}
+    live = [len(cands) for cands in index]  # entries of free sensors
+    cover = [0] * L  # committed sensors on each line
+    # the unsatisfied lines by (live, id) as the sorted ints live * L + id:
+    # mrv[0] is the least id among those with the fewest live entries
+    mrv = sorted(n * L + line for line, n in enumerate(live))
+    pos: list = [None] * len(homes)  # committed destinations
     nodes = 0
 
-    def visit(unsat: list):
+    def recount(s, sign):
+        # sensor s leaves (sign -1) or rejoins (+1) the free sensors: each
+        # line it touches changes its live count, and an unsatisfied one
+        # moves to its new place in mrv
+        for line, k in touches[s]:
+            n = live[line]
+            live[line] = n + sign * k
+            if not cover[line]:
+                del mrv[bisect_left(mrv, n * L + line)]
+                insort(mrv, (n + sign * k) * L + line)
+
+    def commit(s, xy):
+        pos[s] = xy
+        for line in (v_id.get(xy[0]), h_id.get(xy[1])):
+            if line is not None:
+                cover[line] += 1
+                if cover[line] == 1:  # newly blocked
+                    del mrv[bisect_left(mrv, live[line] * L + line)]
+        recount(s, -1)
+
+    def undo(s):
+        xy, pos[s] = pos[s], None
+        recount(s, 1)
+        for line in (v_id.get(xy[0]), h_id.get(xy[1])):
+            if line is not None:
+                cover[line] -= 1
+                if not cover[line]:  # unsatisfied again
+                    insort(mrv, live[line] * L + line)
+
+    def visit():
         # one search node: True when every line is blocked, else its
-        # frame [unsat, candidates, next index], with no candidates when
-        # a line has none left; unsat keeps the order of required
+        # frame [candidates on the MRV line, next index], with no
+        # candidates when that line has none left
         nonlocal nodes
         nodes += 1
         if nodes > limit:
-            raise SearchLimit(nodes, key, len(unsat))
-        if not unsat:
+            raise SearchLimit(nodes, key, len(mrv))
+        if not mrv:
             return True
-        best = min(unsat, key=live.__getitem__)
-        return [unsat, [c for c in index[best] if c[3] not in committed], 0]
+        return [[c for c in index[mrv[0] % L] if pos[c[3]] is None], 0]
 
     # depth first on an explicit stack, as deep as there are sensors;
     # a frame's next candidate is tried once the one before is undone
-    stack = [visit(required)]
+    stack = [visit()]
     while stack and stack[-1] is not True:
         frame = stack[-1]
-        unsat, cands, i = frame
+        cands, i = frame
         if i:
-            sid = cands[i - 1][3]
-            del committed[sid]
-            for line in lines_of[sid]:
-                live[line] += 1
+            undo(cands[i - 1][3])
         if i == len(cands):
             stack.pop()
             continue
-        frame[2] = i + 1
-        _, x, y, sid = cands[i]
-        committed[sid] = (x, y)
-        for line in lines_of[sid]:
-            live[line] -= 1
-        vx, hy = ("v", x), ("h", y)
-        stack.append(visit([l for l in unsat if l != vx and l != hy]))
+        frame[1] = i + 1
+        _, x, y, s = cands[i]
+        commit(s, (x, y))
+        stack.append(visit())
     if not stack:
         return False, None
-    return True, Solution({sid: committed.get(sid, (x, y))
-                           for sid, x, y, _ in config.sensors})
+    return True, Solution({sid: pos[s] or (x, y) for s, (sid, x, y, _)
+                           in enumerate(config.sensors)})
 
 
 @dataclass(frozen=True)
@@ -293,7 +344,7 @@ def oracle_minmax(inst: VHInstance) -> bool:
     """Memoized exhaustive check over sensors x unsatisfied-line sets.
     Reference for decide_vh: the move domains come from a scan of each
     sensor's box of its own reach with a budget test of its own, not
-    from _box and move_domain.  The domains are counted first, line by
+    from _reach and move_domain.  The domains are counted first, line by
     line along the shorter side of each box, and SizeLimit is raised
     before any scan once their product passes 10^7."""
     config = inst.config

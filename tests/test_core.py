@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from brutes import reflect_x, reflect_y, transpose, transpose_solution
 from wcr import serialize
 from wcr.core import (Configuration, Sensor, Solution, distance, int_gaps,
-                      is_blocking, rat, rat_str, solution_costs)
+                      is_blocking, rat, rat_str, solution_costs, to_ints)
 from wcr.errors import ParseError, ValidationError
 
 F = Fraction
@@ -221,6 +221,18 @@ def test_costs_euclidean_perfect_square():
 def test_distance_keys():
     assert distance("manhattan", (F(0), F(0)), (F(1), F(2))) == F(3)
     assert distance("euclidean", (F(0), F(0)), (F(1), F(2))) == F(5)
+
+
+def test_to_ints_keeps_ints_at_scale_1():
+    values = [3, -7, 0, 10**30]
+    assert to_ints(values) == to_ints(iter(values)) == (1, values)
+    assert to_ints([]) == (1, [])
+    # a Fraction in the mix takes the lcm, an integral one scale 1
+    assert to_ints([2, F(1, 6), -1, F(3, 4)]) == (12, [24, 2, -12, 9])
+    assert to_ints([F(4), 5]) == (1, [4, 5])
+    # bool is not int: it takes the ratios and comes back as an int
+    D, ints = to_ints([True, False])
+    assert (D, ints) == (1, [1, 0]) and {*map(type, ints)} == {int}
 
 
 # -- transforms --------------------------------------------------------------

@@ -53,19 +53,22 @@ def test_move_domain_matches_fraction_scan(metric):
     """move_domain equals a scan of the whole grid that tests each cell
     with the Fraction within, keyed by its own length formula, on
     homes at the corners, on the edges and inside grids from 1x1 to
-    9x7, at fractional budgets."""
+    9x7 and on 1 x b and a x 1 strips, at fractional budgets and at
+    budgets that reach past the grid's far corner."""
     rng = random.Random(18)
-    shapes = [(1, 1), (9, 7)] + [(rng.randint(1, 9), rng.randint(1, 7))
-                                 for _ in range(10)]
+    shapes = [(1, 1), (9, 7), (1, 9), (8, 1)] + \
+        [(rng.randint(1, 9), rng.randint(1, 7)) for _ in range(10)]
     checked = 0
     for a, b in shapes:
         homes = {(1, 1), (a, 1), (1, b), (a, b), (rng.randint(1, a), 1),
                  (1, rng.randint(1, b)), (a, rng.randint(1, b)),
                  (rng.randint(1, a), b),
                  (rng.randint(1, a), rng.randint(1, b))}
+        corner = a + b - 2  # the Manhattan length of the grid's diagonal
+        far = (F(corner), F(corner + 1), F(2 * corner + 3, 2), F(4 * corner))
         for home in sorted(homes):
             cfg = grid(a, b, [home], metric)
-            for d in MOVE_BUDGETS:
+            for d in MOVE_BUDGETS + far:
                 dx_dy = [(x, y, abs(x - home[0]), abs(y - home[1]))
                          for x in range(1, a + 1) for y in range(1, b + 1)
                          if within(metric, home, (x, y), d)]
@@ -75,7 +78,9 @@ def test_move_domain_matches_fraction_scan(metric):
                 got = move_domain(cfg, home, budget_key(metric, d))
                 assert list(got) == expected, (a, b, home, d)
                 checked += 1
-    assert checked > 12 * 8
+                if d >= corner:  # every cell is in reach
+                    assert len(got) == a * b, (a, b, home, d)
+    assert checked > 14 * 12
 
 
 def test_budget_key_is_the_floor_per_metric():
@@ -335,6 +340,19 @@ def test_diagonal_of_side_1000_solves_at_key_0():
     res = solve_minmax(cfg)
     assert time.perf_counter() - start < 1
     assert res.value == 0 and res.value_squared == 0
+    assert res.solution.positions == {i: (F(x), F(y))
+                                      for i, (x, y) in enumerate(cells, 1)}
+
+
+def test_diagonal_of_side_5000_solves_in_linear_time():
+    # each of the 5000 forced nodes costs the lines its sensor touches,
+    # not a pass over the up to 10000 lines still unblocked
+    cells = [(i, i) for i in range(1, 5001)]
+    cfg = grid(5000, 5000, cells)
+    start = time.perf_counter()
+    res = solve_minmax(cfg)
+    assert time.perf_counter() - start < 0.8
+    assert res.value_squared == 0
     assert res.solution.positions == {i: (F(x), F(y))
                                       for i, (x, y) in enumerate(cells, 1)}
 
